@@ -40,6 +40,15 @@ def _positive_cores(parser, n):
     return n
 
 
+def _trace_cores(parser, events, cores):
+    """--cores for a saved trace: inferred by default, never too few."""
+    needed = diagram.infer_cores(events)
+    cores = _positive_cores(parser, needed if cores is None else cores)
+    if cores < needed:
+        parser.error("the trace uses %d cores, more than --cores" % needed)
+    return cores
+
+
 def build_parser():
     parser = _Parser(prog="empa",
                      description="EMPA/Y86 assembler and many-core simulator")
@@ -200,8 +209,7 @@ def cmd_stats(args, parser):
             events = tr.parse_trace(fh.read())
     except (OSError, tr.TraceFormatError) as exc:
         parser.error(str(exc))
-    cores = args.cores if args.cores is not None else diagram.infer_cores(events)
-    _positive_cores(parser, cores)
+    cores = _trace_cores(parser, events, args.cores)
     baseline = _read_baseline(args.baseline, parser)
     st = statsmod.compute_stats(events, cores, baseline)
     text = statsmod.format_stats(st)
@@ -218,8 +226,7 @@ def cmd_diagram(args, parser):
             events = tr.parse_trace(fh.read())
     except (OSError, tr.TraceFormatError) as exc:
         parser.error(str(exc))
-    cores = args.cores if args.cores is not None else diagram.infer_cores(events)
-    _positive_cores(parser, cores)
+    cores = _trace_cores(parser, events, args.cores)
     if args.ascii:
         print(diagram.render_ascii(events, cores), end="")
         return EXIT_OK

@@ -20,43 +20,26 @@ _LEFT = 56
 _QT_W = 36
 
 
-class _QtSpan:
-    def __init__(self, qt_id, core, start):
-        self.id = qt_id
-        self.core = core
-        self.start = start
-        self.end = None
-        self.nested = 0
+def _encloses(outer, inner):
+    return (outer.core == inner.core and outer.start <= inner.start
+            and inner.end <= outer.end
+            and (outer.start < inner.start or inner.end < outer.end))
 
 
-def _collect_spans(events, total):
-    spans = []
-    open_by_id = {}
-    root_core = 0
-    for ev in events:
-        if ev.qt == "1":
-            root_core = ev.core
-    first = min((ev.cycle for ev in events), default=0)
-    root = _QtSpan("1", root_core, first)
-    root.end = total
-    for ev in events:
-        if ev.kind == tr.QT_CREATED:
-            span = _QtSpan(ev.qt, ev.core, ev.cycle)
-            spans.append(span)
-            open_by_id[ev.qt] = span
-        elif ev.kind == tr.QT_TERMINATED and ev.qt in open_by_id:
-            open_by_id.pop(ev.qt).end = ev.cycle
-    for span in spans:
-        if span.end is None:
-            span.end = total
-    all_spans = [root] + spans
-    for span in all_spans:     # nesting depth for same-core overlaps
-        for other in all_spans:
-            if other is not span and other.core == span.core and \
-                    other.start <= span.start and span.end <= other.end and \
-                    (other.start < span.start or span.end < other.end):
-                span.nested += 1
-    return all_spans
+def _nesting_depths(spans):
+    """How many other spans on its core enclose each span.  On a core QT
+    spans nest or follow one another, so one pass by start (outer first)
+    with a stack of enclosing spans finds them all."""
+    depths = [0] * len(spans)
+    stack = []
+    for i in sorted(range(len(spans)), key=lambda i: (
+            spans[i].core, spans[i].start, -spans[i].end)):
+        span = spans[i]
+        while stack and not _encloses(stack[-1], span):
+            stack.pop()
+        depths[i] = len(stack)
+        stack.append(span)
+    return depths
 
 
 def _x(core):
@@ -106,15 +89,15 @@ def render_diagram(events, cores=None, title=None):
                                       "text-anchor": "end"})
         label.text = str(cycle)
 
-    spans = _collect_spans(events, total)
-    for span in spans:
-        w = max(_QT_W - 8 * span.nested, 12)
+    spans = tr.qt_spans(events)
+    for span, depth in zip(spans, _nesting_depths(spans)):
+        w = max(_QT_W - 8 * depth, 12)
         x0 = _x(span.core) - w // 2
         y0, y1 = _y(span.start), _y(span.end)
         attrib = {"class": "qt-rect", "data-qt": span.id,
                   "fill": "none", "stroke": "#333333"}
-        if span.id != "1":
-            attrib["data-parent"] = span.id[:-1] or "-"
+        if span.parent is not None:
+            attrib["data-parent"] = span.parent or "-"
         ET.SubElement(svg, "rect", x=str(x0), y=str(y0), width=str(w),
                       height=str(max(y1 - y0, 2)), attrib=attrib)
         for hy in (y0, y1):    # creation/termination hooks
@@ -214,13 +197,12 @@ def render_ascii(events, cores=None):
     if cores is None:
         cores = infer_cores(events)
     total = max((ev.cycle for ev in events), default=0)
-    spans = _collect_spans(events, total)
+    spans = tr.qt_spans(events)
 
     alive = [[False] * (total + 1) for _ in range(cores)]
     for span in spans:
         for cycle in range(span.start, span.end + 1):
-            if cycle <= total:
-                alive[span.core][cycle] = True
+            alive[span.core][cycle] = True
     cells = {}
     for ev in events:
         prio = _GLYPH_PRIORITY.get(ev.kind)

@@ -107,9 +107,6 @@ class Memory:
         self.data[address:address + 4] = (value & isa.WORD_MASK).to_bytes(4, "little")
 
 
-ROOT_QT_ID = "1"
-
-
 class Machine:
     """Self-contained machine state; step it with tick() or run_to_halt()."""
 
@@ -128,7 +125,7 @@ class Machine:
         self.halted = False
         self._last_event_clock = 0
 
-        self.root_qt = QTDescriptor(ROOT_QT_ID, None, 0, image.entry, None,
+        self.root_qt = QTDescriptor(tr.ROOT_QT_ID, None, 0, image.entry, None,
                                     isa.REG_ENO, KIND_PLAIN)
         root = self.cores[0]
         root.status = Status.RUNNING
@@ -271,16 +268,6 @@ class Machine:
 
         walk(self.root_qt, 0)
         return out
-
-
-def load(image, cfg=None):
-    """Initialize a machine from an assembled image."""
-    return Machine(image, cfg)
-
-
-def run_image(image, cfg=None, max_cycles=None):
-    machine = Machine(image, cfg)
-    return machine.run_to_halt(max_cycles)
 
 
 def image_from_bytes(data, size=None):

@@ -1,5 +1,8 @@
 """Performance statistics over a finished trace.
 
+A core is busy in every cycle that one of its QT spans
+(`trace.qt_spans`) covers; busy cycles and peak concurrency follow.
+
 Speedup is measured against a supplied baseline cycle count; effective
 parallelization inverts Amdahl's law at the observed speedup, with the
 k = 1 singularity defined as 1.  The model calculator reproduces the
@@ -11,10 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import trace as tr
-
-
-class MissingBaseline(Exception):
-    """Speedup requested without a baseline cycle count."""
 
 
 def alpha_eff(k, s):
@@ -49,49 +48,36 @@ class Stats:
     alpha_eff: float = None
 
 
-def _busy_intervals(events, total_cycles):
-    """Per-core busy cycle ranges from QT creation/termination pairs."""
-    spans = {}          # qt id -> [core, start, end]
-    for ev in events:
-        if ev.kind == tr.QT_CREATED:
-            spans[ev.qt] = [ev.core, ev.cycle, None]
-        elif ev.kind == tr.QT_TERMINATED and ev.qt in spans:
-            spans[ev.qt][2] = ev.cycle
-    root_cores = {ev.core for ev in events if ev.qt == "1"}
-    if events and "1" not in spans:
-        first = min(ev.cycle for ev in events)
-        spans["1"] = [min(root_cores) if root_cores else 0, first, None]
-    per_core = {}
-    for core, start, end in spans.values():
-        per_core.setdefault(core, []).append((start, end if end is not None
-                                              else total_cycles))
-    return per_core
+def _core_runs(spans):
+    """Each core's spans merged into disjoint [core, start, end] ranges."""
+    runs = []
+    for span in sorted(spans, key=lambda s: (s.core, s.start)):
+        if runs and runs[-1][0] == span.core and span.start <= runs[-1][2]:
+            runs[-1][2] = max(runs[-1][2], span.end)
+        else:
+            runs.append([span.core, span.start, span.end])
+    return runs
 
 
 def compute_stats(events, cores, baseline_cycles=None):
     """Statistics for a complete trace produced on a `cores`-core run."""
     total_cycles = max((ev.cycle for ev in events), default=0)
-    per_core = _busy_intervals(events, total_cycles)
+    runs = _core_runs(tr.qt_spans(events))
     busy = [0] * cores
-    for core, intervals in per_core.items():
-        cycles = set()
-        for start, end in intervals:
-            cycles.update(range(start, end + 1))
-        busy[core] = len(cycles)
-    concurrent = {}
-    for core, intervals in per_core.items():
-        marked = set()
-        for start, end in intervals:
-            for c in range(start, end + 1):
-                if c not in marked:
-                    concurrent[c] = concurrent.get(c, 0) + 1
-                    marked.add(c)
+    for core, start, end in runs:
+        busy[core] += end - start + 1
+    # sweep: a run ending at c frees its core at c + 1 (frees sort first)
+    busy_cores = max_concurrent = 0
+    for _, step in sorted([(start, 1) for _, start, _ in runs] +
+                          [(end + 1, -1) for _, _, end in runs]):
+        busy_cores += step
+        max_concurrent = max(max_concurrent, busy_cores)
     stats = Stats(
         total_cycles=total_cycles,
         cores=cores,
         cores_used=sum(1 for b in busy if b),
         per_core_busy=busy,
-        max_concurrent=max(concurrent.values(), default=0),
+        max_concurrent=max_concurrent,
     )
     if baseline_cycles is not None:
         if total_cycles == 0:
@@ -101,12 +87,6 @@ def compute_stats(events, cores, baseline_cycles=None):
         stats.speedup = baseline_cycles / total_cycles
         stats.alpha_eff = alpha_eff(cores, stats.speedup)
     return stats
-
-
-def require_baseline(baseline_cycles):
-    if baseline_cycles is None:
-        raise MissingBaseline("speedup needs a baseline cycle count")
-    return baseline_cycles
 
 
 def format_stats(stats):

@@ -25,8 +25,6 @@ KIND_CALL = "Call"
 KIND_MASS_TRUE = "MassTrue"
 KIND_MASS_FALSE = "MassFalse"
 
-_SEQ_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
 
 class QTDescriptor:
     """One quasi-thread: identity, parent link, bracket addresses, link
@@ -49,9 +47,7 @@ class QTDescriptor:
 
     def next_child_id(self):
         self.child_seq += 1
-        if self.child_seq < len(_SEQ_CHARS):
-            return self.id + _SEQ_CHARS[self.child_seq]
-        return "%s(%d)" % (self.id, self.child_seq)
+        return tr.child_qt_id(self.id, self.child_seq)
 
     def live_children(self):
         return [c for c in self.children if c.alive]
@@ -384,15 +380,8 @@ class Supervisor:
         if parent.latches.get(Latch.FROM_CHILD) == 0:
             self._end_loop(mc, parent, cycle)
             return
-        child_index = mc.cores[0]
-        qt = self.create_qt(parent, child_index, mc.create_addr, mc.term_addr,
-                            mc.link, KIND_MASS_TRUE, start_pc=mc.create_addr + 6,
-                            cycle=cycle, ecc_index=mc.created)
-        mc.current_child = qt
-        mc.created += 1
-        mc.remaining -= 1
-        parent.latches.set(Latch.FOR_CHILD, parent.latches.get(Latch.FOR_CHILD) + 4)
-        parent.latches.set(Latch.FROM_CHILD, max(parent.latches.get(Latch.FROM_CHILD) - 1, 0))
+        mc.current_child = self._create_mass_child(mc, parent, mc.cores[0],
+                                                    cycle)
 
     def _step_sumup(self, mc, cycle):
         parent = self.m.cores[mc.parent_core]
@@ -401,13 +390,18 @@ class Supervisor:
             return
         child_index = mc.cores[mc.next_core]
         mc.next_core += 1
-        self.create_qt(parent, child_index, mc.create_addr, mc.term_addr,
-                       mc.link, KIND_MASS_TRUE, start_pc=mc.create_addr + 6,
-                       cycle=cycle, ecc_index=mc.created)
+        self._create_mass_child(mc, parent, child_index, cycle)
+
+    def _create_mass_child(self, mc, parent, child_index, cycle):
+        """The next FOR/SUMUP child, counted down in the parent's latches."""
+        qt = self.create_qt(parent, child_index, mc.create_addr, mc.term_addr,
+                            mc.link, KIND_MASS_TRUE, start_pc=mc.create_addr + 6,
+                            cycle=cycle, ecc_index=mc.created)
         mc.created += 1
         mc.remaining -= 1
         parent.latches.set(Latch.FOR_CHILD, parent.latches.get(Latch.FOR_CHILD) + 4)
         parent.latches.set(Latch.FROM_CHILD, max(parent.latches.get(Latch.FROM_CHILD) - 1, 0))
+        return qt
 
     def _end_loop(self, mc, parent, cycle):
         mc.active = False

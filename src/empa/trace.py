@@ -1,13 +1,20 @@
-"""Event log model and its line-delimited serialization.
+"""Event log model, its line-delimited serialization, and the QT ids
+and QT spans read from it.
 
 One self-describing key-value record per line, append-only:
 
     cycle=<n> core=<n> qt=<id> kind=<k> addr=<hex> payload=<hex?>
 
-The trace is the sole input to diagrams and statistics.
+The root QT is `1`; a QT's n-th child appends `1`..`9`, `a`..`z` for
+n = 1..35 and `(n)` from then on.  The trace is the sole input to
+diagrams and statistics, and both read it through `qt_spans`.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+
+ROOT_QT_ID = "1"
+_SEQ_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 # Event kinds.  IDLE is part of the vocabulary but the engine never emits
 # it: idle time is the absence of events (and the deadlock watchdog counts
@@ -37,6 +44,48 @@ class Event:
     kind: str
     addr: int
     payload: int = None
+
+
+# One QT lifetime: cycles start..end (inclusive) on one core; the
+# parent is None for the root.
+QtSpan = namedtuple("QtSpan", "id parent core start end")
+
+
+def child_qt_id(parent_id, seq):
+    """Id of the seq-th child (seq >= 1) of the QT `parent_id`."""
+    if seq < len(_SEQ_CHARS):
+        return parent_id + _SEQ_CHARS[seq]
+    return "%s(%d)" % (parent_id, seq)
+
+
+def parent_qt_id(qt_id):
+    """Inverse of child_qt_id: the parent's id, None for the root."""
+    if qt_id == ROOT_QT_ID:
+        return None
+    cut = qt_id.rfind("(") if qt_id.endswith(")") else -1   # "(n)" or 1 char
+    return qt_id[:cut]
+
+
+def qt_spans(events):
+    """Every QT's lifetime, root first, then in creation order.  A QT
+    alive at the end lasts to the last cycle; the root spans the whole
+    trace on the core of its first event (else 0)."""
+    if not events:
+        return []
+    last = max(ev.cycle for ev in events)
+    root_core = next((ev.core for ev in events if ev.qt == ROOT_QT_ID), 0)
+    spans = [QtSpan(ROOT_QT_ID, None, root_core,
+                    min(ev.cycle for ev in events), last)]
+    open_at = {}                # id -> index in spans
+    for ev in events:
+        if ev.kind == QT_CREATED:
+            open_at[ev.qt] = len(spans)
+            spans.append(QtSpan(ev.qt, parent_qt_id(ev.qt), ev.core,
+                                ev.cycle, last))
+        elif ev.kind == QT_TERMINATED and ev.qt in open_at:
+            i = open_at.pop(ev.qt)
+            spans[i] = spans[i]._replace(end=ev.cycle)
+    return spans
 
 
 class TraceFormatError(Exception):

@@ -150,6 +150,21 @@ def test_diagram_subcommand(fixture_dir, capsys):
     assert "C4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],
+                                  ["diagram"]])
+def test_saved_trace_with_too_few_cores_is_a_user_error(fixture_dir, capsys,
+                                                        argv):
+    trace_out = fixture_dir / "dp.trace"
+    cli.main(["run", _p(fixture_dir / "dynpar.eyo"), "--cores", "8",
+              "--trace", _p(trace_out)])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + [_p(trace_out), "--cores", "2"] + argv[1:])
+    assert exc.value.code == 1
+    assert "trace uses 7 cores" in capsys.readouterr().err
+    assert not (fixture_dir / "dp.svg").exists()
+
+
 def test_outputs_deterministic(fixture_dir):
     args = ["run", _p(fixture_dir / "adaptive.eyo"), "--cores", "5"]
     t1, t2 = fixture_dir / "t1", fixture_dir / "t2"

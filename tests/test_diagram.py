@@ -4,7 +4,7 @@ spacing, ASCII determinism."""
 import xml.etree.ElementTree as ET
 
 from empa import diagram, trace as tr
-from empa.fixtures import dynpar_source, sumup_mode_source
+from empa.fixtures import dynpar_source, for_mode_source, sumup_mode_source
 from helpers import assemble_run
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -78,6 +78,16 @@ def test_qt_labels_use_parent_prefix_scheme():
     root = ET.fromstring(svg)
     labels = {el.text for el in _by_class(root, "qt-label")}
     assert labels == {"1", "11", "12", "13", "14"}
+
+
+def test_data_parent_names_an_emitted_qt_past_35_children():
+    machine, events, svg = _render(for_mode_source(list(range(1, 41))), 4)
+    rects = _by_class(ET.fromstring(svg), "qt-rect")
+    ids = {r.get("data-qt") for r in rects}
+    assert "1(40)" in ids
+    parents = {r.get("data-qt"): r.get("data-parent") for r in rects}
+    assert parents["1(36)"] == "1"
+    assert all(p in ids for p in parents.values() if p is not None)
 
 
 def test_dynpar_rect_count_same_on_4_and_8_cores():

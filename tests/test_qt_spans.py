@@ -1,0 +1,133 @@
+"""Property test of the QT-span model against the definitions it replaced.
+
+The oracle below keeps the earlier per-renderer rebuilds: busy cycles
+and peak concurrency from per-cycle sets, and nesting depth from an
+all-pairs enclosure count.  Generated traces have the shapes the engine
+produces on one core: the root spanning the run, QTs that follow one
+another (possibly sharing a cycle), fallback brackets nested inside
+them, and QTs still open when the trace ends.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from empa import diagram, stats, trace as tr
+
+
+# ---- oracle: the definitions before qt_spans ------------------------------
+
+def _oracle_spans(events, total):
+    """(id, core, start, end, nested) per QT, root first."""
+    spans, open_by_id = [], {}
+    root_core = 0
+    for ev in events:
+        if ev.qt == "1":
+            root_core = ev.core
+    first = min((ev.cycle for ev in events), default=0)
+    spans.append(["1", root_core, first, total])
+    for ev in events:
+        if ev.kind == tr.QT_CREATED:
+            span = [ev.qt, ev.core, ev.cycle, None]
+            spans.append(span)
+            open_by_id[ev.qt] = span
+        elif ev.kind == tr.QT_TERMINATED and ev.qt in open_by_id:
+            open_by_id.pop(ev.qt)[3] = ev.cycle
+    for span in spans:
+        if span[3] is None:
+            span[3] = total
+    out = []
+    for qt_id, core, start, end in spans:
+        nested = sum(1 for _, c, s, e in spans
+                     if c == core and s <= start and end <= e
+                     and (s < start or end < e))
+        out.append((qt_id, core, start, end, nested))
+    return out
+
+
+def _oracle_busy(events, cores, total):
+    """(per-core busy cycles, max concurrent busy cores)."""
+    spans = {}          # qt id -> [core, start, end]
+    for ev in events:
+        if ev.kind == tr.QT_CREATED:
+            spans[ev.qt] = [ev.core, ev.cycle, None]
+        elif ev.kind == tr.QT_TERMINATED and ev.qt in spans:
+            spans[ev.qt][2] = ev.cycle
+    root_cores = {ev.core for ev in events if ev.qt == "1"}
+    if events and "1" not in spans:
+        first = min(ev.cycle for ev in events)
+        spans["1"] = [min(root_cores) if root_cores else 0, first, None]
+    cycles = [set() for _ in range(cores)]
+    for core, start, end in spans.values():
+        cycles[core].update(range(start, (total if end is None else end) + 1))
+    concurrent = {}
+    for marked in cycles:
+        for c in marked:
+            concurrent[c] = concurrent.get(c, 0) + 1
+    return [len(c) for c in cycles], max(concurrent.values(), default=0)
+
+
+# ---- generated traces --------------------------------------------------------
+
+@st.composite
+def _traces(draw):
+    cores = draw(st.integers(1, 4))
+    root_core = draw(st.integers(0, cores - 1))
+    events = [tr.Event(1, root_core, "1", tr.INSTR_RETIRED, 0, 1)]
+    ids = iter(tr.child_qt_id("1", n) for n in range(1, 10 ** 6))
+    closed_tails = []   # cores whose last top-level QT has terminated
+
+    def chain(core, lo, hi, depth, may_stay_open):
+        """QTs on `core` one after another inside cycles lo..hi, each
+        holding a nested chain (a fallback bracket) of its own.  Returns
+        whether the last of them stays open."""
+        t, stays_open = lo, False
+        count = draw(st.integers(0, 3 if depth == 0 else 2))
+        for k in range(count):
+            start = t + draw(st.integers(0, 3))
+            end = start + draw(st.integers(1, 8))
+            if end > hi:
+                break
+            qt_id = next(ids)
+            events.append(tr.Event(start, core, qt_id, tr.QT_CREATED, 0))
+            last = k == count - 1
+            stays_open = may_stay_open and last and draw(st.booleans())
+            if depth < 2 and end - start >= 2:
+                # a nested QT may share its first cycle; an open one may
+                # not, as two open QTs from one cycle would be one span
+                chain(core, start + stays_open, end - 1, depth + 1,
+                      stays_open)
+            if not stays_open:
+                events.append(tr.Event(end, core, qt_id,
+                                       tr.QT_TERMINATED, 0))
+            t = end             # the next QT may start in this cycle
+        return stays_open
+
+    horizon = draw(st.integers(2, 40))
+    for core in range(cores):
+        lo = 2 if core == root_core else 1   # brackets start inside the root
+        if not chain(core, lo, horizon, 0, True):
+            closed_tails.append(core)
+    events.append(tr.Event(draw(st.integers(1, horizon)), root_core, "1",
+                           tr.INSTR_RETIRED, 0, 1))
+    if closed_tails and draw(st.booleans()):    # created in the last cycle
+        last = max(ev.cycle for ev in events)
+        events.append(tr.Event(last, draw(st.sampled_from(closed_tails)),
+                               next(ids), tr.QT_CREATED, 0))
+    # any order within a cycle: a QT's creation and end never share one
+    return cores, sorted(draw(st.permutations(events)),
+                         key=lambda ev: ev.cycle)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_traces())
+def test_spans_depths_and_busy_match_the_oracle(trace):
+    cores, events = trace
+    total = max(ev.cycle for ev in events)
+    expect = _oracle_spans(events, total)
+    spans = tr.qt_spans(events)
+    assert [(s.id, s.core, s.start, s.end) for s in spans] == \
+        [e[:4] for e in expect]
+    assert diagram._nesting_depths(spans) == [e[4] for e in expect]
+    busy, peak = _oracle_busy(events, cores, total)
+    got = stats.compute_stats(events, cores)
+    assert got.per_core_busy == busy
+    assert got.max_concurrent == peak

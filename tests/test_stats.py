@@ -77,12 +77,6 @@ def test_dynpar_concurrency_counted_from_trace():
     assert st.cores_used == 7
 
 
-def test_missing_baseline():
-    with pytest.raises(stats.MissingBaseline):
-        stats.require_baseline(None)
-    assert stats.require_baseline(10) == 10
-
-
 def test_format_and_parse_baseline():
     _, _, events = assemble_run(no_mode_source(), cores=1)
     st = stats.compute_stats(events, 1)

@@ -143,8 +143,9 @@ def test_random_qt_trees_complete_and_balance():
         assert len(created) == n_labels
         assert len(created) == len(ended), trial
         assert sorted(ev.qt for ev in created) == sorted(ev.qt for ev in ended)
-        for ev in created:       # labeling rule: parent prefix + one char
-            assert ev.qt[:-1] == "1" or ev.qt[:-1].startswith("1")
+        known = {ev.qt for ev in created} | {tr.ROOT_QT_ID}
+        for ev in created:       # labeling rule: every parent is a known QT
+            assert tr.parent_qt_id(ev.qt) in known, ev.qt
         # replay determinism
         _, _, events2 = assemble_run(source, cores=cores, max_cycles=50000)
         assert tr.format_trace(events) == tr.format_trace(events2)

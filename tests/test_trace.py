@@ -34,3 +34,35 @@ def test_parse_rejects_garbage():
 def test_kind_vocabulary_closed():
     assert tr.IDLE in tr.KINDS
     assert len(tr.KINDS) == 10
+
+
+@pytest.mark.parametrize("parent, seq, child", [
+    ("1", 1, "11"),
+    ("1", 35, "1z"),
+    ("1", 36, "1(36)"),
+    ("1(36)", 1, "1(36)1"),
+    ("11", 36, "11(36)"),
+])
+def test_child_and_parent_ids_round_trip(parent, seq, child):
+    assert tr.child_qt_id(parent, seq) == child
+    assert tr.parent_qt_id(child) == parent
+
+
+def test_root_has_no_parent():
+    assert tr.parent_qt_id(tr.ROOT_QT_ID) is None
+
+
+def test_qt_spans_root_first_and_open_spans_end_at_last_cycle():
+    events = [
+        tr.Event(1, 0, "1", tr.INSTR_RETIRED, 0x0, 1),
+        tr.Event(2, 1, "11", tr.QT_CREATED, 0x6),
+        tr.Event(3, 2, "12", tr.QT_CREATED, 0x6),
+        tr.Event(5, 1, "11", tr.QT_TERMINATED, 0x20),
+        tr.Event(9, 0, "1", tr.INSTR_RETIRED, 0x30, 1),
+    ]
+    assert tr.qt_spans(events) == [
+        tr.QtSpan("1", None, 0, 1, 9),
+        tr.QtSpan("11", "1", 1, 2, 5),
+        tr.QtSpan("12", "1", 2, 3, 9),
+    ]
+    assert tr.qt_spans([]) == []
