@@ -11,7 +11,7 @@ import sys
 
 from . import assembler, diagram, engine, isa, stats as statsmod, trace as tr
 from .coremodel import Status
-from .errors import SimulationError
+from .errors import ImageTooLarge, SimulationError
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -124,7 +124,18 @@ def _machine_config(args, parser):
         except (OSError, ValueError) as exc:
             parser.error("bad timing file: %s" % exc)
     watchdog = getattr(args, "watchdog", 10000)
-    return engine.MachineConfig(cores=cores, timing=timing, watchdog=watchdog)
+    try:
+        return engine.MachineConfig(cores=cores, timing=timing,
+                                    watchdog=watchdog)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
+def _machine(image, cfg, parser):
+    try:
+        return engine.Machine(image, cfg)
+    except ImageTooLarge as exc:
+        parser.error(str(exc))
 
 
 def cmd_asm(args, parser):
@@ -171,7 +182,7 @@ def cmd_run(args, parser):
     image = _load_image(args.image, parser)
     cfg = _machine_config(args, parser)
     baseline = _read_baseline(args.baseline, parser)
-    machine = engine.Machine(image, cfg)
+    machine = _machine(image, cfg, parser)
     try:
         events, machine = machine.run_to_halt()
     except SimulationError as exc:
@@ -379,7 +390,7 @@ class StepSession:
 def cmd_step(args, parser):
     image = _load_image(args.image, parser)
     cfg = _machine_config(args, parser)
-    machine = engine.Machine(image, cfg)
+    machine = _machine(image, cfg, parser)
     session = StepSession(machine)
 
     def _lines():

@@ -8,6 +8,7 @@ resolves at the moment of access through the phase-keyed latch map.
 """
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from . import isa
@@ -111,19 +112,40 @@ class CoreState:
     latches: LatchSet = field(default_factory=LatchSet)
     mode: int = 0
     parent_mode: int = 0
-    status: Status = Status.FREE
-    qt = None
     phase: Phase = Phase.NONE
 
     # execution bookkeeping (engine-owned)
     inflight = None          # decoded Instruction currently executing
     inflight_addr: int = 0
     remaining: int = 0
-    blocked = None           # None | "sv" | "massloop"
-    wait_cond = None         # (instr_addr, frozenset of QTDescriptor)
     for_parent_dirty: bool = False
     brackets: list = field(default_factory=list)   # open inline QFCreate blocks
     last_alloc = None        # None | "granted" | "denied"
+
+    # The machine that owns the core, told of every change to status, qt,
+    # blocked and wait_cond (the properties below); None for a lone core.
+    owner = None
+    _status = Status.FREE
+    _qt = None               # QTDescriptor the core runs, or None
+    _blocked = None          # None | "sv" | "massloop"
+    _wait_cond = None        # (instr_addr, frozenset of QTDescriptor)
+
+    def _tracked(name):
+        attr = "_" + name
+        get = operator.attrgetter(attr)
+
+        def set_(self, value):
+            if value is not get(self):
+                setattr(self, attr, value)
+                if self.owner is not None:
+                    self.owner.touch(self)
+        return property(get, set_)
+
+    status = _tracked("status")
+    qt = _tracked("qt")
+    blocked = _tracked("blocked")
+    wait_cond = _tracked("wait_cond")
+    del _tracked
 
     def esv_context(self):
         return _PHASE_TO_CONTEXT[self.phase]

@@ -10,6 +10,7 @@ The ASCII renderer is the terminal counterpart.
 """
 
 import xml.etree.ElementTree as ET
+from collections import defaultdict
 
 from . import trace as tr
 
@@ -58,6 +59,7 @@ def render_diagram(events, cores=None, title=None):
     """Render a trace as a standalone SVG document (text)."""
     if cores is None:
         cores = infer_cores(events)
+    tr.check_cores(events, cores)
     total = max((ev.cycle for ev in events), default=0)
     width = _LEFT + cores * _COL_W + 20
     height = _y(total) + 2 * _ROW_H
@@ -192,54 +194,65 @@ _GLYPHS = {tr.SUM_FEED: "+", tr.META_RETIRED: "Q", tr.INSTR_RETIRED: "o",
            tr.WAIT_BEGIN: "w", tr.WAIT_END: "w"}
 
 
+_CELLS = {kind: glyph.center(5) for kind, glyph in _GLYPHS.items()}
+_WAIT, _ALIVE, _IDLE = (glyph.center(5) for glyph in "w|.")
+
+
 def render_ascii(events, cores=None):
-    """Character-cell counterpart of the SVG diagram."""
+    """Character-cell counterpart of the SVG diagram.  A core's cell
+    shows its highest-priority event glyph, else 'w' while it waits,
+    '|' inside a QT span and '.' otherwise.  The background changes
+    only at span and wait boundaries, so each row copies it and patches
+    in the cells that have events."""
     if cores is None:
         cores = infer_cores(events)
+    tr.check_cores(events, cores)
     total = max((ev.cycle for ev in events), default=0)
-    spans = tr.qt_spans(events)
 
-    alive = [[False] * (total + 1) for _ in range(cores)]
-    for span in spans:
-        for cycle in range(span.start, span.end + 1):
-            alive[span.core][cycle] = True
-    cells = {}
+    steps = defaultdict(list)   # cycle -> [(core, span step, wait step)]
+
+    def cover(core, start, end, span, wait):
+        if start <= end:        # cycles start..end inclusive
+            steps[start].append((core, span, wait))
+            steps[end + 1].append((core, -span, -wait))
+
+    for span in tr.qt_spans(events):
+        cover(span.core, span.start, span.end, 1, 0)
+    cells = defaultdict(dict)   # cycle -> {core: event kind shown}
+    open_waits = {}
     for ev in events:
         prio = _GLYPH_PRIORITY.get(ev.kind)
         if prio is None:
             continue
-        key = (ev.cycle, ev.core)
-        if key not in cells or _GLYPH_PRIORITY[cells[key]] < prio:
-            cells[key] = ev.kind
-    waiting = set()
-    open_waits = {}
-    for ev in events:
+        row = cells[ev.cycle]
+        shown = row.get(ev.core)
+        if shown is None or _GLYPH_PRIORITY[shown] < prio:
+            row[ev.core] = ev.kind
         if ev.kind == tr.WAIT_BEGIN:
             open_waits[(ev.core, ev.qt)] = ev.cycle
         elif ev.kind == tr.WAIT_END:
             begin = open_waits.pop((ev.core, ev.qt), None)
             if begin is not None:
-                for cycle in range(begin, ev.cycle):
-                    waiting.add((cycle, ev.core))
+                cover(ev.core, begin, ev.cycle - 1, 0, 1)
     for (core, _qt), begin in open_waits.items():
-        for cycle in range(begin, total + 1):
-            waiting.add((cycle, core))
+        cover(core, begin, total, 0, 1)
 
     header = "cycle " + "".join(("C%d" % c).center(5) for c in range(cores))
     lines = [header]
+    in_span, waiting = [0] * cores, [0] * cores
+    background = [_IDLE] * cores
     for cycle in range(0, total + 1):
+        for core, span, wait in steps.get(cycle, ()):
+            in_span[core] += span
+            waiting[core] += wait
+            background[core] = (_WAIT if waiting[core] else
+                                _ALIVE if in_span[core] else _IDLE)
+        row = background
+        marks = cells.get(cycle)
+        if marks:
+            row = background[:]
+            for core, kind in marks.items():
+                row[core] = _CELLS[kind]
         label = "%5d " % cycle if cycle % 5 == 0 else "      "
-        row = []
-        for core in range(cores):
-            kind = cells.get((cycle, core))
-            if kind is not None:
-                glyph = _GLYPHS[kind]
-            elif (cycle, core) in waiting:
-                glyph = "w"
-            elif alive[core][cycle]:
-                glyph = "|"
-            else:
-                glyph = "."
-            row.append(glyph.center(5))
         lines.append(label + "".join(row))
     return "\n".join(lines) + "\n"

@@ -1,10 +1,18 @@
 """The cycle-accurate machine: global clock, shared multi-ported memory,
-per-core instruction timing, event collection and halt detection.
+per-core instruction timing, event collection, halt detection and the
+per-tick invariant checker.
 
 Each tick runs the supervisor phase first (so a QTerm retired at cycle t
 takes effect at t+1), then lets every unblocked running core burn one
 cycle of its current instruction, retiring it when the budget reaches
 zero.  Identical inputs give identical machines and traces.
+
+A tick costs the running cores plus the state changes it makes, not
+the configured core count.  Every write to a core's status, qt, blocked
+or wait_cond goes through a CoreState property that calls
+Machine.touch.  A touch marks the list of running, unblocked cores
+stale (it is rebuilt at the next tick) and queues the core for the
+invariant checker, which rechecks only touched cores.
 """
 
 from dataclasses import dataclass, field
@@ -82,6 +90,10 @@ class MachineConfig:
     def __post_init__(self):
         if not 1 <= self.cores <= 64:
             raise ValueError("core count must be between 1 and 64")
+        if self.mem_bytes < 4:
+            raise ValueError("memory must hold at least one 4-byte word")
+        if self.watchdog < 1:
+            raise ValueError("watchdog window must be at least 1 cycle")
 
 
 class Memory:
@@ -118,6 +130,12 @@ class Machine:
         self.cfg = cfg
         self.memory = Memory(bytes(image.memory).ljust(cfg.mem_bytes, b"\0"))
         self.cores = [CoreState(i) for i in range(cfg.cores)]
+        for core in self.cores:
+            core.owner = self
+        # Indices of cores whose status, qt, blocked or wait_cond changed
+        # since the last invariant check; all of them before the first.
+        self._touched = set(range(cfg.cores))
+        self._active = None       # running, unblocked cores; None: stale
         self.sv = Supervisor(self)
         self.clock = 0
         self.events = []
@@ -128,10 +146,16 @@ class Machine:
         self.root_qt = QTDescriptor(tr.ROOT_QT_ID, None, 0, image.entry, None,
                                     isa.REG_ENO, KIND_PLAIN)
         root = self.cores[0]
-        root.status = Status.RUNNING
+        self.sv.set_pool_status(root, Status.RUNNING)
         root.pc = image.entry
         root.qt = self.root_qt
         root.phase = Phase.GENERAL
+
+    def touch(self, core):
+        """Called on every write to a core's status, qt, blocked or
+        wait_cond (see CoreState)."""
+        self._touched.add(core.index)
+        self._active = None
 
     # ---- event sink ------------------------------------------------------
 
@@ -160,9 +184,15 @@ class Machine:
             raise RuntimeFault("tick on a halted machine")
         self.clock += 1
         self.sv.phase(self.clock)
-        for core in self.cores:
-            if core.status is not Status.RUNNING or core.blocked is not None:
-                continue
+        # A retiring core changes no other core's status or blocked flag,
+        # so this snapshot matches a per-core check at each core's turn;
+        # ascending order keeps same-tick memory visibility and the halt
+        # break.
+        if self._active is None:
+            self._active = [core for core in self.cores
+                            if core.status is Status.RUNNING
+                            and core.blocked is None]
+        for core in self._active:
             if core.inflight is None:
                 self._fetch(core)
             core.remaining -= 1
@@ -235,24 +265,29 @@ class Machine:
         raise WatchdogExpired("no event for %d cycles" % window)
 
     def _check_invariants(self):
-        free, prealloc, busy = self.sv.pool_sets()
-        everything = free | prealloc | busy
-        if everything != set(range(self.cfg.cores)) or \
-                len(free) + len(prealloc) + len(busy) != self.cfg.cores:
+        """Every core is in the pool of its status, no free core holds a
+        QT, and every core's QT parent chain ends.  A core's part of
+        that depends only on its status and qt (parent links never
+        change), so only cores touched since the last check are checked
+        again; the pool sizes must still add up to the core count."""
+        sv = self.sv
+        cores = [self.cores[i] for i in sorted(self._touched)]
+        if len(sv.free) + len(sv.prealloc) + len(sv.busy) != self.cfg.cores \
+                or any(c.index not in sv.pools[c.status] for c in cores):
             raise InvariantViolation(
                 "pool sets do not partition the cores at cycle %d" % self.clock)
-        for core in self.cores:
+        for core in cores:
             if core.status is Status.FREE and core.qt is not None:
                 raise InvariantViolation(
                     "free core %d still bound to QT %s" % (core.index, core.qt.id))
-        # live forest acyclicity (parent chain must reach the root)
-        for core in self.cores:
+            # live forest acyclicity (parent chain must reach the root)
             qt, hops = core.qt, 0
             while qt is not None:
                 qt = qt.parent
                 hops += 1
                 if hops > 1000:
                     raise InvariantViolation("QT parent chain does not terminate")
+        self._touched.clear()
 
     # ---- views -------------------------------------------------------------
 

@@ -61,6 +61,7 @@ def _core_runs(spans):
 
 def compute_stats(events, cores, baseline_cycles=None):
     """Statistics for a complete trace produced on a `cores`-core run."""
+    tr.check_cores(events, cores)
     total_cycles = max((ev.cycle for ev in events), default=0)
     runs = _core_runs(tr.qt_spans(events))
     busy = [0] * cores

@@ -7,6 +7,11 @@ wait re-evaluation, queued meta requests (ascending core index), then
 mass-loop steps (ascending core index).  That ordering makes a QTerm at
 cycle t unblock a waiter at t+1 and lets a FOR loop re-iterate in the
 same cycle its child's termination is processed.
+
+The core pool is kept as sets (free, preallocated, busy) that
+set_pool_status updates together with a core's status, so allocation
+reads the sets instead of scanning the cores.  Wait re-evaluation
+visits only the waiter set, the cores with a pending wait condition.
 """
 
 from . import isa
@@ -28,12 +33,13 @@ KIND_MASS_FALSE = "MassFalse"
 
 class QTDescriptor:
     """One quasi-thread: identity, parent link, bracket addresses, link
-    register and mass-processing role.  The parent never changes."""
+    register and mass-processing role.  The parent never changes: it is
+    read-only, so a parent chain checked once stays checked."""
 
     def __init__(self, qt_id, parent, core, create_addr, term_addr, link,
                  kind, ecc_index=0):
         self.id = qt_id
-        self.parent = parent
+        self._parent = parent
         self.core = core
         self.create_addr = create_addr
         self.term_addr = term_addr
@@ -44,6 +50,10 @@ class QTDescriptor:
         self.children = []
         self.child_seq = 0
         self.child_create_addrs = set()
+
+    @property
+    def parent(self):
+        return self._parent
 
     def next_child_id(self):
         self.child_seq += 1
@@ -87,6 +97,21 @@ class Supervisor:
         self.m = machine
         self.queue = []               # pending _MetaRequest, FIFO
         self.mass = {}                # parent core index -> MassControl
+        self.waiters = set()          # indices of cores with a wait_cond
+        # The core pool by status; RUNNING and WAITING share one set.
+        # Only set_pool_status moves a core between them.
+        self.free = set(range(machine.cfg.cores))
+        self.prealloc = set()
+        self.busy = set()
+        self.pools = {Status.FREE: self.free,
+                      Status.PREALLOCATED: self.prealloc,
+                      Status.RUNNING: self.busy, Status.WAITING: self.busy}
+
+    def set_pool_status(self, core, status):
+        """Set a core's status and move it to that status's pool."""
+        self.pools[core.status].discard(core.index)
+        core.status = status
+        self.pools[status].add(core.index)
 
     # ---- requests from retiring cores -------------------------------
 
@@ -97,15 +122,20 @@ class Supervisor:
     # ---- the SV phase of one tick ------------------------------------
 
     def phase(self, cycle):
-        self._reevaluate_waits(cycle)
-        self._process_queue(cycle)
-        self._mass_steps(cycle)
+        if self.waiters:
+            self._reevaluate_waits(cycle)
+        if self.queue:
+            self._process_queue(cycle)
+        if self.mass:
+            self._mass_steps(cycle)
 
     def _reevaluate_waits(self, cycle):
-        for core in self.m.cores:
+        for index in sorted(self.waiters):
+            core = self.m.cores[index]
             if core.status is Status.WAITING and core.wait_cond is not None:
                 addr, scope = core.wait_cond
                 if all(not q.alive for q in scope):
+                    self.waiters.discard(index)
                     core.wait_cond = None
                     core.status = Status.RUNNING
                     core.blocked = None
@@ -152,7 +182,7 @@ class Supervisor:
             create_addr, term_addr, link = req.addr, req.instr.imm, req.instr.ra
             kind = KIND_PLAIN
 
-        free = self._lowest_free()
+        free = min(self.free, default=None)
         if free is None:
             # No resource: postponed for a later cycle.
             core.status = Status.WAITING
@@ -177,7 +207,7 @@ class Supervisor:
         parent_qt.children.append(qt)
         parent_qt.child_create_addrs.add(create_addr)
         clone_into(parent_core, child_core, link)
-        child_core.status = Status.RUNNING
+        self.set_pool_status(child_core, Status.RUNNING)
         child_core.pc = start_pc
         child_core.qt = qt
         child_core.phase = Phase.MASS_CHILD if kind == KIND_MASS_TRUE else Phase.GENERAL
@@ -233,7 +263,8 @@ class Supervisor:
                                     core.latches.get(Latch.FOR_PARENT))
         qt.alive = False
         core.qt = None
-        core.status = Status.PREALLOCATED if (in_for and mc.active) else Status.FREE
+        self.set_pool_status(
+            core, Status.PREALLOCATED if (in_for and mc.active) else Status.FREE)
         core.phase = Phase.NONE
         core.reset_runtime()
         self.m.emit(cycle, core.index, qt.id, tr.QT_TERMINATED, addr)
@@ -267,6 +298,7 @@ class Supervisor:
             return
         core.status = Status.WAITING
         core.wait_cond = (req.addr, scope)
+        self.waiters.add(core.index)
         self.m.emit(cycle, core.index, qt.id, tr.WAIT_BEGIN, req.addr,
                     payload=target)
 
@@ -280,15 +312,14 @@ class Supervisor:
         self._release_abandoned(core.index)
         count = max(isa.to_signed(self._plain_read(core, req.instr.ra)), 0)
         need = 1 if mode == MODE_FOR else count
-        free = [c.index for c in self.m.cores if c.status is Status.FREE]
         core.status = Status.RUNNING
         core.blocked = None
-        if len(free) < need:
+        if len(self.free) < need:
             core.last_alloc = "denied"
             return
-        taken = free[:need]
+        taken = sorted(self.free)[:need]
         for i in taken:
-            self.m.cores[i].status = Status.PREALLOCATED
+            self.set_pool_status(self.m.cores[i], Status.PREALLOCATED)
         self.mass[core.index] = MassControl(core.qt, core.index, mode, count, taken)
         core.latches.set(Latch.FROM_CHILD, count)
         core.latches.set(Latch.FOR_CHILD, 0)
@@ -302,9 +333,13 @@ class Supervisor:
         old = self.mass.pop(core_index, None)
         if old is None or old.active:
             return
-        for i in old.cores[old.next_core:]:
+        self._release(old.cores[old.next_core:])
+
+    def _release(self, indices):
+        """Return the still-preallocated cores among `indices` to the pool."""
+        for i in indices:
             if self.m.cores[i].status is Status.PREALLOCATED:
-                self.m.cores[i].status = Status.FREE
+                self.set_pool_status(self.m.cores[i], Status.FREE)
 
     def _plain_read(self, core, code):
         """Register read by the SV itself (no instruction-level events)."""
@@ -406,9 +441,7 @@ class Supervisor:
     def _end_loop(self, mc, parent, cycle):
         mc.active = False
         mc.current_child = None
-        for i in mc.cores[mc.next_core if mc.mode == MODE_SUMUP else 0:]:
-            if self.m.cores[i].status is Status.PREALLOCATED:
-                self.m.cores[i].status = Status.FREE
+        self._release(mc.cores[mc.next_core if mc.mode == MODE_SUMUP else 0:])
         mc.next_core = len(mc.cores)      # reservation fully disowned
         parent.pc = (mc.term_addr + 1) & isa.WORD_MASK
         parent.status = Status.RUNNING
@@ -433,22 +466,3 @@ class Supervisor:
         self.m.emit(cycle, child_core.index, qt.id, tr.SUM_FEED, addr,
                     payload=value)
         return True
-
-    # ---- pool bookkeeping ----------------------------------------------------
-
-    def pool_sets(self):
-        free, prealloc, busy = set(), set(), set()
-        for core in self.m.cores:
-            if core.status is Status.FREE:
-                free.add(core.index)
-            elif core.status is Status.PREALLOCATED:
-                prealloc.add(core.index)
-            else:
-                busy.add(core.index)
-        return free, prealloc, busy
-
-    def _lowest_free(self):
-        for core in self.m.cores:
-            if core.status is Status.FREE:
-                return core.index
-        return None

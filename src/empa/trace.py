@@ -88,6 +88,15 @@ def qt_spans(events):
     return spans
 
 
+def check_cores(events, cores):
+    """ValueError unless a `cores`-core machine has every core that
+    `events` names."""
+    highest = max((ev.core for ev in events), default=-1)
+    if cores <= highest:
+        raise ValueError("the trace uses core %d, but cores=%d"
+                         % (highest, cores))
+
+
 class TraceFormatError(Exception):
     pass
 

@@ -1,0 +1,113 @@
+"""render_ascii against the per-cell renderer it replaced.
+
+The oracle below is the earlier renderer: a cores x cycles grid of QT
+coverage, a set of waiting cells and one glyph decision per cell.  The
+renderer under test patches event cells into a per-core background that
+changes only at span and wait boundaries; the two must agree byte for
+byte on engine traces, on traces cut off while cores wait, and on
+arbitrary event lists.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from empa import diagram, fixtures, trace as tr
+from empa.errors import Deadlock
+from helpers import make_machine
+
+CORE_COUNTS = (1, 2, 4, 5, 8, 64)
+
+
+def _oracle_ascii(events, cores):
+    total = max((ev.cycle for ev in events), default=0)
+    alive = [[False] * (total + 1) for _ in range(cores)]
+    for span in tr.qt_spans(events):
+        for cycle in range(span.start, span.end + 1):
+            alive[span.core][cycle] = True
+    cells = {}
+    for ev in events:
+        prio = diagram._GLYPH_PRIORITY.get(ev.kind)
+        if prio is None:
+            continue
+        key = (ev.cycle, ev.core)
+        if key not in cells or diagram._GLYPH_PRIORITY[cells[key]] < prio:
+            cells[key] = ev.kind
+    waiting = set()
+    open_waits = {}
+    for ev in events:
+        if ev.kind == tr.WAIT_BEGIN:
+            open_waits[(ev.core, ev.qt)] = ev.cycle
+        elif ev.kind == tr.WAIT_END:
+            begin = open_waits.pop((ev.core, ev.qt), None)
+            if begin is not None:
+                for cycle in range(begin, ev.cycle):
+                    waiting.add((cycle, ev.core))
+    for (core, _qt), begin in open_waits.items():
+        for cycle in range(begin, total + 1):
+            waiting.add((cycle, core))
+
+    header = "cycle " + "".join(("C%d" % c).center(5) for c in range(cores))
+    lines = [header]
+    for cycle in range(0, total + 1):
+        label = "%5d " % cycle if cycle % 5 == 0 else "      "
+        row = []
+        for core in range(cores):
+            kind = cells.get((cycle, core))
+            if kind is not None:
+                glyph = diagram._GLYPHS[kind]
+            elif (cycle, core) in waiting:
+                glyph = "w"
+            elif alive[core][cycle]:
+                glyph = "|"
+            else:
+                glyph = "."
+            row.append(glyph.center(5))
+        lines.append(label + "".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def _trace(name, cores):
+    """The fixture's events on `cores` cores, up to a deadlock if any."""
+    _, machine = make_machine(fixtures.FIXTURES[name](), cores=cores)
+    try:
+        machine.run_to_halt()
+    except Deadlock:
+        pass
+    return machine.events
+
+
+def test_fixtures_match_the_oracle():
+    for name in sorted(fixtures.FIXTURES):
+        for cores in CORE_COUNTS:
+            events = _trace(name, cores)
+            assert diagram.render_ascii(events, cores) == \
+                _oracle_ascii(events, cores), (name, cores)
+
+
+def test_traces_cut_while_waiting_match_the_oracle():
+    cuts = 0
+    for name in sorted(fixtures.FIXTURES):
+        events = _trace(name, 8)
+        for begin in (ev for ev in events if ev.kind == tr.WAIT_BEGIN):
+            cut = [ev for ev in events if ev.cycle <= begin.cycle]
+            assert diagram.render_ascii(cut, 8) == _oracle_ascii(cut, 8)
+            cuts += 1
+    assert cuts
+
+
+@st.composite
+def _event_lists(draw):
+    cores = draw(st.integers(1, 5))
+    event = st.builds(tr.Event,
+                      cycle=st.integers(0, 30),
+                      core=st.integers(0, cores - 1),
+                      qt=st.sampled_from(["1", "11", "12", "111"]),
+                      kind=st.sampled_from(sorted(tr.KINDS)),
+                      addr=st.integers(0, 3))
+    return cores, draw(st.lists(event, max_size=40))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_event_lists())
+def test_event_lists_match_the_oracle(trace):
+    cores, events = trace
+    assert diagram.render_ascii(events, cores) == _oracle_ascii(events, cores)

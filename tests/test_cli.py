@@ -108,6 +108,23 @@ def test_run_deadlock_exit_2(tmp_path, capsys):
     assert "core 0" in capsys.readouterr().err
 
 
+def test_run_watchdog_below_one_is_a_user_error(fixture_dir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", _p(fixture_dir / "no_mode.eyo"), "--watchdog", "0"])
+    assert exc.value.code == 1
+    assert "watchdog" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "step"])
+def test_image_larger_than_memory_is_a_user_error(tmp_path, capsys, command):
+    image = tmp_path / "big.img"
+    image.write_bytes(bytes(9000))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, _p(image), "--cores", "1"])
+    assert exc.value.code == 1
+    assert "exceeds 4096-byte memory" in capsys.readouterr().err
+
+
 def test_empa_cores_environment_default(fixture_dir, capsys, monkeypatch):
     monkeypatch.setenv("EMPA_CORES", "5")
     rc = cli.main(["run", _p(fixture_dir / "adaptive.eyo")])

@@ -3,6 +3,8 @@ spacing, ASCII determinism."""
 
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from empa import diagram, trace as tr
 from empa.fixtures import dynpar_source, for_mode_source, sumup_mode_source
 from helpers import assemble_run
@@ -129,3 +131,12 @@ def test_single_qt_run_one_column():
         assert line.strip("cycle 0123456789")  # column glyphs exist
     svg = diagram.render_diagram(events, 2)
     assert len(_by_class(ET.fromstring(svg), "qt-rect")) == 1
+
+
+@pytest.mark.parametrize("render", [diagram.render_ascii,
+                                    diagram.render_diagram])
+def test_too_few_cores_rejected(render):
+    _, _, events = assemble_run(dynpar_source(), cores=8)
+    with pytest.raises(ValueError, match="core 6"):
+        render(events, 2)
+    render(events, 7)

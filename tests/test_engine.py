@@ -198,3 +198,10 @@ def test_image_from_bytes_roundtrip():
     machine = engine.Machine(image, engine.MachineConfig(cores=1, mem_bytes=64))
     _, machine = machine.run_to_halt()
     assert machine.cores[0].regs[isa.REG_EAX] == 7
+
+
+@pytest.mark.parametrize("kwargs", [{"mem_bytes": 2}, {"watchdog": 0},
+                                    {"watchdog": -3}])
+def test_machine_config_rejects_unusable_values(kwargs):
+    with pytest.raises(ValueError):
+        engine.MachineConfig(**kwargs)

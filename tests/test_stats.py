@@ -100,6 +100,13 @@ def test_empty_trace_stats():
     assert st.cores_used == 0
 
 
+def test_too_few_cores_rejected():
+    _, _, events = assemble_run(dynpar_source(), cores=8)
+    with pytest.raises(ValueError, match="core 6"):
+        stats.compute_stats(events, 2)
+    assert stats.compute_stats(events, 7).cores == 7
+
+
 def test_stats_deterministic_text():
     _, _, e1 = assemble_run(sumup_mode_source(), cores=5)
     _, _, e2 = assemble_run(sumup_mode_source(), cores=5)
