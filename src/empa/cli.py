@@ -411,7 +411,7 @@ def main(argv=None):
         handler = {"asm": cmd_asm, "run": cmd_run, "step": cmd_step,
                    "stats": cmd_stats, "diagram": cmd_diagram}[args.command]
         return handler(args, parser)
-    except assembler.AssemblerError as exc:
+    except (assembler.AssemblerError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USER
     except SimulationError as exc:

@@ -9,7 +9,6 @@ pseudo-register traffic as direction glyphs; adder feeds as '+' marks.
 The ASCII renderer is the terminal counterpart.
 """
 
-import xml.etree.ElementTree as ET
 from collections import defaultdict
 
 from . import trace as tr
@@ -55,7 +54,52 @@ def infer_cores(events):
     return max((ev.core for ev in events), default=0) + 1
 
 
-def render_diagram(events, cores=None, title=None):
+# One %-template per SVG element kind.  The document is ElementTree's
+# serialization of the same elements, written directly: attributes in
+# the order ElementTree kept them, " />" on empty elements, and the
+# same escaping (see _attr and _text).
+_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+         'viewBox="0 0 %d %d"><rect x="0" y="0" width="%d" height="%d" '
+         'fill="white" />')
+_CORE_LABEL = ('<text class="core-label" font-size="11" text-anchor="middle" '
+               'x="%d" y="%d">C%d</text>')
+_GRID = ('<line class="grid" stroke="#cccccc" stroke-width="1" x1="%d" '
+         'y1="%d" x2="%d" y2="%d" /><text class="grid-label" font-size="9" '
+         'text-anchor="end" x="%d" y="%d">%d</text>')
+_QT_RECT = ('<rect class="qt-rect" data-qt="%s" fill="none" stroke="#333333"'
+            '%s x="%d" y="%d" width="%d" height="%d" />')
+_QT_HOOK = ('<line class="qt-hook" stroke="#333333" x1="%d" y1="%d" x2="%d" '
+            'y2="%d" />')
+_QT_LABEL = '<text class="qt-label" font-size="9" x="%d" y="%d"'
+_META = ('<rect class="meta-box" fill="#ffffff" stroke="#555555" x="%d" '
+         'y="%d" width="30" height="10" /><text class="meta-addr" '
+         'font-size="8" x="%d" y="%d">%x</text>')
+_INSTR = ('<circle class="instr-ball" fill="#e8e8ff" stroke="#333333" '
+          'cx="%d" cy="%d" r="5" /><text class="instr-addr" font-size="8" '
+          'text-anchor="middle" x="%d" y="%d">%x</text>')
+_TAIL = '<circle class="instr-ball-tail" fill="#888888" cx="%d" cy="%d" r="2" />'
+_WAIT_DOT = ('<circle class="wait-dot" fill="none" stroke="#999999" '
+             'cx="%d" cy="%d" r="4" />')
+_WAIT_ADDR = ('<text class="wait-addr" font-size="8" text-anchor="end" '
+              'x="%d" y="%d">%x</text>')
+_READ = '<text class="esv-read" font-size="9" x="%d" y="%d">&gt;</text>'
+_WRITE = '<text class="esv-write" font-size="9" x="%d" y="%d">&lt;</text>'
+_FEED = ('<text class="sumfeed" font-size="10" font-weight="bold" '
+         'x="%d" y="%d">+</text>')
+
+
+def _text(value):
+    """`value` as XML character data."""
+    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _attr(value):
+    """`value` inside a double-quoted attribute.  QT ids are the only
+    free text, and a parsed trace's ids hold no whitespace."""
+    return _text(value).replace('"', "&quot;")
+
+
+def render_diagram(events, cores=None):
     """Render a trace as a standalone SVG document (text)."""
     if cores is None:
         cores = infer_cores(events)
@@ -64,125 +108,64 @@ def render_diagram(events, cores=None, title=None):
     width = _LEFT + cores * _COL_W + 20
     height = _y(total) + 2 * _ROW_H
 
-    svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
-                     width=str(width), height=str(height),
-                     viewBox="0 0 %d %d" % (width, height))
-    ET.SubElement(svg, "rect", x="0", y="0", width=str(width),
-                  height=str(height), fill="white")
-    if title:
-        t = ET.SubElement(svg, "text", x=str(_LEFT), y="14",
-                          attrib={"class": "title", "font-size": "12"})
-        t.text = title
-
+    out = [_HEAD % (width, height, width, height, width, height)]
+    add = out.append
     for core in range(cores):
-        head = ET.SubElement(svg, "text", x=str(_x(core)), y=str(_TOP - 10),
-                             attrib={"class": "core-label", "font-size": "11",
-                                     "text-anchor": "middle"})
-        head.text = "C%d" % core
-
+        add(_CORE_LABEL % (_x(core), _TOP - 10, core))
     for cycle in range(0, total + 1, 5):
         y = _y(cycle)
-        ET.SubElement(svg, "line", x1=str(_LEFT - 26), y1=str(y),
-                      x2=str(width - 10), y2=str(y),
-                      attrib={"class": "grid", "stroke": "#cccccc",
-                              "stroke-width": "1"})
-        label = ET.SubElement(svg, "text", x=str(_LEFT - 30), y=str(y + 3),
-                              attrib={"class": "grid-label", "font-size": "9",
-                                      "text-anchor": "end"})
-        label.text = str(cycle)
+        add(_GRID % (_LEFT - 26, y, width - 10, y, _LEFT - 30, y + 3, cycle))
 
     spans = tr.qt_spans(events)
     for span, depth in zip(spans, _nesting_depths(spans)):
         w = max(_QT_W - 8 * depth, 12)
         x0 = _x(span.core) - w // 2
         y0, y1 = _y(span.start), _y(span.end)
-        attrib = {"class": "qt-rect", "data-qt": span.id,
-                  "fill": "none", "stroke": "#333333"}
-        if span.parent is not None:
-            attrib["data-parent"] = span.parent or "-"
-        ET.SubElement(svg, "rect", x=str(x0), y=str(y0), width=str(w),
-                      height=str(max(y1 - y0, 2)), attrib=attrib)
+        parent = ("" if span.parent is None else
+                  ' data-parent="%s"' % _attr(span.parent or "-"))
+        add(_QT_RECT % (_attr(span.id), parent, x0, y0, w, max(y1 - y0, 2)))
         for hy in (y0, y1):    # creation/termination hooks
-            ET.SubElement(svg, "line", x1=str(x0 - 4), y1=str(hy),
-                          x2=str(x0 + w + 4), y2=str(hy),
-                          attrib={"class": "qt-hook", "stroke": "#333333"})
-        label = ET.SubElement(svg, "text", x=str(x0 + 2), y=str(y0 - 2),
-                              attrib={"class": "qt-label", "font-size": "9"})
-        label.text = span.id
+            add(_QT_HOOK % (x0 - 4, hy, x0 + w + 4, hy))
+        add(_QT_LABEL % (x0 + 2, y0 - 2))     # an empty id: empty element
+        add(">%s</text>" % _text(span.id) if span.id else " />")
 
+    x_mid = _LEFT + _COL_W // 2      # _x(core) is x_mid + core * _COL_W
+    half = _QT_W // 2
     waits = {}
     for ev in events:
-        x = _x(ev.core)
-        y = _y(ev.cycle)
-        if ev.kind == tr.INSTR_RETIRED or ev.kind == tr.META_RETIRED:
+        kind = ev.kind
+        x = x_mid + ev.core * _COL_W
+        if kind == tr.INSTR_RETIRED or kind == tr.META_RETIRED:
             duration = ev.payload or 1
-            start = ev.cycle - duration + 1
-            if ev.kind == tr.META_RETIRED:
-                ET.SubElement(svg, "rect", x=str(x + _QT_W // 2 + 4),
-                              y=str(_y(start) - 5), width="30", height="10",
-                              attrib={"class": "meta-box", "fill": "#ffffff",
-                                      "stroke": "#555555"})
-                txt = ET.SubElement(svg, "text", x=str(x + _QT_W // 2 + 6),
-                                    y=str(_y(start) + 3),
-                                    attrib={"class": "meta-addr",
-                                            "font-size": "8"})
-                txt.text = "%x" % ev.addr
+            y = _TOP + (ev.cycle - duration + 1) * _ROW_H
+            if kind == tr.META_RETIRED:
+                add(_META % (x + half + 4, y - 5, x + half + 6, y + 3,
+                             ev.addr))
             else:
-                ET.SubElement(svg, "circle", cx=str(x), cy=str(_y(start)),
-                              r="5", attrib={"class": "instr-ball",
-                                             "fill": "#e8e8ff",
-                                             "stroke": "#333333"})
-                txt = ET.SubElement(svg, "text", x=str(x), y=str(_y(start) - 6),
-                                    attrib={"class": "instr-addr",
-                                            "font-size": "8",
-                                            "text-anchor": "middle"})
-                txt.text = "%x" % ev.addr
-                for extra in range(start + 1, ev.cycle + 1):
-                    ET.SubElement(svg, "circle", cx=str(x), cy=str(_y(extra)),
-                                  r="2", attrib={"class": "instr-ball-tail",
-                                                 "fill": "#888888"})
-        elif ev.kind == tr.WAIT_BEGIN:
+                add(_INSTR % (x, y, x, y - 6, ev.addr))
+                for extra in range(1, duration):
+                    add(_TAIL % (x, y + extra * _ROW_H))
+        elif kind == tr.WAIT_BEGIN:
             waits[(ev.core, ev.qt)] = (ev.cycle, ev.addr)
-        elif ev.kind == tr.WAIT_END:
+        elif kind == tr.WAIT_END:
             begin = waits.pop((ev.core, ev.qt), None)
             if begin is not None:
                 for cycle in range(begin[0], ev.cycle):
-                    ET.SubElement(svg, "circle",
-                                  cx=str(x - _QT_W // 2 - 10),
-                                  cy=str(_y(cycle)), r="4",
-                                  attrib={"class": "wait-dot", "fill": "none",
-                                          "stroke": "#999999"})
-                txt = ET.SubElement(svg, "text", x=str(x - _QT_W // 2 - 18),
-                                    y=str(_y(begin[0]) + 3),
-                                    attrib={"class": "wait-addr",
-                                            "font-size": "8",
-                                            "text-anchor": "end"})
-                txt.text = "%x" % begin[1]
-        elif ev.kind == tr.LATCH_READ:
-            glyph = ET.SubElement(svg, "text", x=str(x + _QT_W // 2 - 2),
-                                  y=str(y + 3), attrib={"class": "esv-read",
-                                                        "font-size": "9"})
-            glyph.text = ">"
-        elif ev.kind == tr.LATCH_WRITE:
-            glyph = ET.SubElement(svg, "text", x=str(x + _QT_W // 2 - 2),
-                                  y=str(y + 3), attrib={"class": "esv-write",
-                                                        "font-size": "9"})
-            glyph.text = "<"
-        elif ev.kind == tr.SUM_FEED:
-            mark = ET.SubElement(svg, "text", x=str(x - 4), y=str(y + 3),
-                                 attrib={"class": "sumfeed",
-                                         "font-size": "10",
-                                         "font-weight": "bold"})
-            mark.text = "+"
+                    add(_WAIT_DOT % (x - half - 10, _y(cycle)))
+                add(_WAIT_ADDR % (x - half - 18, _y(begin[0]) + 3, begin[1]))
+        elif kind == tr.LATCH_READ:
+            add(_READ % (x + half - 2, _y(ev.cycle) + 3))
+        elif kind == tr.LATCH_WRITE:
+            add(_WRITE % (x + half - 2, _y(ev.cycle) + 3))
+        elif kind == tr.SUM_FEED:
+            add(_FEED % (x - 4, _y(ev.cycle) + 3))
     # open waits (machine stopped while waiting)
     for (core, _qt), (begin, addr) in sorted(waits.items()):
         for cycle in range(begin, total + 1):
-            ET.SubElement(svg, "circle", cx=str(_x(core) - _QT_W // 2 - 10),
-                          cy=str(_y(cycle)), r="4",
-                          attrib={"class": "wait-dot", "fill": "none",
-                                  "stroke": "#999999"})
+            add(_WAIT_DOT % (_x(core) - half - 10, _y(cycle)))
 
-    return ET.tostring(svg, encoding="unicode") + "\n"
+    add("</svg>\n")
+    return "".join(out)
 
 
 _GLYPH_PRIORITY = {tr.SUM_FEED: 6, tr.META_RETIRED: 5, tr.INSTR_RETIRED: 4,

@@ -33,19 +33,14 @@ DEFAULT_TIMING = {
 }
 
 
-def timing_class(opcode):
-    group = opcode & 0xF0
-    if group == 0xE0:
-        return "meta"
-    if group == isa.RRMOVL:
-        return "rrmovl"
-    if group == 0x60:
-        return "opl"
-    if group == isa.JMP:
-        return "jxx"
-    return {isa.HALT: "halt", isa.NOP: "nop", isa.IRMOVL: "irmovl",
-            isa.RMMOVL: "rmmovl", isa.MRMOVL: "mrmovl", isa.CALL: "call",
-            isa.RET: "ret", isa.PUSHL: "pushl", isa.POPL: "popl"}[opcode]
+# opcode -> instruction class: by opcode group (high nibble)
+_GROUP_CLASS = {
+    isa.HALT: "halt", isa.NOP: "nop", isa.RRMOVL: "rrmovl",
+    isa.IRMOVL: "irmovl", isa.RMMOVL: "rmmovl", isa.MRMOVL: "mrmovl",
+    isa.ADDL: "opl", isa.JMP: "jxx", isa.CALL: "call", isa.RET: "ret",
+    isa.PUSHL: "pushl", isa.POPL: "popl", isa.QCREATE: "meta",
+}
+TIMING_CLASS = {op: _GROUP_CLASS[op & 0xF0] for op in isa.OPCODES}
 
 
 class TimingConfig:
@@ -77,7 +72,7 @@ class TimingConfig:
         return cls(overrides)
 
     def cycles_for(self, opcode):
-        return self.cycles[timing_class(opcode)]
+        return self.cycles[TIMING_CLASS[opcode]]
 
 
 @dataclass

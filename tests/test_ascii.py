@@ -8,11 +8,10 @@ byte on engine traces, on traces cut off while cores wait, and on
 arbitrary event lists.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from empa import diagram, fixtures, trace as tr
-from empa.errors import Deadlock
-from helpers import make_machine
+from helpers import event_lists, fixture_trace
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
 
@@ -65,20 +64,10 @@ def _oracle_ascii(events, cores):
     return "\n".join(lines) + "\n"
 
 
-def _trace(name, cores):
-    """The fixture's events on `cores` cores, up to a deadlock if any."""
-    _, machine = make_machine(fixtures.FIXTURES[name](), cores=cores)
-    try:
-        machine.run_to_halt()
-    except Deadlock:
-        pass
-    return machine.events
-
-
 def test_fixtures_match_the_oracle():
     for name in sorted(fixtures.FIXTURES):
         for cores in CORE_COUNTS:
-            events = _trace(name, cores)
+            events = fixture_trace(name, cores)
             assert diagram.render_ascii(events, cores) == \
                 _oracle_ascii(events, cores), (name, cores)
 
@@ -86,7 +75,7 @@ def test_fixtures_match_the_oracle():
 def test_traces_cut_while_waiting_match_the_oracle():
     cuts = 0
     for name in sorted(fixtures.FIXTURES):
-        events = _trace(name, 8)
+        events = fixture_trace(name, 8)
         for begin in (ev for ev in events if ev.kind == tr.WAIT_BEGIN):
             cut = [ev for ev in events if ev.cycle <= begin.cycle]
             assert diagram.render_ascii(cut, 8) == _oracle_ascii(cut, 8)
@@ -94,20 +83,8 @@ def test_traces_cut_while_waiting_match_the_oracle():
     assert cuts
 
 
-@st.composite
-def _event_lists(draw):
-    cores = draw(st.integers(1, 5))
-    event = st.builds(tr.Event,
-                      cycle=st.integers(0, 30),
-                      core=st.integers(0, cores - 1),
-                      qt=st.sampled_from(["1", "11", "12", "111"]),
-                      kind=st.sampled_from(sorted(tr.KINDS)),
-                      addr=st.integers(0, 3))
-    return cores, draw(st.lists(event, max_size=40))
-
-
 @settings(max_examples=400, deadline=None)
-@given(_event_lists())
+@given(event_lists())
 def test_event_lists_match_the_oracle(trace):
     cores, events = trace
     assert diagram.render_ascii(events, cores) == _oracle_ascii(events, cores)

@@ -182,6 +182,26 @@ def test_saved_trace_with_too_few_cores_is_a_user_error(fixture_dir, capsys,
     assert not (fixture_dir / "dp.svg").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["diagram", "{trace}", "--output", "{missing}/x.svg"],
+    ["run", "{src}", "--cores", "5", "--diagram", "{missing}/x.svg"],
+    ["asm", "{src}", "-o", "{missing}/x.yo"],
+])
+def test_unwritable_output_is_a_user_error(fixture_dir, capsys, argv):
+    trace_out = fixture_dir / "w.trace"
+    cli.main(["run", _p(fixture_dir / "sumup_mode.eyo"), "--cores", "5",
+              "--trace", _p(trace_out)])
+    capsys.readouterr()
+    missing = fixture_dir / "no_such_dir"
+    rc = cli.main([arg.format(trace=trace_out, missing=missing,
+                              src=fixture_dir / "sumup_mode.eyo")
+                   for arg in argv])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "no_such_dir" in err
+    assert not missing.exists()
+
+
 def test_outputs_deterministic(fixture_dir):
     args = ["run", _p(fixture_dir / "adaptive.eyo"), "--cores", "5"]
     t1, t2 = fixture_dir / "t1", fixture_dir / "t2"

@@ -47,6 +47,30 @@ def test_default_timing_values():
         assert t.cycles_for(op) == 1
 
 
+def _timing_class(opcode):
+    """The per-call classifier that the opcode table replaced."""
+    group = opcode & 0xF0
+    if group == 0xE0:
+        return "meta"
+    if group == isa.RRMOVL:
+        return "rrmovl"
+    if group == 0x60:
+        return "opl"
+    if group == isa.JMP:
+        return "jxx"
+    return {isa.HALT: "halt", isa.NOP: "nop", isa.IRMOVL: "irmovl",
+            isa.RMMOVL: "rmmovl", isa.MRMOVL: "mrmovl", isa.CALL: "call",
+            isa.RET: "ret", isa.PUSHL: "pushl", isa.POPL: "popl"}[opcode]
+
+
+def test_cycles_for_follows_the_old_classifier_on_every_opcode():
+    # a distinct cycle count per class makes the class visible
+    classes = sorted(engine.DEFAULT_TIMING)
+    t = engine.TimingConfig({cls: i + 1 for i, cls in enumerate(classes)})
+    for op in isa.OPCODES:
+        assert t.cycles_for(op) == t.cycles[_timing_class(op)], hex(op)
+
+
 def test_timing_from_text_and_validation():
     t = engine.TimingConfig.from_text("mrmovl = 5\n# comment\nopl=2\n")
     assert t.cycles_for(isa.MRMOVL) == 5
