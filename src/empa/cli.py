@@ -95,17 +95,34 @@ def build_parser():
     return parser
 
 
+def _read_text(path, parser):
+    """A text input file, read as UTF-8; a file that cannot be read or
+    is not UTF-8 is a user error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        parser.error(str(exc))
+    except UnicodeDecodeError as exc:
+        parser.error("%s: not UTF-8 text (%s)" % (path, exc.reason))
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _load_image(path, parser):
+    if path.endswith(".eyo"):
+        return assembler.assemble(_read_text(path, parser))
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         parser.error(str(exc))
-    if path.endswith(".eyo"):
-        return assembler.assemble(raw.decode())
     if not path.endswith(".img"):
         try:
-            text = raw.decode()
+            text = raw.decode("utf-8")
         except UnicodeDecodeError:
             text = None
         if text is not None and " | " in text:
@@ -119,7 +136,7 @@ def _machine_config(args, parser):
     timing = engine.TimingConfig()
     if getattr(args, "timing", None):
         try:
-            with open(args.timing) as fh:
+            with open(args.timing, encoding="utf-8") as fh:
                 timing = engine.TimingConfig.from_text(fh.read())
         except (OSError, ValueError) as exc:
             parser.error("bad timing file: %s" % exc)
@@ -139,11 +156,7 @@ def _machine(image, cfg, parser):
 
 
 def cmd_asm(args, parser):
-    try:
-        with open(args.source) as fh:
-            source = fh.read()
-    except OSError as exc:
-        parser.error(str(exc))
+    source = _read_text(args.source, parser)
     try:
         image = assembler.assemble(source)
     except assembler.AssemblerError as exc:
@@ -151,8 +164,7 @@ def cmd_asm(args, parser):
         return EXIT_USER
     listing_path = args.output or _swap_ext(args.source, ".yo")
     image_path = _swap_ext(listing_path, ".img")
-    with open(listing_path, "w") as fh:
-        fh.write(assembler.write_listing(image))
+    _write_text(listing_path, assembler.write_listing(image))
     with open(image_path, "wb") as fh:
         fh.write(bytes(image.memory))
     print("wrote %s and %s" % (listing_path, image_path))
@@ -167,11 +179,7 @@ def _swap_ext(path, ext):
 def _read_baseline(arg, parser):
     if arg is None:
         return None
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            text = fh.read()
-    else:
-        text = arg
+    text = _read_text(arg, parser) if os.path.exists(arg) else arg
     try:
         return statsmod.parse_baseline(text)
     except ValueError as exc:
@@ -191,11 +199,9 @@ def cmd_run(args, parser):
     for warning in machine.warnings:
         print("warning: %s" % warning, file=sys.stderr)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write(tr.format_trace(events))
+        _write_text(args.trace, tr.format_trace(events))
     if args.diagram:
-        with open(args.diagram, "w") as fh:
-            fh.write(diagram.render_diagram(events, cfg.cores))
+        _write_text(args.diagram, diagram.render_diagram(events, cfg.cores))
     if args.ascii:
         print(diagram.render_ascii(events, cfg.cores), end="")
     st = statsmod.compute_stats(events, cfg.cores, baseline)
@@ -204,8 +210,7 @@ def cmd_run(args, parser):
         if args.stats:
             print(text, end="")
         if args.stats_out:
-            with open(args.stats_out, "w") as fh:
-                fh.write(text)
+            _write_text(args.stats_out, text)
     if not args.stats:
         print("totalCycles=%d" % st.total_cycles)
         if st.speedup is not None:
@@ -214,36 +219,34 @@ def cmd_run(args, parser):
     return EXIT_OK
 
 
-def cmd_stats(args, parser):
+def _read_trace(path, parser):
+    text = _read_text(path, parser)
     try:
-        with open(args.trace) as fh:
-            events = tr.parse_trace(fh.read())
-    except (OSError, tr.TraceFormatError) as exc:
+        return tr.parse_trace(text)
+    except tr.TraceFormatError as exc:
         parser.error(str(exc))
+
+
+def cmd_stats(args, parser):
+    events = _read_trace(args.trace, parser)
     cores = _trace_cores(parser, events, args.cores)
     baseline = _read_baseline(args.baseline, parser)
     st = statsmod.compute_stats(events, cores, baseline)
     text = statsmod.format_stats(st)
     print(text, end="")
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        _write_text(args.output, text)
     return EXIT_OK
 
 
 def cmd_diagram(args, parser):
-    try:
-        with open(args.trace) as fh:
-            events = tr.parse_trace(fh.read())
-    except (OSError, tr.TraceFormatError) as exc:
-        parser.error(str(exc))
+    events = _read_trace(args.trace, parser)
     cores = _trace_cores(parser, events, args.cores)
     if args.ascii:
         print(diagram.render_ascii(events, cores), end="")
         return EXIT_OK
     path = args.output or _swap_ext(args.trace, ".svg")
-    with open(path, "w") as fh:
-        fh.write(diagram.render_diagram(events, cores))
+    _write_text(path, diagram.render_diagram(events, cores))
     print("wrote %s" % path)
     return EXIT_OK
 

@@ -117,6 +117,7 @@ class CoreState:
     # execution bookkeeping (engine-owned)
     inflight = None          # decoded Instruction currently executing
     inflight_addr: int = 0
+    inflight_cycles = 0      # cycles of the inflight instruction
     remaining: int = 0
     for_parent_dirty: bool = False
     brackets: list = field(default_factory=list)   # open inline QFCreate blocks

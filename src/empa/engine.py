@@ -13,6 +13,12 @@ or wait_cond goes through a CoreState property that calls
 Machine.touch.  A touch marks the list of running, unblocked cores
 stale (it is rebuilt at the next tick) and queues the core for the
 invariant checker, which rechecks only touched cores.
+
+Each code address is decoded once.  Machine.decode_at keeps, per pc,
+the decoded instruction, its raw bytes and its cycle count, and reuses
+them only while memory still holds those bytes.  Decoding is a pure
+function of the bytes (and the fixed memory size), so self-modifying
+code and writes by other cores need no invalidation.
 """
 
 from dataclasses import dataclass, field
@@ -131,6 +137,7 @@ class Machine:
         # since the last invariant check; all of them before the first.
         self._touched = set(range(cfg.cores))
         self._active = None       # running, unblocked cores; None: stale
+        self._decoded = {}        # pc -> (Instruction, raw bytes, cycles)
         self.sv = Supervisor(self)
         self.clock = 0
         self.events = []
@@ -199,21 +206,34 @@ class Machine:
         if self.clock - self._last_event_clock >= self.cfg.watchdog:
             self._watchdog_failed()
 
+    def decode_at(self, pc):
+        """(Instruction, cycles) for the code at pc; EncodingError if it
+        does not decode.  A cached decode is used only while memory
+        still holds its bytes; a failed decode is not cached."""
+        data = self.memory.data
+        hit = self._decoded.get(pc)
+        if hit is not None and data[pc:pc + len(hit[1])] == hit[1]:
+            return hit[0], hit[2]
+        instr, length = isa.decode(data, pc)
+        cycles = self.cfg.timing.cycles_for(instr.opcode)
+        self._decoded[pc] = (instr, bytes(data[pc:pc + length]), cycles)
+        return instr, cycles
+
     def _fetch(self, core):
         try:
-            instr, _ = isa.decode(self.memory.data, core.pc)
+            instr, cycles = self.decode_at(core.pc)
         except isa.EncodingError as exc:
             core.status = Status.WAITING   # error-parked, never resumes
             raise RuntimeFault("fetch failed: %s" % exc, core=core.index,
                                qt=core.qt.id, addr=core.pc) from None
         core.inflight = instr
         core.inflight_addr = core.pc
-        core.remaining = self.cfg.timing.cycles_for(instr.opcode)
+        core.inflight_cycles = core.remaining = cycles
 
     def _retire(self, core):
         instr = core.inflight
         addr = core.inflight_addr
-        duration = self.cfg.timing.cycles_for(instr.opcode)
+        duration = core.inflight_cycles
         outcome = step_instruction(core, self.memory, self)
         core.inflight = None
         if outcome is META:
@@ -264,11 +284,16 @@ class Machine:
         QT, and every core's QT parent chain ends.  A core's part of
         that depends only on its status and qt (parent links never
         change), so only cores touched since the last check are checked
-        again; the pool sizes must still add up to the core count."""
+        again; the pool sizes must still add up to the core count, also
+        on a tick that touched none."""
         sv = self.sv
+        sizes_ok = (len(sv.free) + len(sv.prealloc) + len(sv.busy)
+                    == self.cfg.cores)
+        if sizes_ok and not self._touched:
+            return
         cores = [self.cores[i] for i in sorted(self._touched)]
-        if len(sv.free) + len(sv.prealloc) + len(sv.busy) != self.cfg.cores \
-                or any(c.index not in sv.pools[c.status] for c in cores):
+        if not sizes_ok or any(c.index not in sv.pools[c.status]
+                               for c in cores):
             raise InvariantViolation(
                 "pool sets do not partition the cores at cycle %d" % self.clock)
         for core in cores:

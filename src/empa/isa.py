@@ -7,6 +7,7 @@ function of the opcode.  All functions here are pure and thread-safe.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -146,7 +147,9 @@ class TruncatedInstruction(EncodingError):
 @dataclass(frozen=True)
 class Instruction:
     """A decoded instruction.  Fields not used by the opcode's form stay
-    at their canonical values (RNONE / 0) so decode(encode(i)) == i."""
+    at their canonical values (RNONE / 0) so decode(encode(i)) == i.
+    `length` and `is_meta` are worked out once per instance (they are
+    read on every retire) and take no part in equality."""
 
     opcode: int
     ra: int = RNONE
@@ -160,7 +163,7 @@ class Instruction:
     def spec(self):
         return OPCODES[self.opcode]
 
-    @property
+    @cached_property
     def length(self):
         return self.spec.length
 
@@ -168,7 +171,7 @@ class Instruction:
     def mnemonic(self):
         return self.spec.mnemonic
 
-    @property
+    @cached_property
     def is_meta(self):
         return self.opcode >> 4 == META_GROUP
 

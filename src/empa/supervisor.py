@@ -169,7 +169,7 @@ class Supervisor:
         if req.instr.opcode == isa.QCALL:
             target = req.instr.imm
             try:
-                created, _ = isa.decode(self.m.memory.data, target)
+                created, _ = self.m.decode_at(target)
             except isa.EncodingError:
                 created = None
             if created is None or created.opcode != isa.QCREATE:

@@ -113,28 +113,56 @@ def format_trace(events):
     return "".join(format_event(ev) + "\n" for ev in events)
 
 
+_KEYS = ("cycle", "core", "qt", "kind", "addr", "payload")
+
+
+def _key_error(tokens, lineno):
+    """What is wrong with the keys of a line that failed the key checks."""
+    seen = set()
+    for token in tokens:
+        key = token.partition("=")[0]
+        if key not in _KEYS:
+            return TraceFormatError("unknown key %r on line %s" % (key, lineno))
+        if key in seen:
+            return TraceFormatError("duplicate key %r on line %s" % (key, lineno))
+        seen.add(key)
+    missing = next(key for key in _KEYS if key not in seen)
+    return TraceFormatError("missing key %r on line %s" % (missing, lineno))
+
+
 def parse_event(line, lineno=None):
+    """One trace line as an Event.  Every key must be known and appear
+    once, only payload may be left out, and no number may be negative:
+    cycles, core indices, addresses and words never are."""
+    tokens = line.split()
     fields = {}
-    for token in line.split():
+    for token in tokens:
         key, sep, value = token.partition("=")
         if not sep:
             raise TraceFormatError("bad token %r on line %s" % (token, lineno))
         fields[key] = value
+    payload = fields.get("payload")
+    # Five tokens, six with a payload: a line with a key that is unknown
+    # or given twice then lacks a required one, which a lookup catches.
+    if len(tokens) != (5 if payload is None else 6):
+        raise _key_error(tokens, lineno)
     try:
         kind = fields["kind"]
         if kind not in KINDS:
             raise TraceFormatError("unknown kind %r on line %s" % (kind, lineno))
-        payload = fields.get("payload")
-        return Event(
-            cycle=int(fields["cycle"]),
-            core=int(fields["core"]),
-            qt=fields["qt"],
-            kind=kind,
-            addr=int(fields["addr"], 16),
-            payload=int(payload, 16) if payload is not None else None,
-        )
-    except (KeyError, ValueError) as exc:
+        ev = Event(int(fields["cycle"]), int(fields["core"]), fields["qt"],
+                   kind, int(fields["addr"], 16),
+                   None if payload is None else int(payload, 16))
+    except KeyError:
+        raise _key_error(tokens, lineno) from None
+    except ValueError as exc:
         raise TraceFormatError("line %s: %s" % (lineno, exc)) from None
+    if "-" in line:                 # the only way a number is negative
+        for name in ("cycle", "core", "addr", "payload"):
+            if (getattr(ev, name) or 0) < 0:
+                raise TraceFormatError("negative %s on line %s"
+                                       % (name, lineno))
+    return ev
 
 
 def parse_trace(text):

@@ -2,10 +2,13 @@
 default, and REPL-vs-batch trace equivalence."""
 
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
+import empa
 from empa import assembler, cli, engine, fixtures, trace as tr
 from empa.cli import StepSession
 
@@ -200,6 +203,67 @@ def test_unwritable_output_is_a_user_error(fixture_dir, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "no_such_dir" in err
     assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"]])
+@pytest.mark.parametrize("line, complaint", [
+    ("cycle=1 cycle=7 core=0 qt=1 kind=InstrRetired addr=0x0000",
+     "duplicate key 'cycle'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 paylod=0x5",
+     "unknown key 'paylod'"),
+    ("cycle=-3 core=0 qt=1 kind=InstrRetired addr=0x0000", "negative cycle"),
+])
+def test_malformed_trace_line_is_a_user_error(tmp_path, capsys, argv, line,
+                                              complaint):
+    trace = tmp_path / "bad.trace"
+    trace.write_text(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + [_p(trace)] + argv[1:])
+    assert exc.value.code == 1
+    assert complaint + " on line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "{bad}.trace"],
+    ["diagram", "{bad}.trace"],
+    ["asm", "{bad}.eyo"],
+    ["run", "{bad}.eyo"],
+    ["run", "{src}", "--baseline", "{bad}.kv"],
+])
+def test_input_that_is_not_utf8_is_a_user_error(fixture_dir, capsys, argv):
+    argv = [arg.format(bad=fixture_dir / "bad",
+                       src=fixture_dir / "no_mode.eyo") for arg in argv]
+    bad = next(arg for arg in argv if "bad." in arg)
+    with open(bad, "wb") as fh:
+        fh.write(b"halt\n# \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "error: %s: not UTF-8 text" % bad in err
+
+
+@pytest.mark.parametrize("argv", [["asm", "{src}"], ["stats", "{trace}"],
+                                  ["diagram", "{trace}"]])
+def test_text_inputs_are_read_as_utf8_in_an_ascii_locale(tmp_path, argv):
+    """A UTF-8 comment assembles and a UTF-8 QT id is read back, whatever
+    the locale's encoding."""
+    src = tmp_path / "utf8.eyo"
+    src.write_bytes("# Σ of nothing\nhalt\n".encode("utf-8"))
+    trace = tmp_path / "utf8.trace"
+    trace.write_bytes("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+                      "cycle=2 core=0 qt=1é kind=QtCreated addr=0x0000\n"
+                      .encode("utf-8"))
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.path.dirname(os.path.dirname(empa.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "empa.cli"]
+        + [arg.format(src=src, trace=trace) for arg in argv],
+        env=env, capture_output=True, text=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    if argv[0] == "diagram":
+        assert 'data-qt="1é"' in (tmp_path / "utf8.svg").read_text("utf-8")
 
 
 def test_outputs_deterministic(fixture_dir):

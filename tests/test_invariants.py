@@ -121,6 +121,16 @@ def test_every_core_is_checked_on_the_first_tick():
         machine.tick()
 
 
+def test_pool_sizes_are_checked_on_a_tick_that_touches_no_core():
+    _, machine = make_machine(fixtures.no_mode_source(), cores=8)
+    for _ in range(3):
+        machine.tick()
+    machine.sv.busy.add(5)                   # core 5 is free
+    assert not machine._touched              # a plain loop changes no core
+    with pytest.raises(InvariantViolation, match="partition"):
+        machine.tick()
+
+
 def test_qt_parent_is_read_only():
     _, machine = make_machine(fixtures.no_mode_source(), cores=1)
     with pytest.raises(AttributeError):

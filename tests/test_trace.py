@@ -1,10 +1,13 @@
 """Trace serialization round-trip and format checks."""
 
+import re
+
 import pytest
+from hypothesis import given
 
 from empa import trace as tr
-from empa.fixtures import sumup_mode_source
-from helpers import assemble_run
+from empa.fixtures import FIXTURES, sumup_mode_source
+from helpers import assemble_run, event_lists, fixture_trace
 
 
 def test_format_event_with_and_without_payload():
@@ -29,6 +32,44 @@ def test_parse_rejects_garbage():
         tr.parse_event("cycle=1 core=0 qt=1 kind=Nonsense addr=0x0")
     with pytest.raises(tr.TraceFormatError):
         tr.parse_event("not a record")
+
+
+_GOOD = "cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 payload=0x00000001"
+
+
+@pytest.mark.parametrize("line, complaint", [
+    ("cycle=1 cycle=7 core=0 qt=1 kind=InstrRetired addr=0x0000",
+     "duplicate key 'cycle'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0 payload=0x1 payload=0x2",
+     "duplicate key 'payload'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 paylod=0x5",
+     "unknown key 'paylod'"),
+    ("cycel=1 core=0 qt=1 kind=InstrRetired addr=0x0000",
+     "unknown key 'cycel'"),
+    ("core=0 qt=1 kind=InstrRetired addr=0x0000", "missing key 'cycle'"),
+    ("cycle=-3 core=0 qt=1 kind=InstrRetired addr=0x0000", "negative cycle"),
+    ("cycle=3 core=-1 qt=1 kind=InstrRetired addr=0x0000", "negative core"),
+    ("cycle=3 core=0 qt=1 kind=InstrRetired addr=-0x4", "negative addr"),
+    ("cycle=3 core=0 qt=1 kind=LatchRead addr=0x4 payload=-0x1",
+     "negative payload"),
+])
+def test_parse_rejects_a_malformed_line_naming_it(line, complaint):
+    with pytest.raises(tr.TraceFormatError,
+                       match=re.escape(complaint + " on line 2")):
+        tr.parse_trace(_GOOD + "\n" + line + "\n")
+
+
+@pytest.mark.parametrize("cores", (1, 2, 4, 5, 8, 64))
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_roundtrip_fixture_traces(name, cores):
+    events = fixture_trace(name, cores)
+    assert tr.parse_trace(tr.format_trace(events)) == events
+
+
+@given(event_lists())
+def test_roundtrip_generated_traces(case):
+    _, events = case
+    assert tr.parse_trace(tr.format_trace(events)) == events
 
 
 def test_kind_vocabulary_closed():
