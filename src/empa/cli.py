@@ -24,14 +24,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER, "%s: error: %s\n" % (self.prog, message))
 
 
-def _cores_default():
+def _cores_default(parser):
+    """The core count from EMPA_CORES, 8 if it is unset or empty."""
     value = os.environ.get("EMPA_CORES")
-    if value:
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    return 8
+    if not value:
+        return 8
+    try:
+        cores = int(value)
+    except ValueError:
+        cores = None
+    if cores is None or not 1 <= cores <= 64:
+        parser.error("EMPA_CORES=%s: must be a whole number between 1 and 64"
+                     % value)
+    return cores
 
 
 def _positive_cores(parser, n):
@@ -131,8 +136,10 @@ def _load_image(path, parser):
 
 
 def _machine_config(args, parser):
-    cores = args.cores if args.cores is not None else _cores_default()
-    _positive_cores(parser, cores)
+    if args.cores is None:
+        cores = _cores_default(parser)
+    else:
+        cores = _positive_cores(parser, args.cores)
     timing = engine.TimingConfig()
     if getattr(args, "timing", None):
         try:

@@ -10,6 +10,7 @@ The ASCII renderer is the terminal counterpart.
 """
 
 from collections import defaultdict
+from operator import itemgetter
 
 from . import trace as tr
 
@@ -51,7 +52,18 @@ def _y(cycle):
 
 
 def infer_cores(events):
-    return max((ev.core for ev in events), default=0) + 1
+    return max(map(itemgetter(1), events), default=0) + 1
+
+
+def _cores_and_spans(events, cores):
+    """The core count (inferred if None), the QT spans and the last
+    cycle of a trace; ValueError if `cores` is too few for it."""
+    if cores is None:
+        cores = infer_cores(events)
+    else:
+        tr.check_cores(events, cores)
+    spans = tr.qt_spans(events)
+    return cores, spans, spans[0].end if spans else 0
 
 
 # One %-template per SVG element kind.  The document is ElementTree's
@@ -101,10 +113,7 @@ def _attr(value):
 
 def render_diagram(events, cores=None):
     """Render a trace as a standalone SVG document (text)."""
-    if cores is None:
-        cores = infer_cores(events)
-    tr.check_cores(events, cores)
-    total = max((ev.cycle for ev in events), default=0)
+    cores, spans, total = _cores_and_spans(events, cores)
     width = _LEFT + cores * _COL_W + 20
     height = _y(total) + 2 * _ROW_H
 
@@ -116,7 +125,6 @@ def render_diagram(events, cores=None):
         y = _y(cycle)
         add(_GRID % (_LEFT - 26, y, width - 10, y, _LEFT - 30, y + 3, cycle))
 
-    spans = tr.qt_spans(events)
     for span, depth in zip(spans, _nesting_depths(spans)):
         w = max(_QT_W - 8 * depth, 12)
         x0 = _x(span.core) - w // 2
@@ -132,33 +140,31 @@ def render_diagram(events, cores=None):
     x_mid = _LEFT + _COL_W // 2      # _x(core) is x_mid + core * _COL_W
     half = _QT_W // 2
     waits = {}
-    for ev in events:
-        kind = ev.kind
-        x = x_mid + ev.core * _COL_W
+    for cycle, core, qt, kind, addr, payload in events:
+        x = x_mid + core * _COL_W
         if kind == tr.INSTR_RETIRED or kind == tr.META_RETIRED:
-            duration = ev.payload or 1
-            y = _TOP + (ev.cycle - duration + 1) * _ROW_H
+            duration = payload or 1
+            y = _TOP + (cycle - duration + 1) * _ROW_H
             if kind == tr.META_RETIRED:
-                add(_META % (x + half + 4, y - 5, x + half + 6, y + 3,
-                             ev.addr))
+                add(_META % (x + half + 4, y - 5, x + half + 6, y + 3, addr))
             else:
-                add(_INSTR % (x, y, x, y - 6, ev.addr))
+                add(_INSTR % (x, y, x, y - 6, addr))
                 for extra in range(1, duration):
                     add(_TAIL % (x, y + extra * _ROW_H))
         elif kind == tr.WAIT_BEGIN:
-            waits[(ev.core, ev.qt)] = (ev.cycle, ev.addr)
+            waits[(core, qt)] = (cycle, addr)
         elif kind == tr.WAIT_END:
-            begin = waits.pop((ev.core, ev.qt), None)
+            begin = waits.pop((core, qt), None)
             if begin is not None:
-                for cycle in range(begin[0], ev.cycle):
-                    add(_WAIT_DOT % (x - half - 10, _y(cycle)))
+                for waited in range(begin[0], cycle):
+                    add(_WAIT_DOT % (x - half - 10, _y(waited)))
                 add(_WAIT_ADDR % (x - half - 18, _y(begin[0]) + 3, begin[1]))
         elif kind == tr.LATCH_READ:
-            add(_READ % (x + half - 2, _y(ev.cycle) + 3))
+            add(_READ % (x + half - 2, _y(cycle) + 3))
         elif kind == tr.LATCH_WRITE:
-            add(_WRITE % (x + half - 2, _y(ev.cycle) + 3))
+            add(_WRITE % (x + half - 2, _y(cycle) + 3))
         elif kind == tr.SUM_FEED:
-            add(_FEED % (x - 4, _y(ev.cycle) + 3))
+            add(_FEED % (x - 4, _y(cycle) + 3))
     # open waits (machine stopped while waiting)
     for (core, _qt), (begin, addr) in sorted(waits.items()):
         for cycle in range(begin, total + 1):
@@ -187,10 +193,7 @@ def render_ascii(events, cores=None):
     '|' inside a QT span and '.' otherwise.  The background changes
     only at span and wait boundaries, so each row copies it and patches
     in the cells that have events."""
-    if cores is None:
-        cores = infer_cores(events)
-    tr.check_cores(events, cores)
-    total = max((ev.cycle for ev in events), default=0)
+    cores, spans, total = _cores_and_spans(events, cores)
 
     steps = defaultdict(list)   # cycle -> [(core, span step, wait step)]
 
@@ -199,24 +202,24 @@ def render_ascii(events, cores=None):
             steps[start].append((core, span, wait))
             steps[end + 1].append((core, -span, -wait))
 
-    for span in tr.qt_spans(events):
+    for span in spans:
         cover(span.core, span.start, span.end, 1, 0)
     cells = defaultdict(dict)   # cycle -> {core: event kind shown}
     open_waits = {}
-    for ev in events:
-        prio = _GLYPH_PRIORITY.get(ev.kind)
+    for cycle, core, qt, kind, _addr, _payload in events:
+        prio = _GLYPH_PRIORITY.get(kind)
         if prio is None:
             continue
-        row = cells[ev.cycle]
-        shown = row.get(ev.core)
+        row = cells[cycle]
+        shown = row.get(core)
         if shown is None or _GLYPH_PRIORITY[shown] < prio:
-            row[ev.core] = ev.kind
-        if ev.kind == tr.WAIT_BEGIN:
-            open_waits[(ev.core, ev.qt)] = ev.cycle
-        elif ev.kind == tr.WAIT_END:
-            begin = open_waits.pop((ev.core, ev.qt), None)
+            row[core] = kind
+        if kind == tr.WAIT_BEGIN:
+            open_waits[(core, qt)] = cycle
+        elif kind == tr.WAIT_END:
+            begin = open_waits.pop((core, qt), None)
             if begin is not None:
-                cover(ev.core, begin, ev.cycle - 1, 0, 1)
+                cover(core, begin, cycle - 1, 0, 1)
     for (core, _qt), begin in open_waits.items():
         cover(core, begin, total, 0, 1)
 

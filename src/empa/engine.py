@@ -30,6 +30,9 @@ from .coremodel import HALTED, META
 from .errors import (AddressOutOfRange, Deadlock, ImageTooLarge,
                      InvariantViolation, RuntimeFault, WatchdogExpired)
 from .supervisor import KIND_PLAIN, QTDescriptor, Supervisor
+from .trace import Event
+
+_new = tuple.__new__
 
 # instruction class -> default cycles; "arbitrary, but reasonable"
 DEFAULT_TIMING = {
@@ -162,7 +165,8 @@ class Machine:
     # ---- event sink ------------------------------------------------------
 
     def emit(self, cycle, core, qt_id, kind, addr, payload=None):
-        self.events.append(tr.Event(cycle, core, qt_id, kind, addr, payload))
+        self.events.append(_new(Event, (cycle, core, qt_id, kind, addr,
+                                        payload)))
         self._last_event_clock = self.clock
 
     def warn(self, message):

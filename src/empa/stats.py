@@ -62,8 +62,9 @@ def _core_runs(spans):
 def compute_stats(events, cores, baseline_cycles=None):
     """Statistics for a complete trace produced on a `cores`-core run."""
     tr.check_cores(events, cores)
-    total_cycles = max((ev.cycle for ev in events), default=0)
-    runs = _core_runs(tr.qt_spans(events))
+    spans = tr.qt_spans(events)
+    total_cycles = spans[0].end if spans else 0     # the root ends last
+    runs = _core_runs(spans)
     busy = [0] * cores
     for core, start, end in runs:
         busy[core] += end - start + 1

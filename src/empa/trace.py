@@ -11,7 +11,8 @@ diagrams and statistics, and both read it through `qt_spans`.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 ROOT_QT_ID = "1"
 _SEQ_CHARS = "0123456789abcdefghijklmnopqrstuvwxyz"
@@ -34,16 +35,26 @@ KINDS = frozenset((
     QT_CREATED, QT_TERMINATED, INSTR_RETIRED, META_RETIRED,
     WAIT_BEGIN, WAIT_END, LATCH_READ, LATCH_WRITE, SUM_FEED, IDLE,
 ))
+# A parsed kind is looked up here, so every event of one kind shares
+# one string.
+_KIND_OF = {kind: kind for kind in KINDS}
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One trace record; it equals the plain tuple of its fields.  Hot
+    paths build it as tuple.__new__(Event, fields), which skips the
+    keyword handling of Event(...), and read it by position in one loop:
+    Python 3.11 specializes unpacking and indexing only for an exact
+    tuple, so each read of an Event costs more than of a plain tuple."""
     cycle: int
     core: int
     qt: str
     kind: str
     addr: int
     payload: int = None
+
+
+_new = tuple.__new__
 
 
 # One QT lifetime: cycles start..end (inclusive) on one core; the
@@ -69,29 +80,37 @@ def parent_qt_id(qt_id):
 def qt_spans(events):
     """Every QT's lifetime, root first, then in creation order.  A QT
     alive at the end lasts to the last cycle; the root spans the whole
-    trace on the core of its first event (else 0)."""
+    trace on the core of its first event (else 0).  One pass over
+    `events`, a sequence in any cycle order."""
     if not events:
         return []
-    last = max(ev.cycle for ev in events)
-    root_core = next((ev.core for ev in events if ev.qt == ROOT_QT_ID), 0)
-    spans = [QtSpan(ROOT_QT_ID, None, root_core,
-                    min(ev.cycle for ev in events), last)]
-    open_at = {}                # id -> index in spans
-    for ev in events:
-        if ev.kind == QT_CREATED:
-            open_at[ev.qt] = len(spans)
-            spans.append(QtSpan(ev.qt, parent_qt_id(ev.qt), ev.core,
-                                ev.cycle, last))
-        elif ev.kind == QT_TERMINATED and ev.qt in open_at:
-            i = open_at.pop(ev.qt)
-            spans[i] = spans[i]._replace(end=ev.cycle)
+    first = last = events[0][0]
+    root_core = None
+    created = []                # [id, core, start, end or None] per create
+    open_at = {}                # id -> index in created
+    for cycle, core, qt, kind, _addr, _payload in events:
+        if cycle > last:
+            last = cycle
+        if cycle < first:
+            first = cycle
+        if root_core is None and qt == ROOT_QT_ID:
+            root_core = core
+        if kind == QT_CREATED:
+            open_at[qt] = len(created)
+            created.append([qt, core, cycle, None])
+        elif kind == QT_TERMINATED and qt in open_at:
+            created[open_at.pop(qt)][3] = cycle
+    spans = [QtSpan(ROOT_QT_ID, None, root_core or 0, first, last)]
+    spans += [QtSpan(qt, parent_qt_id(qt), core, start,
+                     last if end is None else end)
+              for qt, core, start, end in created]
     return spans
 
 
 def check_cores(events, cores):
     """ValueError unless a `cores`-core machine has every core that
     `events` names."""
-    highest = max((ev.core for ev in events), default=-1)
+    highest = max(map(itemgetter(1), events), default=-1)
     if cores <= highest:
         raise ValueError("the trace uses core %d, but cores=%d"
                          % (highest, cores))
@@ -101,16 +120,18 @@ class TraceFormatError(Exception):
     pass
 
 
+_LINE = "cycle=%d core=%d qt=%s kind=%s addr=0x%04x\n"
+_LINE_PAYLOAD = _LINE[:-1] + " payload=0x%08x\n"
+
+
 def format_event(ev):
-    line = "cycle=%d core=%d qt=%s kind=%s addr=0x%04x" % (
-        ev.cycle, ev.core, ev.qt, ev.kind, ev.addr)
-    if ev.payload is not None:
-        line += " payload=0x%08x" % ev.payload
-    return line
+    return format_trace((ev,))[:-1]
 
 
 def format_trace(events):
-    return "".join(format_event(ev) + "\n" for ev in events)
+    line, line_payload = _LINE, _LINE_PAYLOAD
+    return "".join([line % ev[:5] if ev[5] is None else line_payload % ev
+                    for ev in events])
 
 
 _KEYS = ("cycle", "core", "qt", "kind", "addr", "payload")
@@ -132,8 +153,8 @@ def _key_error(tokens, lineno):
 
 def parse_event(line, lineno=None):
     """One trace line as an Event.  Every key must be known and appear
-    once, only payload may be left out, and no number may be negative:
-    cycles, core indices, addresses and words never are."""
+    once, only payload may be left out, and each number must be written
+    as format_event writes it: ASCII digits, no sign, no underscores."""
     tokens = line.split()
     fields = {}
     for token in tokens:
@@ -147,22 +168,38 @@ def parse_event(line, lineno=None):
     if len(tokens) != (5 if payload is None else 6):
         raise _key_error(tokens, lineno)
     try:
-        kind = fields["kind"]
-        if kind not in KINDS:
-            raise TraceFormatError("unknown kind %r on line %s" % (kind, lineno))
-        ev = Event(int(fields["cycle"]), int(fields["core"]), fields["qt"],
-                   kind, int(fields["addr"], 16),
-                   None if payload is None else int(payload, 16))
+        kind = _KIND_OF.get(fields["kind"])
+        if kind is None:
+            raise TraceFormatError("unknown kind %r on line %s"
+                                   % (fields["kind"], lineno))
+        ev = _new(Event, (int(fields["cycle"]), int(fields["core"]),
+                          fields["qt"], kind, int(fields["addr"], 16),
+                          None if payload is None else int(payload, 16)))
     except KeyError:
         raise _key_error(tokens, lineno) from None
     except ValueError as exc:
         raise TraceFormatError("line %s: %s" % (lineno, exc)) from None
-    if "-" in line:                 # the only way a number is negative
-        for name in ("cycle", "core", "addr", "payload"):
-            if (getattr(ev, name) or 0) < 0:
-                raise TraceFormatError("negative %s on line %s"
-                                       % (name, lineno))
+    # int() also takes a sign, underscores and non-ASCII digits; a line
+    # with none of those characters holds only numbers format_event writes.
+    if "-" in line or "+" in line or "_" in line or not line.isascii():
+        _check_numbers(fields, ev, lineno)
     return ev
+
+
+# Each numeric key and its index in Event.
+_NUMBERS = (("cycle", 0), ("core", 1), ("addr", 4), ("payload", 5))
+
+
+def _check_numbers(fields, ev, lineno):
+    for name, i in _NUMBERS:
+        value = fields.get(name)
+        if value is None:
+            continue
+        if "+" in value or "_" in value or not value.isascii():
+            raise TraceFormatError("bad %s %r on line %s"
+                                   % (name, value, lineno))
+        if ev[i] < 0:
+            raise TraceFormatError("negative %s on line %s" % (name, lineno))
 
 
 def parse_trace(text):

@@ -26,6 +26,15 @@ def word(machine, image, label):
     return machine.memory.read_word(image.symbols[label])
 
 
+class CountingList(list):
+    """A list that counts how often it is iterated from the start."""
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
 def fixture_trace(name, cores):
     """The fixture's events on `cores` cores, up to a deadlock if any."""
     _, machine = make_machine(fixtures.FIXTURES[name](), cores=cores)

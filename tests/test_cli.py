@@ -142,6 +142,19 @@ def test_empa_cores_environment_default(fixture_dir, capsys, monkeypatch):
     assert capsys.readouterr().out == five     # explicit flag wins
 
 
+@pytest.mark.parametrize("command", ["run", "step"])
+@pytest.mark.parametrize("value", ["abc", "0", "65"])
+def test_bad_empa_cores_is_a_user_error_naming_it(fixture_dir, capsys,
+                                                  monkeypatch, value, command):
+    monkeypatch.setenv("EMPA_CORES", value)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, _p(fixture_dir / "adaptive.eyo")])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "EMPA_CORES=%s" % value in err
+    assert "--cores" not in err
+
+
 def test_stats_subcommand_from_trace(fixture_dir, capsys):
     trace_out = fixture_dir / "s.trace"
     cli.main(["run", _p(fixture_dir / "sumup_mode.eyo"), "--cores", "5",

@@ -14,7 +14,7 @@ import pytest
 from empa import fixtures, trace as tr
 from empa.coremodel import Status
 from empa.errors import Deadlock, InvariantViolation
-from helpers import make_machine
+from helpers import CountingList, make_machine
 from test_stress import _random_tree_program, _wide_program
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
@@ -137,19 +137,10 @@ def test_qt_parent_is_read_only():
         machine.root_qt.parent = machine.root_qt
 
 
-class _CountingList(list):
-    """A list that counts how often it is iterated from the start."""
-    scans = 0
-
-    def __iter__(self):
-        self.scans += 1
-        return super().__iter__()
-
-
 def test_whole_core_scans_follow_state_changes_not_cycles():
     image, machine = make_machine(
         fixtures.no_mode_source(list(range(1, 201))), cores=64)
-    machine.cores = _CountingList(machine.cores)
+    machine.cores = CountingList(machine.cores)
     machine.run_to_halt()
     changes = sum(1 for ev in machine.events if ev.kind in (
         tr.META_RETIRED, tr.QT_CREATED, tr.QT_TERMINATED,

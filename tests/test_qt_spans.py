@@ -1,16 +1,67 @@
-"""Property test of the QT-span model against the definitions it replaced.
+"""Property tests of the QT-span model against the definitions it
+replaced, and a count of the passes its consumers make over a trace.
 
-The oracle below keeps the earlier per-renderer rebuilds: busy cycles
-and peak concurrency from per-cycle sets, and nesting depth from an
-all-pairs enclosure count.  Generated traces have the shapes the engine
-produces on one core: the root spanning the run, QTs that follow one
-another (possibly sharing a cycle), fallback brackets nested inside
-them, and QTs still open when the trace ends.
+qt_spans is checked against its earlier four-pass form on arbitrary
+events.  The second oracle keeps the earlier per-renderer rebuilds:
+busy cycles and peak concurrency from per-cycle sets, and nesting depth
+from an all-pairs enclosure count.  Its generated traces have the
+shapes the engine produces on one core: the root spanning the run, QTs
+that follow one another (possibly sharing a cycle), fallback brackets
+nested inside them, and QTs still open when the trace ends.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from empa import diagram, stats, trace as tr
+from helpers import CountingList, event_lists, fixture_trace
+
+
+# ---- oracle: qt_spans as four passes -----------------------------------------
+
+def _four_pass_qt_spans(events):
+    """qt_spans as it was first written: the last cycle, the root's core
+    and the first cycle each in a pass of their own, then the spans."""
+    if not events:
+        return []
+    last = max(ev.cycle for ev in events)
+    root_core = next((ev.core for ev in events if ev.qt == tr.ROOT_QT_ID), 0)
+    spans = [tr.QtSpan(tr.ROOT_QT_ID, None, root_core,
+                       min(ev.cycle for ev in events), last)]
+    open_at = {}
+    for ev in events:
+        if ev.kind == tr.QT_CREATED:
+            open_at[ev.qt] = len(spans)
+            spans.append(tr.QtSpan(ev.qt, tr.parent_qt_id(ev.qt), ev.core,
+                                   ev.cycle, last))
+        elif ev.kind == tr.QT_TERMINATED and ev.qt in open_at:
+            i = open_at.pop(ev.qt)
+            spans[i] = spans[i]._replace(end=ev.cycle)
+    return spans
+
+
+@settings(max_examples=400, deadline=None)
+@given(event_lists())
+def test_one_pass_spans_match_the_four_pass_oracle(case):
+    """Arbitrary events: any cycle order, a root event anywhere or not at
+    all, creates of one id repeated, terms with no create."""
+    _, events = case
+    assert tr.qt_spans(events) == _four_pass_qt_spans(events)
+
+
+@pytest.mark.parametrize("consume, bound", [
+    (tr.qt_spans, 1),
+    (lambda events: stats.compute_stats(events, 5), 2),
+    (lambda events: diagram.render_ascii(events, 5), 3),
+    (diagram.render_ascii, 3),
+    (lambda events: diagram.render_diagram(events, 5), 3),
+    (diagram.render_diagram, 3),
+], ids=["qt_spans", "compute_stats", "render_ascii", "render_ascii-infer",
+        "render_diagram", "render_diagram-infer"])
+def test_consumers_read_the_events_in_few_passes(consume, bound):
+    events = CountingList(fixture_trace("adaptive", 5))
+    consume(events)
+    assert events.scans <= bound, events.scans
 
 
 # ---- oracle: the definitions before qt_spans ------------------------------

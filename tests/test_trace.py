@@ -59,6 +59,62 @@ def test_parse_rejects_a_malformed_line_naming_it(line, complaint):
         tr.parse_trace(_GOOD + "\n" + line + "\n")
 
 
+@pytest.mark.parametrize("line, complaint", [
+    ("cycle=1_0 core=0 qt=1 kind=InstrRetired addr=0x0000", "bad cycle '1_0'"),
+    ("cycle=1 core=+0 qt=1 kind=InstrRetired addr=0x0000", "bad core '+0'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0_4", "bad addr '0x0_4'"),
+    ("cycle=1 core=0 qt=1 kind=LatchRead addr=0x4 payload=+0x1",
+     "bad payload '+0x1'"),
+    ("cycle=\u0663 core=0 qt=1 kind=InstrRetired addr=0x0000",
+     "bad cycle '\u0663'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x\uff14",
+     "bad addr '0x\uff14'"),
+])
+def test_parse_rejects_numbers_format_event_never_writes(line, complaint):
+    with pytest.raises(tr.TraceFormatError,
+                       match=re.escape(complaint + " on line 2")):
+        tr.parse_trace(_GOOD + "\n" + line + "\n")
+
+
+@pytest.mark.parametrize("line, event", [
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0",
+     (1, 0, "1", tr.INSTR_RETIRED, 0, None)),
+    ("cycle=2 core=1 qt=11 kind=LatchRead addr=0x4 payload=0x1",
+     (2, 1, "11", tr.LATCH_READ, 4, 1)),
+    # a QT id may hold the characters that send a line to the slow path
+    ("cycle=3 core=0 qt=1_+-\u00e9 kind=WaitEnd addr=0x0010",
+     (3, 0, "1_+-\u00e9", tr.WAIT_END, 16, None)),
+])
+def test_parse_accepts_short_hex_and_any_qt_id(line, event):
+    assert tr.parse_event(line) == tr.Event(*event)
+
+
+def test_event_contract():
+    ev = tr.Event(3, 1, "11", tr.INSTR_RETIRED, 0x10, 5)
+    assert tr.Event._fields == ("cycle", "core", "qt", "kind", "addr",
+                                "payload")
+    assert ev == tr.Event(cycle=3, core=1, qt="11", kind=tr.INSTR_RETIRED,
+                          addr=0x10, payload=5)
+    assert tr.Event(4, 0, "1", tr.WAIT_END, 0x20).payload is None
+    assert (ev.cycle, ev.core, ev.qt, ev.kind, ev.addr, ev.payload) == \
+        (3, 1, "11", tr.INSTR_RETIRED, 0x10, 5)
+    with pytest.raises(AttributeError):
+        ev.cycle = 4
+    twin = tr.Event(3, 1, "11", tr.INSTR_RETIRED, 0x10, 5)
+    assert twin == ev and hash(twin) == hash(ev)
+    assert ev == (3, 1, "11", tr.INSTR_RETIRED, 0x10, 5)
+    assert ev != tr.Event(3, 1, "11", tr.INSTR_RETIRED, 0x10)
+    assert repr(ev) == ("Event(cycle=3, core=1, qt='11', kind='InstrRetired',"
+                        " addr=16, payload=5)")
+
+
+def test_engine_and_parser_build_events():
+    _, machine, events = assemble_run(sumup_mode_source(), cores=5)
+    assert type(machine.events[0]) is tr.Event
+    assert all(type(ev) is tr.Event for ev in events)
+    assert type(tr.parse_event(_GOOD)) is tr.Event
+
+
 @pytest.mark.parametrize("cores", (1, 2, 4, 5, 8, 64))
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_roundtrip_fixture_traces(name, cores):
