@@ -10,7 +10,7 @@ import os
 import sys
 
 from . import assembler, diagram, engine, isa, stats as statsmod, trace as tr
-from .coremodel import Status
+from .coremodel import RUNNING, SV
 from .errors import ImageTooLarge, SimulationError
 
 EXIT_OK = 0
@@ -263,7 +263,7 @@ def cmd_diagram(args, parser):
 _REPL_HELP = """commands:
   step [n]     advance n clock cycles (default 1)
   run          run until halt or a breakpoint
-  cores        core pool view
+  cores        state, QT and pc of every core
   regs CORE    register file, latches, mode and phase of one core
   mem ADDR LEN hex dump of memory
   qts          live quasi-thread forest
@@ -283,7 +283,8 @@ class StepSession:
         print(text, file=self.out)
 
     def _at_breakpoint(self):
-        return any(core.status is Status.RUNNING and core.pc in self.breakpoints
+        return any((core.state is RUNNING or core.state is SV)
+                   and core.pc in self.breakpoints
                    for core in self.machine.cores)
 
     def _advance(self, limit=None):
@@ -312,12 +313,11 @@ class StepSession:
         self._advance()
 
     def do_cores(self, argv):
-        self._p("core status      qt       pc     blocked")
+        self._p("core status      qt       pc")
         for core in self.machine.cores:
-            self._p("%4d %-11s %-8s 0x%04x %s" % (
-                core.index, core.status.value,
-                core.qt.id if core.qt else "-", core.pc,
-                core.blocked or "-"))
+            self._p("%4d %-11s %-8s 0x%04x" % (
+                core.index, core.state.value,
+                core.qt.id if core.qt else "-", core.pc))
 
     def do_regs(self, argv):
         if not argv:
@@ -337,7 +337,7 @@ class StepSession:
                 "FromParent=0x%08x" % (la.for_child, la.from_child,
                                        la.for_parent, la.from_parent))
         self._p("mode=%d parentMode=%d phase=%s status=%s qt=%s" % (
-            core.mode, core.parent_mode, core.phase.value, core.status.value,
+            core.mode, core.parent_mode, core.phase.value, core.state.value,
             core.qt.id if core.qt else "-"))
 
     def do_mem(self, argv):

@@ -72,11 +72,25 @@ _PHASE_TO_CONTEXT = {
 }
 
 
-class Status(enum.Enum):
+class State(enum.Enum):
+    """The one condition of a core that the supervisor sees."""
     FREE = "free"
-    PREALLOCATED = "preallocated"
+    PREALLOCATED = "preallocated"    # reserved by a QAlloc grant
     RUNNING = "running"
-    WAITING = "waiting"
+    SV = "sv"                        # a meta request waits for the SV phase
+    POSTPONED = "postponed"          # request served again next tick
+    WAITING = "waiting"              # QWait/QPWait; wait_cond holds the scope
+    MASSLOOP = "massloop"            # the SV runs its FOR/SUMUP loop
+    PARKED = "parked"                # stopped by a runtime fault
+
+    # Enum hashes by name in Python code; states key the supervisor's
+    # per-state sets on every state write.
+    __hash__ = object.__hash__
+
+
+# Module constants: a global read is cheaper than State.X on hot paths.
+(FREE, PREALLOCATED, RUNNING, SV, POSTPONED, WAITING, MASSLOOP,
+ PARKED) = State
 
 
 @dataclass
@@ -122,31 +136,31 @@ class CoreState:
     for_parent_dirty: bool = False
     brackets: list = field(default_factory=list)   # open inline QFCreate blocks
     last_alloc = None        # None | "granted" | "denied"
+    request = None           # (Instruction, addr) while SV or POSTPONED
+    wait_cond = None         # (instr_addr, frozenset of QTDescriptor) while WAITING
 
-    # The machine that owns the core, told of every change to status, qt,
-    # blocked and wait_cond (the properties below); None for a lone core.
+    # The machine that owns the core, told of every change to state and
+    # qt (the properties below); None for a lone core.
     owner = None
-    _status = Status.FREE
+    _state = FREE
     _qt = None               # QTDescriptor the core runs, or None
-    _blocked = None          # None | "sv" | "massloop"
-    _wait_cond = None        # (instr_addr, frozenset of QTDescriptor)
 
-    def _tracked(name):
-        attr = "_" + name
-        get = operator.attrgetter(attr)
+    def _set_state(self, value):
+        old = self._state
+        if value is not old:
+            self._state = value
+            if self.owner is not None:
+                self.owner.touch(self, old)
 
-        def set_(self, value):
-            if value is not get(self):
-                setattr(self, attr, value)
-                if self.owner is not None:
-                    self.owner.touch(self)
-        return property(get, set_)
+    def _set_qt(self, value):
+        if value is not self._qt:
+            self._qt = value
+            if self.owner is not None:
+                self.owner.touch(self)
 
-    status = _tracked("status")
-    qt = _tracked("qt")
-    blocked = _tracked("blocked")
-    wait_cond = _tracked("wait_cond")
-    del _tracked
+    state = property(operator.attrgetter("_state"), _set_state)
+    qt = property(operator.attrgetter("_qt"), _set_qt)
+    del _set_state, _set_qt
 
     def esv_context(self):
         return _PHASE_TO_CONTEXT[self.phase]
@@ -154,8 +168,6 @@ class CoreState:
     def reset_runtime(self):
         self.inflight = None
         self.remaining = 0
-        self.blocked = None
-        self.wait_cond = None
         self.for_parent_dirty = False
         self.brackets = []
         self.last_alloc = None

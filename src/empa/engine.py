@@ -3,16 +3,17 @@ per-core instruction timing, event collection, halt detection and the
 per-tick invariant checker.
 
 Each tick runs the supervisor phase first (so a QTerm retired at cycle t
-takes effect at t+1), then lets every unblocked running core burn one
-cycle of its current instruction, retiring it when the budget reaches
-zero.  Identical inputs give identical machines and traces.
+takes effect at t+1), then lets every running core burn one cycle of
+its current instruction, retiring it when the budget reaches zero.  Identical inputs give identical machines and traces.
 
 A tick costs the running cores plus the state changes it makes, not
-the configured core count.  Every write to a core's status, qt, blocked
-or wait_cond goes through a CoreState property that calls
-Machine.touch.  A touch marks the list of running, unblocked cores
-stale (it is rebuilt at the next tick) and queues the core for the
-invariant checker, which rechecks only touched cores.
+the configured core count.  Every write to a core's state or qt goes
+through a CoreState property that calls Machine.touch.  A state write
+moves the core's index to the supervisor's set for its new state and
+marks the list of running cores stale (it is rebuilt from the running
+set at the next tick); every touch queues the core for the invariant
+checker, which rechecks only touched cores.  A runtime fault parks the
+core that raised it.
 
 Each code address is decoded once.  Machine.decode_at keeps, per pc,
 the decoded instruction, its raw bytes and its cycle count, and reuses
@@ -25,8 +26,9 @@ from dataclasses import dataclass, field
 
 from . import isa, trace as tr
 from .assembler import ObjectImage
-from .coremodel import CoreState, Latch, Phase, Status, step_instruction
-from .coremodel import HALTED, META
+from .coremodel import CoreState, Latch, Phase, step_instruction
+from .coremodel import (FREE, HALTED, MASSLOOP, META, PARKED, RUNNING,
+                        WAITING)
 from .errors import (AddressOutOfRange, Deadlock, ImageTooLarge,
                      InvariantViolation, RuntimeFault, WatchdogExpired)
 from .supervisor import KIND_PLAIN, QTDescriptor, Supervisor
@@ -136,12 +138,13 @@ class Machine:
         self.cores = [CoreState(i) for i in range(cfg.cores)]
         for core in self.cores:
             core.owner = self
-        # Indices of cores whose status, qt, blocked or wait_cond changed
-        # since the last invariant check; all of them before the first.
+        # Indices of cores whose state or qt changed since the last
+        # invariant check; all of them before the first.
         self._touched = set(range(cfg.cores))
-        self._active = None       # running, unblocked cores; None: stale
+        self._active = None       # the running cores; None: stale
         self._decoded = {}        # pc -> (Instruction, raw bytes, cycles)
         self.sv = Supervisor(self)
+        self._state_sets = tuple(self.sv.in_state.values())
         self.clock = 0
         self.events = []
         self.warnings = []
@@ -151,16 +154,20 @@ class Machine:
         self.root_qt = QTDescriptor(tr.ROOT_QT_ID, None, 0, image.entry, None,
                                     isa.REG_ENO, KIND_PLAIN)
         root = self.cores[0]
-        self.sv.set_pool_status(root, Status.RUNNING)
+        root.state = RUNNING
         root.pc = image.entry
         root.qt = self.root_qt
         root.phase = Phase.GENERAL
 
-    def touch(self, core):
-        """Called on every write to a core's status, qt, blocked or
-        wait_cond (see CoreState)."""
+    def touch(self, core, old=None):
+        """Called on every write to a core's state (with the old state)
+        or qt (see CoreState)."""
         self._touched.add(core.index)
-        self._active = None
+        if old is not None:
+            in_state = self.sv.in_state
+            in_state[old].discard(core.index)
+            in_state[core.state].add(core.index)
+            self._active = None
 
     # ---- event sink ------------------------------------------------------
 
@@ -190,22 +197,24 @@ class Machine:
             raise RuntimeFault("tick on a halted machine")
         self.clock += 1
         self.sv.phase(self.clock)
-        # A retiring core changes no other core's status or blocked flag,
-        # so this snapshot matches a per-core check at each core's turn;
-        # ascending order keeps same-tick memory visibility and the halt
-        # break.
+        # A retiring core changes no other core's state, so this snapshot
+        # matches a per-core check at each core's turn; ascending order
+        # keeps same-tick memory visibility and the halt break.
         if self._active is None:
-            self._active = [core for core in self.cores
-                            if core.status is Status.RUNNING
-                            and core.blocked is None]
-        for core in self._active:
-            if core.inflight is None:
-                self._fetch(core)
-            core.remaining -= 1
-            if core.remaining == 0:
-                self._retire(core)
-            if self.halted:
-                break
+            cores = self.cores
+            self._active = [cores[i] for i in sorted(self.sv.running)]
+        try:
+            for core in self._active:
+                if core.inflight is None:
+                    self._fetch(core)
+                core.remaining -= 1
+                if core.remaining == 0:
+                    self._retire(core)
+                if self.halted:
+                    break
+        except RuntimeFault:
+            core.state = PARKED
+            raise
         self._check_invariants()
         if self.clock - self._last_event_clock >= self.cfg.watchdog:
             self._watchdog_failed()
@@ -227,7 +236,6 @@ class Machine:
         try:
             instr, cycles = self.decode_at(core.pc)
         except isa.EncodingError as exc:
-            core.status = Status.WAITING   # error-parked, never resumes
             raise RuntimeFault("fetch failed: %s" % exc, core=core.index,
                                qt=core.qt.id, addr=core.pc) from None
         core.inflight = instr
@@ -249,7 +257,6 @@ class Machine:
                   addr, payload=duration)
         if outcome is HALTED:
             if core.qt.parent is not None:
-                core.status = Status.WAITING
                 raise RuntimeFault("halt outside the root QT",
                                    core=core.index, qt=core.qt.id, addr=addr)
             self.halted = True
@@ -266,15 +273,16 @@ class Machine:
 
     def _watchdog_failed(self):
         stuck = []
-        for req in self.sv.queue:
-            core = self.cores[req.core_index]
+        for index in self.sv.queue:
+            core = self.cores[index]
             stuck.append("core %d (QT %s) blocked at 0x%04x"
-                         % (core.index, core.qt.id if core.qt else "-", req.addr))
+                         % (index, core.qt.id if core.qt else "-",
+                            core.request[1]))
         for core in self.cores:
-            if core.status is Status.WAITING and core.wait_cond is not None:
+            if core.state is WAITING:
                 stuck.append("core %d (QT %s) waiting at 0x%04x"
                              % (core.index, core.qt.id, core.wait_cond[0]))
-            elif core.blocked == "massloop":
+            elif core.state is MASSLOOP:
                 stuck.append("core %d (QT %s) in a mass loop"
                              % (core.index, core.qt.id))
         window = self.cfg.watchdog
@@ -284,24 +292,26 @@ class Machine:
         raise WatchdogExpired("no event for %d cycles" % window)
 
     def _check_invariants(self):
-        """Every core is in the pool of its status, no free core holds a
+        """Every core is in the set of its state, no free core holds a
         QT, and every core's QT parent chain ends.  A core's part of
-        that depends only on its status and qt (parent links never
+        that depends only on its state and qt (parent links never
         change), so only cores touched since the last check are checked
-        again; the pool sizes must still add up to the core count, also
+        again; the set sizes must still add up to the core count, also
         on a tick that touched none."""
-        sv = self.sv
-        sizes_ok = (len(sv.free) + len(sv.prealloc) + len(sv.busy)
-                    == self.cfg.cores)
+        # unrolled: sum(map(len, ...)) costs twice as much, every tick
+        a, b, c, d, e, f, g, h = self._state_sets
+        sizes_ok = (len(a) + len(b) + len(c) + len(d) + len(e) + len(f)
+                    + len(g) + len(h) == self.cfg.cores)
         if sizes_ok and not self._touched:
             return
+        in_state = self.sv.in_state
         cores = [self.cores[i] for i in sorted(self._touched)]
-        if not sizes_ok or any(c.index not in sv.pools[c.status]
+        if not sizes_ok or any(c.index not in in_state[c.state]
                                for c in cores):
             raise InvariantViolation(
-                "pool sets do not partition the cores at cycle %d" % self.clock)
+                "state sets do not partition the cores at cycle %d" % self.clock)
         for core in cores:
-            if core.status is Status.FREE and core.qt is not None:
+            if core.state is FREE and core.qt is not None:
                 raise InvariantViolation(
                     "free core %d still bound to QT %s" % (core.index, core.qt.id))
             # live forest acyclicity (parent chain must reach the root)

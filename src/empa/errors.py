@@ -45,4 +45,4 @@ class ImageTooLarge(SimulationError):
 
 
 class InvariantViolation(SimulationError):
-    """The per-tick pool/forest checker found an inconsistency."""
+    """The per-tick core-state/forest checker found an inconsistency."""

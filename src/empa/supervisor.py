@@ -8,14 +8,18 @@ mass-loop steps (ascending core index).  That ordering makes a QTerm at
 cycle t unblock a waiter at t+1 and lets a FOR loop re-iterate in the
 same cycle its child's termination is processed.
 
-The core pool is kept as sets (free, preallocated, busy) that
-set_pool_status updates together with a core's status, so allocation
-reads the sets instead of scanning the cores.  Wait re-evaluation
-visits only the waiter set, the cores with a pending wait condition.
+Each core is in exactly one State.  The supervisor holds one set of
+core indices per state, which Machine.touch keeps in step with every
+state write, so each step of the phase visits only the cores in the
+state it serves.  A meta request lives on its core (core.request) from
+submission until it is served; a request that cannot be served yet
+leaves its core POSTPONED and is served again next tick.
 """
 
 from . import isa
-from .coremodel import READ, Latch, Phase, Status, clone_into, map_esv
+from .coremodel import (FREE, MASSLOOP, PARKED, POSTPONED, PREALLOCATED,
+                        READ, RUNNING, SV, WAITING, Latch, Phase, State,
+                        clone_into, map_esv)
 from .errors import RuntimeFault
 from . import trace as tr
 
@@ -81,124 +85,102 @@ class MassControl:
         self.link = None
         self.term_addr = None
         self.create_addr = None
-        self.active = False           # True while the QTCreate loop runs
         self.current_child = None     # FOR: the one live child
-
-
-class _MetaRequest:
-    def __init__(self, core_index, instr, addr):
-        self.core_index = core_index
-        self.instr = instr
-        self.addr = addr
 
 
 class Supervisor:
     def __init__(self, machine):
         self.m = machine
-        self.queue = []               # pending _MetaRequest, FIFO
         self.mass = {}                # parent core index -> MassControl
-        self.waiters = set()          # indices of cores with a wait_cond
-        # The core pool by status; RUNNING and WAITING share one set.
-        # Only set_pool_status moves a core between them.
-        self.free = set(range(machine.cfg.cores))
-        self.prealloc = set()
-        self.busy = set()
-        self.pools = {Status.FREE: self.free,
-                      Status.PREALLOCATED: self.prealloc,
-                      Status.RUNNING: self.busy, Status.WAITING: self.busy}
+        # Core indices by state; only Machine.touch moves them.
+        self.in_state = {state: set() for state in State}
+        self.in_state[FREE] = set(range(machine.cfg.cores))
+        self.free = self.in_state[FREE]
+        self.running = self.in_state[RUNNING]
+        self.requested = self.in_state[SV]
+        self.postponed = self.in_state[POSTPONED]
+        self.waiting = self.in_state[WAITING]
+        self.massloop = self.in_state[MASSLOOP]
 
-    def set_pool_status(self, core, status):
-        """Set a core's status and move it to that status's pool."""
-        self.pools[core.status].discard(core.index)
-        core.status = status
-        self.pools[status].add(core.index)
+    @property
+    def queue(self):
+        """The cores with a pending request, in ascending index."""
+        return sorted(self.requested | self.postponed)
 
     # ---- requests from retiring cores -------------------------------
 
     def submit(self, core, instr, addr):
-        self.queue.append(_MetaRequest(core.index, instr, addr))
-        core.blocked = "sv"
+        core.request = (instr, addr)
+        core.state = SV
 
     # ---- the SV phase of one tick ------------------------------------
 
     def phase(self, cycle):
-        if self.waiters:
+        if self.waiting:
             self._reevaluate_waits(cycle)
-        if self.queue:
-            self._process_queue(cycle)
-        if self.mass:
+        if self.requested or self.postponed:
+            self._serve(cycle)
+        if self.massloop:
             self._mass_steps(cycle)
 
     def _reevaluate_waits(self, cycle):
-        for index in sorted(self.waiters):
+        for index in sorted(self.waiting):
             core = self.m.cores[index]
-            if core.status is Status.WAITING and core.wait_cond is not None:
-                addr, scope = core.wait_cond
-                if all(not q.alive for q in scope):
-                    self.waiters.discard(index)
-                    core.wait_cond = None
-                    core.status = Status.RUNNING
-                    core.blocked = None
-                    self.m.emit(cycle, core.index, core.qt.id, tr.WAIT_END, addr)
+            addr, scope = core.wait_cond
+            if all(not q.alive for q in scope):
+                core.wait_cond = None
+                core.state = RUNNING
+                self.m.emit(cycle, core.index, core.qt.id, tr.WAIT_END, addr)
 
-    def _process_queue(self, cycle):
-        pending = sorted(self.queue, key=lambda r: r.core_index)
-        self.queue = []
-        for req in pending:
-            core = self.m.cores[req.core_index]
-            op = req.instr.opcode
-            if op in (isa.QCREATE, isa.QCALL):
-                self._handle_create(core, req, cycle)
-            elif op == isa.QTERM:
-                self._handle_qterm(core, req, cycle)
-            elif op in (isa.QWAIT, isa.QPWAIT):
-                self._handle_wait(core, req, cycle)
-            elif op == isa.QALLOC:
-                self._handle_qalloc(core, req, cycle)
-            elif op == isa.QTCREATE:
-                self._handle_qtcreate(core, req, cycle)
-            elif op == isa.QFCREATE:
-                self._handle_qfcreate(core, req, cycle)
-            else:
-                raise RuntimeFault("unknown meta request 0x%02x" % op,
-                                   core=core.index, addr=req.addr)
+    def _serve(self, cycle):
+        """Serve every pending request.  One that cannot be served yet
+        leaves its core POSTPONED with the request kept; a fault parks
+        its core and leaves the later requests pending."""
+        for index in self.queue:
+            core = self.m.cores[index]
+            instr, addr = core.request
+            try:
+                # every meta opcode that decodes has a handler
+                _HANDLERS[instr.opcode](self, core, instr, addr, cycle)
+            except RuntimeFault:
+                core.state = PARKED
+                raise
+            finally:
+                if core.state is not POSTPONED:
+                    core.request = None
 
     # ---- QCreate / QCall ---------------------------------------------
 
-    def _handle_create(self, core, req, cycle):
-        if req.instr.opcode == isa.QCALL:
-            target = req.instr.imm
+    def _handle_create(self, core, instr, addr, cycle):
+        if instr.opcode == isa.QCALL:
+            target = instr.imm
             try:
                 created, _ = self.m.decode_at(target)
             except isa.EncodingError:
                 created = None
             if created is None or created.opcode != isa.QCREATE:
-                core.status = Status.RUNNING
                 raise RuntimeFault("QCall target is not a QCreate",
-                                   core=core.index, qt=core.qt.id, addr=req.addr)
+                                   core=core.index, qt=core.qt.id, addr=addr)
             create_addr, term_addr, link = target, created.imm, created.ra
             kind = KIND_CALL
         else:
-            create_addr, term_addr, link = req.addr, req.instr.imm, req.instr.ra
+            create_addr, term_addr, link = addr, instr.imm, instr.ra
             kind = KIND_PLAIN
 
         free = min(self.free, default=None)
         if free is None:
-            # No resource: postponed for a later cycle.
-            core.status = Status.WAITING
-            self.queue.append(req)
+            core.state = POSTPONED     # no free core
             return
-        if req.instr.opcode == isa.QCREATE:
+        if instr.opcode == isa.QCREATE:
             core.pc = (term_addr + 1) & isa.WORD_MASK
-        core.status = Status.RUNNING
-        core.blocked = None
+        core.state = RUNNING
         self.create_qt(core, free, create_addr, term_addr, link, kind,
                        start_pc=create_addr + 6, cycle=cycle)
 
     def create_qt(self, parent_core, child_index, create_addr, term_addr,
                   link, kind, start_pc, cycle, ecc_index=0):
         child_core = self.m.cores[child_index]
-        if child_core.status not in (Status.FREE, Status.PREALLOCATED):
+        if child_core.state is not FREE and child_core.state is not PREALLOCATED:
             raise RuntimeFault("allocation of a busy core %d" % child_index,
                                core=parent_core.index, addr=create_addr)
         parent_qt = parent_core.qt
@@ -207,7 +189,7 @@ class Supervisor:
         parent_qt.children.append(qt)
         parent_qt.child_create_addrs.add(create_addr)
         clone_into(parent_core, child_core, link)
-        self.set_pool_status(child_core, Status.RUNNING)
+        child_core.state = RUNNING
         child_core.pc = start_pc
         child_core.qt = qt
         child_core.phase = Phase.MASS_CHILD if kind == KIND_MASS_TRUE else Phase.GENERAL
@@ -216,33 +198,27 @@ class Supervisor:
 
     # ---- QTerm --------------------------------------------------------
 
-    def _handle_qterm(self, core, req, cycle):
+    def _handle_qterm(self, core, instr, addr, cycle):
         qt = core.qt
         if core.brackets:
-            if core.brackets[-1][0] != req.addr:
+            if core.brackets[-1][0] != addr:
                 raise RuntimeFault("QTerm does not close the open fallback block",
-                                   core=core.index, qt=qt.id, addr=req.addr)
-            if qt.live_children():
-                # implied QWait -1 before the bracket closes
-                core.status = Status.WAITING
-                self.queue.append(req)
-                return
+                                   core=core.index, qt=qt.id, addr=addr)
+        elif qt.parent is None:
+            raise RuntimeFault("QTerm executed by the root QT",
+                               core=core.index, qt=qt.id, addr=addr)
+        if qt.live_children():
+            # an implied QWait -1 (also before a fallback bracket closes)
+            core.state = POSTPONED
+            return
+        if core.brackets:
             _, outer = core.brackets.pop()
             qt.alive = False
             core.qt = outer
-            core.status = Status.RUNNING
-            core.blocked = None
-            self.m.emit(cycle, core.index, qt.id, tr.QT_TERMINATED, req.addr)
+            core.state = RUNNING
+            self.m.emit(cycle, core.index, qt.id, tr.QT_TERMINATED, addr)
             return
-
-        if qt.parent is None:
-            raise RuntimeFault("QTerm executed by the root QT",
-                               core=core.index, qt=qt.id, addr=req.addr)
-        if qt.live_children():
-            core.status = Status.WAITING
-            self.queue.append(req)
-            return
-        self._complete_termination(core, qt, req.addr, cycle)
+        self._complete_termination(core, qt, addr, cycle)
 
     def _complete_termination(self, core, qt, addr, cycle):
         parent_core = self.m.cores[qt.parent.core]
@@ -263,27 +239,26 @@ class Supervisor:
                                     core.latches.get(Latch.FOR_PARENT))
         qt.alive = False
         core.qt = None
-        self.set_pool_status(
-            core, Status.PREALLOCATED if (in_for and mc.active) else Status.FREE)
+        core.state = (PREALLOCATED if in_for and parent_core.state is MASSLOOP
+                      else FREE)
         core.phase = Phase.NONE
         core.reset_runtime()
         self.m.emit(cycle, core.index, qt.id, tr.QT_TERMINATED, addr)
 
     # ---- QWait / QPWait -----------------------------------------------
 
-    def _handle_wait(self, core, req, cycle):
+    def _handle_wait(self, core, instr, addr, cycle):
         qt = core.qt
-        target = req.instr.imm
-        if req.instr.opcode == isa.QWAIT:
+        target = instr.imm
+        if instr.opcode == isa.QWAIT:
             scope_qt = qt
         else:
             scope_qt = qt.parent
-        core.status = Status.RUNNING
-        core.blocked = None
         if scope_qt is None:
             if target != WILDCARD:
                 self.m.warn("QPWait 0x%04x in the root QT has no sisters "
                             "(core %d, cycle %d)" % (target, core.index, cycle))
+            core.state = RUNNING
             return
         candidates = [c for c in scope_qt.children if c is not qt]
         if target == WILDCARD:
@@ -295,31 +270,30 @@ class Supervisor:
                             "(core %d, cycle %d)" % (target, core.index, cycle))
             scope = frozenset(c for c in matching if c.alive)
         if not scope:
+            core.state = RUNNING
             return
-        core.status = Status.WAITING
-        core.wait_cond = (req.addr, scope)
-        self.waiters.add(core.index)
-        self.m.emit(cycle, core.index, qt.id, tr.WAIT_BEGIN, req.addr,
+        core.wait_cond = (addr, scope)
+        core.state = WAITING
+        self.m.emit(cycle, core.index, qt.id, tr.WAIT_BEGIN, addr,
                     payload=target)
 
     # ---- QAlloc ---------------------------------------------------------
 
-    def _handle_qalloc(self, core, req, cycle):
-        mode = req.instr.imm
+    def _handle_qalloc(self, core, instr, addr, cycle):
+        mode = instr.imm
         if mode not in (MODE_FOR, MODE_SUMUP):
             raise RuntimeFault("unknown mass-processing mode %d" % mode,
-                               core=core.index, qt=core.qt.id, addr=req.addr)
+                               core=core.index, qt=core.qt.id, addr=addr)
         self._release_abandoned(core.index)
-        count = max(isa.to_signed(self._plain_read(core, req.instr.ra)), 0)
+        count = max(isa.to_signed(self._plain_read(core, instr.ra)), 0)
         need = 1 if mode == MODE_FOR else count
-        core.status = Status.RUNNING
-        core.blocked = None
+        core.state = RUNNING
         if len(self.free) < need:
             core.last_alloc = "denied"
             return
         taken = sorted(self.free)[:need]
         for i in taken:
-            self.set_pool_status(self.m.cores[i], Status.PREALLOCATED)
+            self.m.cores[i].state = PREALLOCATED
         self.mass[core.index] = MassControl(core.qt, core.index, mode, count, taken)
         core.latches.set(Latch.FROM_CHILD, count)
         core.latches.set(Latch.FOR_CHILD, 0)
@@ -331,15 +305,14 @@ class Supervisor:
         """Only the last QAlloc counts: an unconsumed earlier grant of the
         same core returns its reserved cores to the pool."""
         old = self.mass.pop(core_index, None)
-        if old is None or old.active:
-            return
-        self._release(old.cores[old.next_core:])
+        if old is not None:
+            self._release(old.cores[old.next_core:])
 
     def _release(self, indices):
         """Return the still-preallocated cores among `indices` to the pool."""
         for i in indices:
-            if self.m.cores[i].status is Status.PREALLOCATED:
-                self.set_pool_status(self.m.cores[i], Status.FREE)
+            if self.m.cores[i].state is PREALLOCATED:
+                self.m.cores[i].state = FREE
 
     def _plain_read(self, core, code):
         """Register read by the SV itself (no instruction-level events)."""
@@ -353,55 +326,51 @@ class Supervisor:
 
     # ---- QTCreate / QFCreate --------------------------------------------
 
-    def _handle_qtcreate(self, core, req, cycle):
+    def _handle_qtcreate(self, core, instr, addr, cycle):
         if core.last_alloc is None:
             raise RuntimeFault("QTCreate without a preceding QAlloc",
-                               core=core.index, qt=core.qt.id, addr=req.addr)
+                               core=core.index, qt=core.qt.id, addr=addr)
         if core.last_alloc == "denied":
-            core.pc = (req.instr.imm + 1) & isa.WORD_MASK
-            core.status = Status.RUNNING
-            core.blocked = None
+            core.pc = (instr.imm + 1) & isa.WORD_MASK
+            core.state = RUNNING
             return
         mc = self.mass.get(core.index)
-        if mc is None or mc.active or mc.owner_qt is not core.qt:
+        if mc is None or mc.owner_qt is not core.qt:
             raise RuntimeFault("QTCreate does not match the granted QAlloc",
-                               core=core.index, qt=core.qt.id, addr=req.addr)
-        mc.active = True
-        mc.create_addr = req.addr
-        mc.term_addr = req.instr.imm
-        mc.link = req.instr.ra
-        core.status = Status.WAITING
-        core.blocked = "massloop"
+                               core=core.index, qt=core.qt.id, addr=addr)
+        mc.create_addr = addr
+        mc.term_addr = instr.imm
+        mc.link = instr.ra
+        core.state = MASSLOOP
         core.phase = Phase.GENERAL
         # first check/creation happens in this tick's mass step
 
-    def _handle_qfcreate(self, core, req, cycle):
+    def _handle_qfcreate(self, core, instr, addr, cycle):
         if core.last_alloc is None:
             raise RuntimeFault("QFCreate without a preceding QAlloc",
-                               core=core.index, qt=core.qt.id, addr=req.addr)
-        core.status = Status.RUNNING
-        core.blocked = None
+                               core=core.index, qt=core.qt.id, addr=addr)
+        core.state = RUNNING
         if core.last_alloc == "granted":
-            core.pc = (req.instr.imm + 1) & isa.WORD_MASK
+            core.pc = (instr.imm + 1) & isa.WORD_MASK
             return
         # Denied: the requesting core itself runs the fallback body as a
         # same-core QT closed by the bracket QTerm.
         parent_qt = core.qt
         qt = QTDescriptor(parent_qt.next_child_id(), parent_qt, core.index,
-                          req.addr, req.instr.imm, req.instr.ra, KIND_MASS_FALSE)
+                          addr, instr.imm, instr.ra, KIND_MASS_FALSE)
         parent_qt.children.append(qt)
-        parent_qt.child_create_addrs.add(req.addr)
-        core.brackets.append((req.instr.imm, parent_qt))
+        parent_qt.child_create_addrs.add(addr)
+        core.brackets.append((instr.imm, parent_qt))
         core.qt = qt
-        self.m.emit(cycle, core.index, qt.id, tr.QT_CREATED, req.addr)
+        self.m.emit(cycle, core.index, qt.id, tr.QT_CREATED, addr)
 
     # ---- mass-loop stepping ----------------------------------------------
 
     def _mass_steps(self, cycle):
-        for index in sorted(self.mass):
+        # An ended loop's entry stays in self.mass: its SUMUP children
+        # keep feeding the adder.
+        for index in sorted(self.massloop):
             mc = self.mass[index]
-            if not mc.active:
-                continue
             if mc.mode == MODE_FOR:
                 self._step_for(mc, cycle)
             else:
@@ -439,13 +408,11 @@ class Supervisor:
         return qt
 
     def _end_loop(self, mc, parent, cycle):
-        mc.active = False
         mc.current_child = None
         self._release(mc.cores[mc.next_core if mc.mode == MODE_SUMUP else 0:])
         mc.next_core = len(mc.cores)      # reservation fully disowned
         parent.pc = (mc.term_addr + 1) & isa.WORD_MASK
-        parent.status = Status.RUNNING
-        parent.blocked = None
+        parent.state = RUNNING
         parent.phase = Phase.MASS_POST
 
     # ---- SUMUP adder -------------------------------------------------------
@@ -466,3 +433,12 @@ class Supervisor:
         self.m.emit(cycle, child_core.index, qt.id, tr.SUM_FEED, addr,
                     payload=value)
         return True
+
+
+_HANDLERS = {
+    isa.QCREATE: Supervisor._handle_create, isa.QCALL: Supervisor._handle_create,
+    isa.QTERM: Supervisor._handle_qterm, isa.QWAIT: Supervisor._handle_wait,
+    isa.QPWAIT: Supervisor._handle_wait, isa.QALLOC: Supervisor._handle_qalloc,
+    isa.QTCREATE: Supervisor._handle_qtcreate,
+    isa.QFCREATE: Supervisor._handle_qfcreate,
+}

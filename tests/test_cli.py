@@ -327,6 +327,19 @@ def test_repl_step_shows_cycle_and_views(capsys):
     assert "mode=" in text
 
 
+def test_repl_cores_show_the_core_state():
+    """dynpar on 2 cores postpones a QCreate for lack of a free core."""
+    import io
+    out = io.StringIO()
+    _session(fixtures.dynpar_source(), 2, ["step 5", "cores", "regs 0",
+                                           "quit"], out)
+    text = out.getvalue()
+    assert "core status      qt       pc\n" in text
+    assert "blocked" not in text
+    assert " postponed " in text
+    assert "status=postponed qt=1" in text
+
+
 def test_repl_regs_match_trace_values(capsys):
     """Displayed latch values agree with what the batch trace records at
     the same cycle: a SUMUP child's FromParent holds its element address,

@@ -5,7 +5,7 @@ import pytest
 
 from empa import isa
 from empa.coremodel import (CoreState, EsvContext, Latch, LatchSet, Phase,
-                            READ, WRITE, clone_into, condition_holds, map_esv,
+                            READ, State, WRITE, clone_into, condition_holds, map_esv,
                             step_instruction)
 from empa.engine import Memory
 from empa.errors import AddressOutOfRange, RuntimeFault
@@ -50,7 +50,7 @@ class _Sink:
 
 def _core(phase=Phase.GENERAL, **latches):
     core = CoreState(0)
-    core.status = core.status.RUNNING
+    core.state = State.RUNNING
     core.phase = phase
     core.latches = LatchSet(**latches)
     return core

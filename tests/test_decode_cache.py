@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from empa import engine, fixtures, isa, trace as tr
-from empa.coremodel import Status
+from empa.coremodel import State
 from empa.errors import RuntimeFault
 from helpers import assemble_run, make_machine
 from y86_ref import run_y86
@@ -191,8 +191,8 @@ Bad:    nop                   # runs once, then holds opcode 0xff
     with pytest.raises(RuntimeFault, match="fetch failed: illegal opcode 0xff"):
         machine.run_to_halt(max_cycles=100)
     bad = machine.cores[0].pc
-    assert (machine.clock, bad, machine.cores[0].status) \
-        == (8, 12, Status.WAITING)
+    assert (machine.clock, bad, machine.cores[0].state) \
+        == (8, 12, State.PARKED)
     with pytest.raises(isa.IllegalOpcode):
         machine.decode_at(bad)
     machine.memory.data[bad] = isa.NOP

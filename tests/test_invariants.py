@@ -1,18 +1,19 @@
 """The invariant checker and the incremental core bookkeeping.
 
-The engine keeps the free, preallocated and busy pools, the waiter set
-and the active-core list incrementally, and rechecks only the cores
-whose state changed.  The full sweep it replaced is kept here as the
-oracle: after every tick it rebuilds the pools from every core's status
-and checks the whole predicate again.
+The engine keeps one set of core indices per core state and the
+active-core list incrementally, and rechecks only the cores whose state
+changed.  The full sweep it replaced is kept here as the oracle: after
+every tick it rebuilds the sets from every core's state and checks the
+whole predicate again, together with the fields that go with each state
+and the legality of every state write.
 """
 
 import random
 
 import pytest
 
-from empa import fixtures, trace as tr
-from empa.coremodel import Status
+from empa import fixtures
+from empa.coremodel import State
 from empa.errors import Deadlock, InvariantViolation
 from helpers import CountingList, make_machine
 from test_stress import _random_tree_program, _wide_program
@@ -20,44 +21,74 @@ from test_stress import _random_tree_program, _wide_program
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
 
 
+# Every state write the supervisor and the engine may make.
+_S = State
+LEGAL_WRITES = {
+    (_S.FREE, _S.RUNNING), (_S.FREE, _S.PREALLOCATED),
+    (_S.PREALLOCATED, _S.FREE), (_S.PREALLOCATED, _S.RUNNING),
+    (_S.RUNNING, _S.SV), (_S.RUNNING, _S.PARKED),
+    (_S.SV, _S.RUNNING), (_S.SV, _S.POSTPONED), (_S.SV, _S.WAITING),
+    (_S.SV, _S.MASSLOOP), (_S.SV, _S.FREE), (_S.SV, _S.PREALLOCATED),
+    (_S.SV, _S.PARKED),
+    (_S.POSTPONED, _S.RUNNING), (_S.POSTPONED, _S.FREE),
+    (_S.POSTPONED, _S.PREALLOCATED), (_S.POSTPONED, _S.PARKED),
+    (_S.WAITING, _S.RUNNING), (_S.MASSLOOP, _S.RUNNING),
+}
+
+
 def _full_sweep(machine):
-    """The per-tick checker before incremental pools: pool sets derived
-    from status must partition the cores, no free core holds a QT, and
-    every parent chain ends.  Returns the derived (free, prealloc, busy)."""
-    free, prealloc, busy = set(), set(), set()
+    """The per-tick checker before incremental sets: the sets derived
+    from every core's state partition the cores, no free core holds a
+    QT, and every parent chain ends.  Returns the derived sets."""
+    derived = {state: set() for state in State}
     for core in machine.cores:
-        if core.status is Status.FREE:
-            free.add(core.index)
-        elif core.status is Status.PREALLOCATED:
-            prealloc.add(core.index)
-        else:
-            busy.add(core.index)
-    assert free | prealloc | busy == set(range(machine.cfg.cores))
-    assert len(free) + len(prealloc) + len(busy) == machine.cfg.cores
+        derived[core.state].add(core.index)
+    assert sum(map(len, derived.values())) == machine.cfg.cores
     for core in machine.cores:
-        assert core.status is not Status.FREE or core.qt is None, core.index
+        assert core.state is not State.FREE or core.qt is None, core.index
     for core in machine.cores:
         qt, hops = core.qt, 0
         while qt is not None:
             qt = qt.parent
             hops += 1
             assert hops <= 1000
-    return free, prealloc, busy
+    return derived
+
+
+def _record_writes(machine):
+    """Wrap Machine.touch; returns the list of (old, new) state writes."""
+    writes = []
+    touch = machine.touch
+
+    def recording(core, old=None):
+        if old is not None:
+            writes.append((old, core.state))
+        touch(core, old)
+    machine.touch = recording
+    return writes
 
 
 def _run_swept(machine):
     """Tick to halt, comparing the incremental state with the sweep after
     every tick.  Returns False if the run deadlocked."""
     sv = machine.sv
+    writes = _record_writes(machine)
     while not machine.halted:
         try:
             machine.tick()
         except Deadlock:
             return False
-        assert (sv.free, sv.prealloc, sv.busy) == _full_sweep(machine), \
-            machine.clock
-        assert sv.waiters == {c.index for c in machine.cores
-                              if c.wait_cond is not None}, machine.clock
+        at = machine.clock
+        assert sv.in_state == _full_sweep(machine), at
+        running = [c for c in machine.cores if c.state is State.RUNNING]
+        assert machine._active is None or machine._active == running, at
+        for core in machine.cores:
+            assert (core.request is not None) == (
+                core.state in (State.SV, State.POSTPONED)), (at, core.index)
+            assert (core.wait_cond is not None) == (
+                core.state is State.WAITING), (at, core.index)
+        assert set(writes) <= LEGAL_WRITES, (at, set(writes) - LEGAL_WRITES)
+        writes.clear()
     return True
 
 
@@ -66,8 +97,8 @@ def _run_swept(machine):
 def test_incremental_pools_match_the_full_sweep_on_fixtures(name, cores):
     _, machine = make_machine(fixtures.FIXTURES[name](), cores=cores)
     halted = _run_swept(machine)
-    # dynpar needs three cores; on fewer it deadlocks by design
-    assert halted == (name != "dynpar" or cores > 2)
+    # dynpar needs four cores; on fewer it deadlocks by design
+    assert halted == (name != "dynpar" or cores >= 4)
 
 
 def test_incremental_pools_match_the_full_sweep_on_random_trees():
@@ -88,7 +119,7 @@ def _mid_run(cores=4):
     _, machine = make_machine(fixtures.for_mode_source(), cores=cores)
     for _ in range(5):
         machine.tick()
-    free = next(c for c in machine.cores if c.status is Status.FREE)
+    free = next(c for c in machine.cores if c.state is State.FREE)
     return machine, free
 
 
@@ -101,14 +132,15 @@ def test_free_core_bound_to_a_qt_is_caught():
 
 def test_status_flip_behind_the_pools_back_is_caught():
     machine, free = _mid_run()
-    free.status = Status.PREALLOCATED        # not through set_pool_status
+    free._state = State.PREALLOCATED         # a write that skips the set move
+    machine._touched.add(free.index)
     with pytest.raises(InvariantViolation, match="partition"):
         machine.tick()
 
 
 def test_core_in_two_pools_is_caught():
     machine, free = _mid_run()
-    machine.sv.busy.add(free.index)
+    machine.sv.running.add(free.index)
     with pytest.raises(InvariantViolation, match="partition"):
         machine.tick()
 
@@ -116,7 +148,7 @@ def test_core_in_two_pools_is_caught():
 def test_every_core_is_checked_on_the_first_tick():
     _, machine = make_machine(fixtures.no_mode_source(), cores=8)
     machine.sv.free.discard(5)               # core 5 is never touched
-    machine.sv.prealloc.add(5)
+    machine.sv.in_state[State.PREALLOCATED].add(5)
     with pytest.raises(InvariantViolation, match="partition"):
         machine.tick()
 
@@ -125,7 +157,7 @@ def test_pool_sizes_are_checked_on_a_tick_that_touches_no_core():
     _, machine = make_machine(fixtures.no_mode_source(), cores=8)
     for _ in range(3):
         machine.tick()
-    machine.sv.busy.add(5)                   # core 5 is free
+    machine.sv.running.add(5)                # core 5 is free
     assert not machine._touched              # a plain loop changes no core
     with pytest.raises(InvariantViolation, match="partition"):
         machine.tick()
@@ -138,13 +170,14 @@ def test_qt_parent_is_read_only():
 
 
 def test_whole_core_scans_follow_state_changes_not_cycles():
-    image, machine = make_machine(
-        fixtures.no_mode_source(list(range(1, 201))), cores=64)
-    machine.cores = CountingList(machine.cores)
-    machine.run_to_halt()
-    changes = sum(1 for ev in machine.events if ev.kind in (
-        tr.META_RETIRED, tr.QT_CREATED, tr.QT_TERMINATED,
-        tr.WAIT_BEGIN, tr.WAIT_END))
+    """No run to halt iterates over all cores: each tick reads the
+    per-state sets, not the core list."""
+    sources = [fixtures.FIXTURES[name]() for name in sorted(fixtures.FIXTURES)]
+    sources.append(fixtures.no_mode_source(list(range(1, 201))))
+    for source in sources:
+        _, machine = make_machine(source, cores=64)
+        machine.cores = CountingList(machine.cores)
+        machine.run_to_halt()
+        assert machine.cores.scans == 0, (source, machine.cores.scans)
     assert machine.clock > 2000
-    assert machine.cores.scans <= 1 + 2 * changes, machine.cores.scans
 

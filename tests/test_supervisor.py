@@ -269,6 +269,29 @@ Data:   .long 0x12345678
     assert "QCall" in str(exc.value)
 
 
+def test_fault_in_the_sv_phase_parks_the_core_and_drops_no_request():
+    """Core 0's bad QCall and core 1's QTerm are served in one SV phase;
+    the fault parks core 0 and leaves core 1's request pending."""
+    source = """
+        QCreate CT,%eno
+CT:     QTerm
+        QCall Bad
+        halt
+Bad:    nop
+"""
+    from empa.coremodel import State
+    _, machine = make_machine(source, cores=4)
+    with pytest.raises(RuntimeFault, match="QCall"):
+        machine.run_to_halt()
+    assert machine.clock == 3
+    assert machine.sv.queue == [1]
+    machine.tick()
+    last = machine.events[-1]
+    assert (last.cycle, last.core, last.qt, last.kind) == (
+        4, 1, "11", tr.QT_TERMINATED)
+    assert [c.state for c in machine.cores[:2]] == [State.PARKED, State.FREE]
+
+
 # ---- QAlloc / QTCreate / QFCreate -----------------------------------------------
 
 def test_qalloc_grant_preallocates_and_seeds_latches():
@@ -281,8 +304,8 @@ def test_qalloc_grant_preallocates_and_seeds_latches():
     while not machine.halted:
         machine.tick()
     # cores 1..4 were preallocated and never used before halt
-    from empa.coremodel import Status
-    assert [c.status for c in machine.cores[1:5]] == [Status.PREALLOCATED] * 4
+    from empa.coremodel import State
+    assert [c.state for c in machine.cores[1:5]] == [State.PREALLOCATED] * 4
     root = machine.cores[0]
     assert root.latches.from_child == 4
     assert root.latches.for_child == 0
@@ -298,8 +321,8 @@ def test_qalloc_denied_leaves_pool_untouched():
     _, machine = make_machine(source, cores=3)
     while not machine.halted:
         machine.tick()
-    from empa.coremodel import Status
-    assert all(c.status is Status.FREE for c in machine.cores[1:])
+    from empa.coremodel import State
+    assert all(c.state is State.FREE for c in machine.cores[1:])
     assert machine.cores[0].last_alloc == "denied"
 
 
@@ -575,10 +598,10 @@ CT:     QTerm
         QWait -1
         halt
 """
-    from empa.coremodel import Status
+    from empa.coremodel import State
     _, machine, events = assemble_run(source, cores=5, watchdog=200)
     assert machine.halted
-    assert all(c.status is Status.FREE for c in machine.cores[1:])
+    assert all(c.state is State.FREE for c in machine.cores[1:])
 
 
 def test_released_reservation_not_stolen_from_new_owner():
