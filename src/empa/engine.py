@@ -1,10 +1,18 @@
 """The cycle-accurate machine: global clock, shared multi-ported memory,
 per-core instruction timing, event collection, halt detection and the
-per-tick invariant checker.
+invariant checker.
 
 Each tick runs the supervisor phase first (so a QTerm retired at cycle t
 takes effect at t+1), then lets every running core burn one cycle of
 its current instruction, retiring it when the budget reaches zero.  Identical inputs give identical machines and traces.
+
+tick() is always one full cycle: SV phase, cores, checker, watchdog.
+run_to_halt() gives the same machine and trace with less work: after a
+full tick that leaves the SV idle (Supervisor.idle), it steps only the
+running cores, cycle by cycle with the watchdog, until some core is
+touched, the machine halts or the cycle budget runs out, and then runs
+the checker once.  Only a touch can give the SV work or change the
+checked state sets, so the checker still sees every touched core.
 
 A tick costs the running cores plus the state changes it makes, not
 the configured core count.  Every write to a core's state or qt goes
@@ -22,6 +30,7 @@ function of the bytes (and the fixed memory size), so self-modifying
 code and writes by other cores need no invalidation.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import isa, trace as tr
@@ -192,11 +201,20 @@ class Machine:
     # ---- stepping -----------------------------------------------------------
 
     def tick(self):
-        """One global clock advance."""
+        """One global clock advance: the SV phase, the running cores, the
+        invariant checker and the watchdog."""
         if self.halted:
             raise RuntimeFault("tick on a halted machine")
         self.clock += 1
         self.sv.phase(self.clock)
+        self._step_cores()
+        self._check_invariants()
+        if self.clock - self._last_event_clock >= self.cfg.watchdog:
+            self._watchdog_failed()
+
+    def _step_cores(self):
+        """Burn one cycle of every running core; a fault parks the core
+        that raised it."""
         # A retiring core changes no other core's state, so this snapshot
         # matches a per-core check at each core's turn; ascending order
         # keeps same-tick memory visibility and the halt break.
@@ -215,9 +233,6 @@ class Machine:
         except RuntimeFault:
             core.state = PARKED
             raise
-        self._check_invariants()
-        if self.clock - self._last_event_clock >= self.cfg.watchdog:
-            self._watchdog_failed()
 
     def decode_at(self, pc):
         """(Instruction, cycles) for the code at pc; EncodingError if it
@@ -262,12 +277,31 @@ class Machine:
             self.halted = True
 
     def run_to_halt(self, max_cycles=None):
-        """Tick until the root QT halts.  Returns (events, self)."""
+        """Tick until the root QT halts.  Returns (events, self).
+
+        After a tick that leaves the SV idle, the following ticks skip
+        the SV phase and the checker until a core is touched: only
+        then can the phase have work or the checked sets change."""
+        budget = math.inf if max_cycles is None else max_cycles
         while not self.halted:
-            if max_cycles is not None and self.clock >= max_cycles:
+            if self.clock >= budget:
                 raise WatchdogExpired("cycle budget of %d exhausted" % max_cycles)
             self.tick()
+            if not self.halted and self.sv.idle():
+                self._run_quiet(budget)
         return self.events, self
+
+    def _run_quiet(self, budget):
+        """Quiet ticks: the running cores step with no SV phase, up to the
+        first touched core, halt or the cycle budget; then one check."""
+        touched = self._touched
+        watchdog = self.cfg.watchdog
+        while not touched and not self.halted and self.clock < budget:
+            self.clock += 1
+            self._step_cores()
+            if self.clock - self._last_event_clock >= watchdog:
+                self._watchdog_failed()
+        self._check_invariants()
 
     # ---- health ------------------------------------------------------------
 
@@ -297,8 +331,8 @@ class Machine:
         that depends only on its state and qt (parent links never
         change), so only cores touched since the last check are checked
         again; the set sizes must still add up to the core count, also
-        on a tick that touched none."""
-        # unrolled: sum(map(len, ...)) costs twice as much, every tick
+        when none was touched."""
+        # unrolled: sum(map(len, ...)) costs twice as much, every check
         a, b, c, d, e, f, g, h = self._state_sets
         sizes_ok = (len(a) + len(b) + len(c) + len(d) + len(e) + len(f)
                     + len(g) + len(h) == self.cfg.cores)

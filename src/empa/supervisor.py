@@ -1,12 +1,20 @@
 """The SV control layer: core pool, quasi-thread lifecycle, wait
 resolution, mass-processing (FOR/SUMUP) control and the SUMUP adder.
 
-The supervisor is a single sequential authority invoked once per global
-tick, before any core executes.  Within one SV phase it runs, in order:
-wait re-evaluation, queued meta requests (ascending core index), then
+The supervisor is a single sequential authority invoked before the
+cores execute in a tick.  Within one SV phase it runs, in order: wait
+re-evaluation, queued meta requests (ascending core index), then
 mass-loop steps (ascending core index).  That ordering makes a QTerm at
 cycle t unblock a waiter at t+1 and lets a FOR loop re-iterate in the
 same cycle its child's termination is processed.
+
+The phase is driven by events.  A wait can only end when some QT ends,
+so waiters are re-evaluated only in the phase after a QT ended
+(qt_ended).  idle() tells when a phase would change nothing: no request
+is pending, no waiter has a QT end to see, and every mass loop is a FOR
+whose current child is alive.  Only the SV phase and a core's state
+write can change that, so the engine runs the cores without the phase
+until some core is touched.
 
 Each core is in exactly one State.  The supervisor holds one set of
 core indices per state, which Machine.touch keeps in step with every
@@ -101,6 +109,7 @@ class Supervisor:
         self.postponed = self.in_state[POSTPONED]
         self.waiting = self.in_state[WAITING]
         self.massloop = self.in_state[MASSLOOP]
+        self.qt_ended = False         # a QT ended since the last wait check
 
     @property
     def queue(self):
@@ -116,12 +125,26 @@ class Supervisor:
     # ---- the SV phase of one tick ------------------------------------
 
     def phase(self, cycle):
-        if self.waiting:
-            self._reevaluate_waits(cycle)
+        if self.qt_ended:
+            self.qt_ended = False
+            if self.waiting:
+                self._reevaluate_waits(cycle)
         if self.requested or self.postponed:
             self._serve(cycle)
         if self.massloop:
             self._mass_steps(cycle)
+
+    def idle(self):
+        """True when a phase now would change nothing."""
+        if (self.requested or self.postponed
+                or (self.qt_ended and self.waiting)):
+            return False
+        for index in self.massloop:
+            mc = self.mass[index]
+            if (mc.mode != MODE_FOR or mc.current_child is None
+                    or not mc.current_child.alive):
+                return False
+        return True
 
     def _reevaluate_waits(self, cycle):
         for index in sorted(self.waiting):
@@ -214,6 +237,7 @@ class Supervisor:
         if core.brackets:
             _, outer = core.brackets.pop()
             qt.alive = False
+            self.qt_ended = True
             core.qt = outer
             core.state = RUNNING
             self.m.emit(cycle, core.index, qt.id, tr.QT_TERMINATED, addr)
@@ -238,6 +262,7 @@ class Supervisor:
             parent_core.latches.set(Latch.FROM_CHILD,
                                     core.latches.get(Latch.FOR_PARENT))
         qt.alive = False
+        self.qt_ended = True
         core.qt = None
         core.state = (PREALLOCATED if in_for and parent_core.state is MASSLOOP
                       else FREE)

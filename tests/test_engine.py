@@ -136,15 +136,27 @@ def test_deterministic_traces():
 
 
 def test_watchdog_expires_without_events():
-    # a QWait that can never finish: wait on a QT created at an address
-    # that did create a child still alive forever?  Simpler: QCreate
-    # stall on 1 core is Deadlock; an event-less wedge needs a blocked
-    # wait, which is also Deadlock.  WatchdogExpired covers the
-    # max_cycles budget in run_to_halt.
+    # A QCreate on 1 core never finds a free core.  No event follows, and
+    # the watchdog names the stuck core, so the run ends in Deadlock.
+    # An event-less window with no stuck core is WatchdogExpired (below).
     source = "QCreate T,%eno\nnop\nT: QTerm\nhalt\n"
     _, machine = make_machine(source, cores=1, watchdog=30)
     with pytest.raises(Deadlock):
         machine.run_to_halt()
+
+
+@pytest.mark.parametrize("run", ["tick", "run_to_halt"])
+def test_instruction_slower_than_the_watchdog_window(run):
+    image = assembler.assemble(fixtures.no_mode_source())
+    machine = engine.Machine(image, engine.MachineConfig(
+        cores=2, watchdog=30, timing=engine.TimingConfig({"mrmovl": 40})))
+    with pytest.raises(WatchdogExpired, match="^no event for 30 cycles$"):
+        if run == "tick":
+            while not machine.halted:
+                machine.tick()
+        else:
+            machine.run_to_halt()
+    assert machine.clock == 41
 
 
 def test_run_to_halt_cycle_budget():

@@ -1,0 +1,218 @@
+"""Quiet ticks: run_to_halt skips the SV phase while the SV is idle.
+
+The reference is a plain tick loop, in which every cycle runs the SV
+phase and the invariant checker.  run_to_halt must give the same
+events, clock, memory, core state and warnings, and fail with the same
+exception at the same clock.  The count guards pin that the SV phase
+and the checker run in proportion to SV work, not to cycles.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from empa import assembler, engine, fixtures, trace as tr
+from empa.coremodel import State
+from empa.errors import (Deadlock, InvariantViolation, RuntimeFault,
+                         WatchdogExpired)
+from test_stress import _random_tree_program, _wide_program
+
+CORE_COUNTS = (1, 2, 3, 4, 5, 8, 64)
+
+
+def _machine(source, cores, watchdog=10000, timing=None):
+    image = assembler.assemble(source)
+    return engine.Machine(image, engine.MachineConfig(
+        cores=cores, watchdog=watchdog, timing=timing or engine.TimingConfig()))
+
+
+def _tick_loop(machine, max_cycles):
+    """run_to_halt as a plain loop of full ticks."""
+    while not machine.halted:
+        if max_cycles is not None and machine.clock >= max_cycles:
+            raise WatchdogExpired("cycle budget of %d exhausted" % max_cycles)
+        machine.tick()
+
+
+def _outcome(machine, run, max_cycles):
+    try:
+        run(machine, max_cycles)
+        error = None
+    except Exception as exc:     # compared, not swallowed
+        error = (type(exc), str(exc), machine.clock)
+    return {
+        "error": error,
+        "clock": machine.clock,
+        "events": machine.events,
+        "memory": bytes(machine.memory.data),
+        "cores": [(c.state, c.pc, c.regs, c.latches) for c in machine.cores],
+        "warnings": machine.warnings,
+    }
+
+
+def _assert_same_run(source, cores, max_cycles=None, **cfg):
+    """Returns the outcome both runs share."""
+    quick = _outcome(_machine(source, cores, **cfg),
+                     lambda m, n: m.run_to_halt(max_cycles=n), max_cycles)
+    plain = _outcome(_machine(source, cores, **cfg), _tick_loop, max_cycles)
+    assert quick == plain
+    return quick
+
+
+@pytest.mark.parametrize("cores", CORE_COUNTS)
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_run_to_halt_matches_the_tick_loop_on_fixtures(name, cores):
+    error = _assert_same_run(fixtures.FIXTURES[name](), cores)["error"]
+    # dynpar needs four cores; on fewer it deadlocks by design
+    assert (error is None) == (name != "dynpar" or cores >= 4)
+
+
+def test_run_to_halt_matches_the_tick_loop_on_random_trees():
+    rng = random.Random(0xBEEF)
+    for trial in range(60):
+        if trial % 2 == 0:
+            cores = rng.randrange(3, 9)
+            source, _ = _random_tree_program(rng, cores)
+        else:
+            cores = rng.randrange(2, 5)
+            source, _ = _wide_program(rng, rng.randrange(4, 13))
+        outcome = _assert_same_run(source, cores, max_cycles=50000)
+        assert outcome["error"] is None, trial
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(fixtures.FIXTURES)),
+       cores=st.sampled_from(CORE_COUNTS),
+       overrides=st.dictionaries(st.sampled_from(sorted(engine.DEFAULT_TIMING)),
+                                 st.integers(1, 6)))
+def test_run_to_halt_matches_the_tick_loop_under_any_timing(name, cores,
+                                                            overrides):
+    _assert_same_run(fixtures.FIXTURES[name](), cores,
+                     timing=engine.TimingConfig(overrides))
+
+
+@pytest.mark.parametrize("cores", (1, 2))
+def test_deadlock_at_the_same_clock(cores):
+    error = _assert_same_run(fixtures.dynpar_source(), cores)["error"]
+    assert error[0] is Deadlock and error[2] == 10000 + cores
+
+
+def test_cycle_budget_at_the_same_clock():
+    error = _assert_same_run("L: jmp L\n", 1, max_cycles=100)["error"]
+    assert error == (WatchdogExpired, "cycle budget of 100 exhausted", 100)
+
+
+def test_fetch_fault_at_the_same_clock_parks_the_core():
+    outcome = _assert_same_run(".pos 0\n.long 0xCCCCCCCC\n", 1)
+    assert outcome["error"][0] is RuntimeFault and outcome["clock"] == 1
+    assert outcome["cores"][0][0] is State.PARKED
+
+
+def test_event_less_watchdog_at_the_same_clock():
+    outcome = _assert_same_run(fixtures.no_mode_source(), 2, watchdog=30,
+                               timing=engine.TimingConfig({"mrmovl": 40}))
+    assert outcome["error"] == (WatchdogExpired, "no event for 30 cycles", 41)
+
+
+# ---- the SV phase and the checker follow SV work, not cycles ---------------
+
+
+def _count_calls(machine):
+    """Count sv.phase and _check_invariants calls, as instance wrappers."""
+    counts = {"phase": 0, "check": 0}
+    phase, check = machine.sv.phase, machine._check_invariants
+
+    def counted_phase(cycle):
+        counts["phase"] += 1
+        phase(cycle)
+
+    def counted_check():
+        counts["check"] += 1
+        check()
+    machine.sv.phase = counted_phase
+    machine._check_invariants = counted_check
+    return counts
+
+
+def test_a_plain_loop_on_64_cores_runs_the_sv_phase_once():
+    machine = _machine(fixtures.no_mode_source(list(range(1, 201))), 64)
+    counts = _count_calls(machine)
+    machine.run_to_halt()
+    assert machine.clock > 2000
+    assert counts["phase"] <= 2
+    assert counts["check"] <= 3
+
+
+@pytest.mark.parametrize("cores", (2, 5))
+@pytest.mark.parametrize("name", ("for_mode", "adaptive"))
+def test_sv_phases_follow_meta_retirements_and_qt_ends(name, cores):
+    machine = _machine(fixtures.FIXTURES[name](), cores)
+    counts = _count_calls(machine)
+    events, _ = machine.run_to_halt()
+    work = sum(1 for ev in events
+               if ev.kind in (tr.META_RETIRED, tr.QT_TERMINATED, tr.WAIT_END))
+    assert counts["phase"] <= 1 + work
+    assert counts["phase"] < machine.clock
+
+
+def test_the_checker_still_guards_a_quiet_stretch():
+    machine = _machine(fixtures.no_mode_source(), 8)
+    counts = _count_calls(machine)
+    emit = machine.emit
+    seen = []
+
+    def tampering_emit(*args, **kwargs):
+        emit(*args, **kwargs)
+        if len(machine.events) == 20:     # well inside a quiet stretch
+            machine.sv.running.add(5)     # core 5 is free
+            seen.append(counts["phase"])
+
+    machine.emit = tampering_emit
+    with pytest.raises(InvariantViolation, match="partition"):
+        machine.run_to_halt()
+    assert seen and counts["phase"] == seen[0]   # no SV phase since
+
+
+def test_a_fallback_block_end_wakes_a_sister_waiter():
+    # Root's QAlloc is denied (core 1 runs A), so its QFCreate body runs
+    # on core 0 as QT 12, closed by the bracket QTerm.  A waits on it.
+    source = """
+        QCreate AT,%eno
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        QPWait -1            # A: wait for the sister QTs
+AT:     QTerm
+        irmovl $1,%ecx
+        QAlloc 1,%ecx
+        QTCreate TT,%eno
+        nop
+TT:     QTerm
+        QFCreate FT,%eno
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+        nop
+FT:     QTerm
+        QWait -1
+        halt
+"""
+    assert _assert_same_run(source, 2)["error"] is None
+    machine = _machine(source, 2)
+    events, _ = machine.run_to_halt()
+    begin = [ev for ev in events if ev.kind == tr.WAIT_BEGIN and ev.qt == "11"]
+    end = [ev for ev in events if ev.kind == tr.WAIT_END and ev.qt == "11"]
+    fallback_end = [ev for ev in events
+                    if ev.kind == tr.QT_TERMINATED and ev.qt == "12"]
+    assert begin and fallback_end[0].cycle > begin[0].cycle
+    assert end[0].cycle == fallback_end[0].cycle + 1
