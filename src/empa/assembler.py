@@ -180,7 +180,7 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
     image = ObjectImage(size)
     symbols = image.symbols
 
-    # Pass 1: addresses and labels.
+    # Pass 1: each line's address, and the labels.
     parsed = []   # (lineno, text, addr, mnemonic, operands)
     addr = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -190,63 +190,49 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
             name = label_m.group(1)
             if name in symbols:
                 raise DuplicateLabel("duplicate label %r" % name, lineno)
+            text = text[label_m.end():]
+        text = text.strip()
+        mnemonic = operands = None
+        length = 0
+        if text:
+            mnemonic, operands = _split_statement(text, lineno)
+            if mnemonic == ".pos":
+                _operand_count(".pos", operands, 1, lineno)
+                addr = _parse_int(operands[0], lineno)
+                if addr < 0:
+                    raise AssemblySyntaxError(".pos before address 0", lineno)
+            elif mnemonic == ".align":
+                _operand_count(".align", operands, 1, lineno)
+                align = _parse_int(operands[0], lineno)
+                if align <= 0:
+                    raise AssemblySyntaxError(".align needs a positive value", lineno)
+                addr = (addr + align - 1) // align * align
+            elif mnemonic == ".long":
+                _operand_count(".long", operands, 1, lineno)
+                length = 4
+            elif mnemonic in isa.MNEMONIC_TO_OPCODE:
+                length = isa.instruction_length(isa.MNEMONIC_TO_OPCODE[mnemonic])
+            else:
+                raise AssemblySyntaxError("unknown mnemonic %r" % mnemonic, lineno)
+        if label_m:
             symbols[name] = addr
-            text = text[label_m.end():].strip()
-        else:
-            text = text.strip()
-        if not text:
-            parsed.append((lineno, raw, addr, None, None))
-            continue
-        mnemonic, operands = _split_statement(text, lineno)
-        if mnemonic == ".pos":
-            _operand_count(".pos", operands, 1, lineno)
-            addr = _parse_int(operands[0], lineno)
-            if addr < 0:
-                raise AssemblySyntaxError(".pos before address 0", lineno)
-            if label_m:
-                symbols[label_m.group(1)] = addr
-        elif mnemonic == ".align":
-            _operand_count(".align", operands, 1, lineno)
-            align = _parse_int(operands[0], lineno)
-            if align <= 0:
-                raise AssemblySyntaxError(".align needs a positive value", lineno)
-            addr = (addr + align - 1) // align * align
-            if label_m:
-                symbols[label_m.group(1)] = addr
-        elif mnemonic == ".long":
-            _operand_count(".long", operands, 1, lineno)
-            addr += 4
-        elif mnemonic in isa.MNEMONIC_TO_OPCODE:
-            addr += isa.instruction_length(isa.MNEMONIC_TO_OPCODE[mnemonic])
-        else:
-            raise AssemblySyntaxError("unknown mnemonic %r" % mnemonic, lineno)
-        parsed.append((lineno, raw, None, mnemonic, operands))
+        parsed.append((lineno, raw, addr, mnemonic, operands))
+        addr += length
 
-    # Pass 2: emit bytes.  Pass-1 addresses are final; we recompute the
-    # counter and assert the fixpoint as we go.
+    # Pass 2: emit bytes at the pass-1 addresses.
     res = _Resolver(symbols)
     owner = [0] * size            # 1-based line number that wrote each byte
-    instr_at = {}                 # address -> opcode for emitted instructions
-    addr = 0
-    for lineno, raw, blank_addr, mnemonic, operands in parsed:
-        if mnemonic is None:
-            image.listing.append((addr, b"", raw))
-            continue
-        if mnemonic == ".pos":
-            addr = _parse_int(operands[0], lineno)
-            image.listing.append((addr, b"", raw))
-            continue
-        if mnemonic == ".align":
-            align = _parse_int(operands[0], lineno)
-            addr = (addr + align - 1) // align * align
-            image.listing.append((addr, b"", raw))
-            continue
+    instr_at = {}                 # address -> (Instruction, line number)
+    for lineno, raw, addr, mnemonic, operands in parsed:
         if mnemonic == ".long":
             value = res.value(operands[0], lineno)
             data = (value & isa.WORD_MASK).to_bytes(4, "little")
-        else:
+        elif mnemonic in isa.MNEMONIC_TO_OPCODE:
             data, instr = _encode_statement(mnemonic, operands, res, lineno)
-            instr_at[addr] = instr.opcode
+            instr_at[addr] = (instr, lineno)
+        else:                     # blank, .pos or .align: no bytes
+            image.listing.append((addr, b"", raw))
+            continue
         end = addr + len(data)
         if end > size:
             raise AssemblerError(
@@ -259,43 +245,39 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
             owner[i] = lineno
         image.memory[addr:end] = data
         image.listing.append((addr, bytes(data), raw))
-        addr = end
 
-    _check_brackets(instr_at, parsed, image)
-    _check_branch_links(instr_at, image)
+    _check_brackets(instr_at)
+    _check_branch_links(instr_at)
     return image
 
 
-def _check_brackets(instr_at, parsed, image):
+def _opcode_at(instr_at, addr):
+    hit = instr_at.get(addr)
+    return hit[0].opcode if hit is not None else None
+
+
+def _check_brackets(instr_at):
     """Every QCreate/QTCreate/QFCreate target must be a QTerm opcode."""
-    line_of = {}
-    for entry, (lineno, _raw, _a, _m, _o) in zip(image.listing, parsed):
-        if entry[1]:
-            line_of[entry[0]] = lineno
-    for addr, opcode in instr_at.items():
-        if opcode in isa.QCREATE_FAMILY:
-            instr, _ = isa.decode(image.memory, addr)
-            target = instr.imm
-            if instr_at.get(target) != isa.QTERM:
-                raise UnmatchedQTermTarget(
-                    "%s target 0x%x is not a QTerm"
-                    % (isa.OPCODES[opcode].mnemonic, target), line_of.get(addr))
+    for instr, lineno in instr_at.values():
+        if (instr.opcode in isa.QCREATE_FAMILY
+                and _opcode_at(instr_at, instr.imm) != isa.QTERM):
+            raise UnmatchedQTermTarget(
+                "%s target 0x%x is not a QTerm" % (instr.mnemonic, instr.imm),
+                lineno)
 
 
-def _check_branch_links(instr_at, image):
+def _check_branch_links(instr_at):
     """Where a QFCreate directly follows a QTCreate's QTerm, both branches
     must carry the same link register."""
-    for addr, opcode in instr_at.items():
-        if opcode != isa.QTCREATE:
+    for addr, (tinstr, _) in instr_at.items():
+        if tinstr.opcode != isa.QTCREATE:
             continue
-        tinstr, _ = isa.decode(image.memory, addr)
         after = tinstr.imm + 1
-        if instr_at.get(after) == isa.QFCREATE:
-            finstr, _ = isa.decode(image.memory, after)
-            if finstr.ra != tinstr.ra:
-                raise AssemblerError(
-                    "QTCreate at 0x%x and QFCreate at 0x%x carry different "
-                    "link registers" % (addr, after))
+        if (_opcode_at(instr_at, after) == isa.QFCREATE
+                and instr_at[after][0].ra != tinstr.ra):
+            raise AssemblerError(
+                "QTCreate at 0x%x and QFCreate at 0x%x carry different "
+                "link registers" % (addr, after))
 
 
 def write_listing(image):

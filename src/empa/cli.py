@@ -10,7 +10,6 @@ import os
 import sys
 
 from . import assembler, diagram, engine, isa, stats as statsmod, trace as tr
-from .coremodel import RUNNING, SV
 from .errors import ImageTooLarge, SimulationError
 
 EXIT_OK = 0
@@ -283,9 +282,13 @@ class StepSession:
         print(text, file=self.out)
 
     def _at_breakpoint(self):
-        return any((core.state is RUNNING or core.state is SV)
-                   and core.pc in self.breakpoints
-                   for core in self.machine.cores)
+        """A running core, or one whose request waits for the SV, is at a
+        breakpoint; only those cores are looked at."""
+        if not self.breakpoints:
+            return False
+        cores, sv = self.machine.cores, self.machine.sv
+        return any(cores[i].pc in self.breakpoints
+                   for i in (*sv.running, *sv.requested))
 
     def _advance(self, limit=None):
         m = self.machine

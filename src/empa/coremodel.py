@@ -4,7 +4,8 @@ context-dependent %esv mapping.
 A core is stepped by the engine when its current instruction's cycle
 budget runs out; meta-instructions are never executed here, they raise a
 request for the supervisor.  %esv is never a storage cell: every access
-resolves at the moment of access through the phase-keyed latch map.
+resolves at the moment of access through the latch table row that the
+core's phase names.
 """
 
 import enum
@@ -53,23 +54,6 @@ _ESV_TABLE = {
 def map_esv(context, access):
     """Latch addressed by an %esv access in the given context.  Total."""
     return _ESV_TABLE[(context, access)]
-
-
-class Phase(enum.Enum):
-    NONE = "none"
-    GENERAL = "general"
-    MASS_PRE = "mass-pre"
-    MASS_CHILD = "mass-child"
-    MASS_POST = "mass-post"
-
-
-_PHASE_TO_CONTEXT = {
-    Phase.NONE: EsvContext.GENERAL,
-    Phase.GENERAL: EsvContext.GENERAL,
-    Phase.MASS_PRE: EsvContext.MASS_PRE,
-    Phase.MASS_CHILD: EsvContext.MASS_CHILD,
-    Phase.MASS_POST: EsvContext.MASS_POST,
-}
 
 
 class State(enum.Enum):
@@ -126,7 +110,7 @@ class CoreState:
     latches: LatchSet = field(default_factory=LatchSet)
     mode: int = 0
     parent_mode: int = 0
-    phase: Phase = Phase.NONE
+    phase: EsvContext = EsvContext.GENERAL   # %esv table row; never CLONING
 
     # execution bookkeeping (engine-owned)
     inflight = None          # decoded Instruction currently executing
@@ -162,9 +146,6 @@ class CoreState:
     qt = property(operator.attrgetter("_qt"), _set_qt)
     del _set_state, _set_qt
 
-    def esv_context(self):
-        return _PHASE_TO_CONTEXT[self.phase]
-
     def reset_runtime(self):
         self.inflight = None
         self.remaining = 0
@@ -193,7 +174,7 @@ def read_register(core, code, sink, addr):
     if code == isa.REG_ECC:
         return core.qt.ecc_index if core.qt is not None else 0
     if code == isa.REG_ESV:
-        latch = map_esv(core.esv_context(), READ)
+        latch = map_esv(core.phase, READ)
         value = core.latches.get(latch)
         sink.latch_read(core, latch, value, addr)
         return value
@@ -210,7 +191,7 @@ def write_register(core, code, value, sink, addr):
     elif code == isa.REG_ECC:
         raise RuntimeFault("%ecc is read-only", core=core.index, addr=addr)
     elif code == isa.REG_ESV:
-        latch = map_esv(core.esv_context(), WRITE)
+        latch = map_esv(core.phase, WRITE)
         core.latches.set(latch, value)
         if latch is Latch.FOR_PARENT:
             core.for_parent_dirty = True

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 from . import isa, trace as tr
 from .assembler import ObjectImage
-from .coremodel import CoreState, Latch, Phase, step_instruction
+from .coremodel import CoreState, Latch, step_instruction
 from .coremodel import (FREE, HALTED, MASSLOOP, META, PARKED, RUNNING,
                         WAITING)
 from .errors import (AddressOutOfRange, Deadlock, ImageTooLarge,
@@ -117,9 +117,6 @@ class Memory:
     def __init__(self, data):
         self.data = bytearray(data)
 
-    def __len__(self):
-        return len(self.data)
-
     def _check(self, address, core, addr):
         if address + 4 > len(self.data) or address < 0:
             raise AddressOutOfRange("memory access at 0x%08x beyond image"
@@ -166,7 +163,6 @@ class Machine:
         root.state = RUNNING
         root.pc = image.entry
         root.qt = self.root_qt
-        root.phase = Phase.GENERAL
 
     def touch(self, core, old=None):
         """Called on every write to a core's state (with the old state)
@@ -180,23 +176,22 @@ class Machine:
 
     # ---- event sink ------------------------------------------------------
 
-    def emit(self, cycle, core, qt_id, kind, addr, payload=None):
-        self.events.append(_new(Event, (cycle, core, qt_id, kind, addr,
+    def emit(self, core, qt_id, kind, addr, payload=None):
+        """Record an event at the current clock."""
+        clock = self._last_event_clock = self.clock
+        self.events.append(_new(Event, (clock, core, qt_id, kind, addr,
                                         payload)))
-        self._last_event_clock = self.clock
 
     def warn(self, message):
         self.warnings.append(message)
 
     def latch_read(self, core, latch, value, addr):
-        self.emit(self.clock, core.index, core.qt.id, tr.LATCH_READ, addr,
-                  payload=value)
+        self.emit(core.index, core.qt.id, tr.LATCH_READ, addr, payload=value)
 
     def latch_write(self, core, latch, value, addr):
-        self.emit(self.clock, core.index, core.qt.id, tr.LATCH_WRITE, addr,
-                  payload=value)
+        self.emit(core.index, core.qt.id, tr.LATCH_WRITE, addr, payload=value)
         if latch is Latch.FOR_PARENT:
-            self.sv.sumup_feed(core, value, addr, self.clock)
+            self.sv.sumup_feed(core, value, addr)
 
     # ---- stepping -----------------------------------------------------------
 
@@ -264,12 +259,12 @@ class Machine:
         outcome = step_instruction(core, self.memory, self)
         core.inflight = None
         if outcome is META:
-            self.emit(self.clock, core.index, core.qt.id, tr.META_RETIRED,
-                      addr, payload=duration)
+            self.emit(core.index, core.qt.id, tr.META_RETIRED, addr,
+                      payload=duration)
             self.sv.submit(core, instr, addr)
             return
-        self.emit(self.clock, core.index, core.qt.id, tr.INSTR_RETIRED,
-                  addr, payload=duration)
+        self.emit(core.index, core.qt.id, tr.INSTR_RETIRED, addr,
+                  payload=duration)
         if outcome is HALTED:
             if core.qt.parent is not None:
                 raise RuntimeFault("halt outside the root QT",

@@ -36,7 +36,6 @@ REGISTER_NAMES = {
 REGISTER_CODES = {name: code for code, name in REGISTER_NAMES.items()}
 
 VALID_REG_CODES = frozenset(REGISTER_NAMES)          # 0x0..0xA
-PSEUDO_REG_CODES = frozenset((REG_ENO, REG_ECC, REG_ESV))
 
 # Opcodes.  Base Y86 groups 0x0..0xB, EMPA meta group 0xE.
 HALT = 0x00

@@ -26,12 +26,11 @@ leaves its core POSTPONED and is served again next tick.
 
 from . import isa
 from .coremodel import (FREE, MASSLOOP, PARKED, POSTPONED, PREALLOCATED,
-                        READ, RUNNING, SV, WAITING, Latch, Phase, State,
-                        clone_into, map_esv)
+                        READ, RUNNING, SV, WAITING, WRITE, EsvContext, Latch,
+                        State, clone_into, map_esv)
 from .errors import RuntimeFault
 from . import trace as tr
 
-MODE_NO = 0
 MODE_FOR = 1
 MODE_SUMUP = 5
 
@@ -59,35 +58,36 @@ class QTDescriptor:
         self.kind = kind
         self.ecc_index = ecc_index
         self.alive = True
-        self.children = []
-        self.child_seq = 0
-        self.child_create_addrs = set()
+        self.children = []            # every child ever created, in order
 
     @property
     def parent(self):
         return self._parent
 
-    def next_child_id(self):
-        self.child_seq += 1
-        return tr.child_qt_id(self.id, self.child_seq)
-
-    def live_children(self):
-        return [c for c in self.children if c.alive]
+    def add_child(self, core, create_addr, term_addr, link, kind,
+                  ecc_index=0):
+        """A new child QT, named by its birth order: children are never
+        removed, so the next one is number len(children) + 1."""
+        qt = QTDescriptor(tr.child_qt_id(self.id, len(self.children) + 1),
+                          self, core, create_addr, term_addr, link, kind,
+                          ecc_index)
+        self.children.append(qt)
+        return qt
 
 
 class MassControl:
-    """Per-parent state of one FOR/SUMUP operation.  The remaining count
-    mirrors the parent's FromChild latch (authoritative for the FOR break
-    channel); SUMUP keeps its own count because child summands overwrite
-    FromChild on their way into the adder."""
+    """Per-parent state of one FOR/SUMUP operation; the parent runs on
+    owner_qt.core.  `cores` holds the reserved cores not yet used up:
+    FOR runs every child on cores[0] and counts down in the parent's
+    FromChild latch (the break channel); SUMUP takes one core per child
+    off the front and ends when none is left, because child summands
+    overwrite FromChild on their way into the adder.  An ended loop
+    holds no cores."""
 
-    def __init__(self, owner_qt, parent_core, mode, count, cores):
+    def __init__(self, owner_qt, mode, cores):
         self.owner_qt = owner_qt
-        self.parent_core = parent_core
         self.mode = mode
-        self.remaining = count
-        self.cores = list(cores)      # preallocated core indices, in order
-        self.next_core = 0
+        self.cores = cores            # preallocated core indices, in order
         self.created = 0
         self.adder = 0
         self.link = None
@@ -125,14 +125,15 @@ class Supervisor:
     # ---- the SV phase of one tick ------------------------------------
 
     def phase(self, cycle):
+        """One SV phase; events take the machine clock, not `cycle`."""
         if self.qt_ended:
             self.qt_ended = False
             if self.waiting:
-                self._reevaluate_waits(cycle)
+                self._reevaluate_waits()
         if self.requested or self.postponed:
-            self._serve(cycle)
+            self._serve()
         if self.massloop:
-            self._mass_steps(cycle)
+            self._mass_steps()
 
     def idle(self):
         """True when a phase now would change nothing."""
@@ -146,16 +147,16 @@ class Supervisor:
                 return False
         return True
 
-    def _reevaluate_waits(self, cycle):
+    def _reevaluate_waits(self):
         for index in sorted(self.waiting):
             core = self.m.cores[index]
             addr, scope = core.wait_cond
             if all(not q.alive for q in scope):
                 core.wait_cond = None
                 core.state = RUNNING
-                self.m.emit(cycle, core.index, core.qt.id, tr.WAIT_END, addr)
+                self.m.emit(core.index, core.qt.id, tr.WAIT_END, addr)
 
-    def _serve(self, cycle):
+    def _serve(self):
         """Serve every pending request.  One that cannot be served yet
         leaves its core POSTPONED with the request kept; a fault parks
         its core and leaves the later requests pending."""
@@ -164,7 +165,7 @@ class Supervisor:
             instr, addr = core.request
             try:
                 # every meta opcode that decodes has a handler
-                _HANDLERS[instr.opcode](self, core, instr, addr, cycle)
+                _HANDLERS[instr.opcode](self, core, instr, addr)
             except RuntimeFault:
                 core.state = PARKED
                 raise
@@ -174,7 +175,7 @@ class Supervisor:
 
     # ---- QCreate / QCall ---------------------------------------------
 
-    def _handle_create(self, core, instr, addr, cycle):
+    def _handle_create(self, core, instr, addr):
         if instr.opcode == isa.QCALL:
             target = instr.imm
             try:
@@ -198,30 +199,28 @@ class Supervisor:
             core.pc = (term_addr + 1) & isa.WORD_MASK
         core.state = RUNNING
         self.create_qt(core, free, create_addr, term_addr, link, kind,
-                       start_pc=create_addr + 6, cycle=cycle)
+                       start_pc=create_addr + 6)
 
     def create_qt(self, parent_core, child_index, create_addr, term_addr,
-                  link, kind, start_pc, cycle, ecc_index=0):
+                  link, kind, start_pc, ecc_index=0):
         child_core = self.m.cores[child_index]
         if child_core.state is not FREE and child_core.state is not PREALLOCATED:
             raise RuntimeFault("allocation of a busy core %d" % child_index,
                                core=parent_core.index, addr=create_addr)
-        parent_qt = parent_core.qt
-        qt = QTDescriptor(parent_qt.next_child_id(), parent_qt, child_index,
-                          create_addr, term_addr, link, kind, ecc_index)
-        parent_qt.children.append(qt)
-        parent_qt.child_create_addrs.add(create_addr)
+        qt = parent_core.qt.add_child(child_index, create_addr, term_addr,
+                                      link, kind, ecc_index)
         clone_into(parent_core, child_core, link)
         child_core.state = RUNNING
         child_core.pc = start_pc
         child_core.qt = qt
-        child_core.phase = Phase.MASS_CHILD if kind == KIND_MASS_TRUE else Phase.GENERAL
-        self.m.emit(cycle, child_index, qt.id, tr.QT_CREATED, create_addr)
+        child_core.phase = (EsvContext.MASS_CHILD if kind == KIND_MASS_TRUE
+                            else EsvContext.GENERAL)
+        self.m.emit(child_index, qt.id, tr.QT_CREATED, create_addr)
         return qt
 
     # ---- QTerm --------------------------------------------------------
 
-    def _handle_qterm(self, core, instr, addr, cycle):
+    def _handle_qterm(self, core, instr, addr):
         qt = core.qt
         if core.brackets:
             if core.brackets[-1][0] != addr:
@@ -230,7 +229,7 @@ class Supervisor:
         elif qt.parent is None:
             raise RuntimeFault("QTerm executed by the root QT",
                                core=core.index, qt=qt.id, addr=addr)
-        if qt.live_children():
+        if any(c.alive for c in qt.children):
             # an implied QWait -1 (also before a fallback bracket closes)
             core.state = POSTPONED
             return
@@ -240,18 +239,19 @@ class Supervisor:
             self.qt_ended = True
             core.qt = outer
             core.state = RUNNING
-            self.m.emit(cycle, core.index, qt.id, tr.QT_TERMINATED, addr)
+            self.m.emit(core.index, qt.id, tr.QT_TERMINATED, addr)
             return
-        self._complete_termination(core, qt, addr, cycle)
+        self._complete_termination(core, qt, addr)
 
-    def _complete_termination(self, core, qt, addr, cycle):
+    def _complete_termination(self, core, qt, addr):
         parent_core = self.m.cores[qt.parent.core]
         link = qt.link
         if link not in (isa.REG_ENO, isa.REG_ECC):
             if link == isa.REG_ESV:
-                # cloning context: child ForParent -> parent FromChild
-                parent_core.latches.set(Latch.FROM_CHILD,
-                                        core.latches.get(Latch.FOR_PARENT))
+                # the cloning row: a child's %esv read, the parent's write
+                parent_core.latches.set(
+                    map_esv(EsvContext.CLONING, WRITE),
+                    core.latches.get(map_esv(EsvContext.CLONING, READ)))
             else:
                 parent_core.regs[link] = core.regs[link]
         mc = self.mass.get(qt.parent.core)
@@ -266,13 +266,13 @@ class Supervisor:
         core.qt = None
         core.state = (PREALLOCATED if in_for and parent_core.state is MASSLOOP
                       else FREE)
-        core.phase = Phase.NONE
+        core.phase = EsvContext.GENERAL
         core.reset_runtime()
-        self.m.emit(cycle, core.index, qt.id, tr.QT_TERMINATED, addr)
+        self.m.emit(core.index, qt.id, tr.QT_TERMINATED, addr)
 
     # ---- QWait / QPWait -----------------------------------------------
 
-    def _handle_wait(self, core, instr, addr, cycle):
+    def _handle_wait(self, core, instr, addr):
         qt = core.qt
         target = instr.imm
         if instr.opcode == isa.QWAIT:
@@ -282,7 +282,8 @@ class Supervisor:
         if scope_qt is None:
             if target != WILDCARD:
                 self.m.warn("QPWait 0x%04x in the root QT has no sisters "
-                            "(core %d, cycle %d)" % (target, core.index, cycle))
+                            "(core %d, cycle %d)"
+                            % (target, core.index, self.m.clock))
             core.state = RUNNING
             return
         candidates = [c for c in scope_qt.children if c is not qt]
@@ -290,21 +291,21 @@ class Supervisor:
             scope = frozenset(c for c in candidates if c.alive)
         else:
             matching = [c for c in candidates if c.create_addr == target]
-            if not matching and target not in scope_qt.child_create_addrs:
+            if all(c.create_addr != target for c in scope_qt.children):
                 self.m.warn("wait target 0x%04x never matched a created QT "
-                            "(core %d, cycle %d)" % (target, core.index, cycle))
+                            "(core %d, cycle %d)"
+                            % (target, core.index, self.m.clock))
             scope = frozenset(c for c in matching if c.alive)
         if not scope:
             core.state = RUNNING
             return
         core.wait_cond = (addr, scope)
         core.state = WAITING
-        self.m.emit(cycle, core.index, qt.id, tr.WAIT_BEGIN, addr,
-                    payload=target)
+        self.m.emit(core.index, qt.id, tr.WAIT_BEGIN, addr, payload=target)
 
     # ---- QAlloc ---------------------------------------------------------
 
-    def _handle_qalloc(self, core, instr, addr, cycle):
+    def _handle_qalloc(self, core, instr, addr):
         mode = instr.imm
         if mode not in (MODE_FOR, MODE_SUMUP):
             raise RuntimeFault("unknown mass-processing mode %d" % mode,
@@ -319,11 +320,11 @@ class Supervisor:
         taken = sorted(self.free)[:need]
         for i in taken:
             self.m.cores[i].state = PREALLOCATED
-        self.mass[core.index] = MassControl(core.qt, core.index, mode, count, taken)
+        self.mass[core.index] = MassControl(core.qt, mode, taken)
         core.latches.set(Latch.FROM_CHILD, count)
         core.latches.set(Latch.FOR_CHILD, 0)
         core.mode = mode
-        core.phase = Phase.MASS_PRE
+        core.phase = EsvContext.MASS_PRE
         core.last_alloc = "granted"
 
     def _release_abandoned(self, core_index):
@@ -331,7 +332,7 @@ class Supervisor:
         same core returns its reserved cores to the pool."""
         old = self.mass.pop(core_index, None)
         if old is not None:
-            self._release(old.cores[old.next_core:])
+            self._release(old.cores)
 
     def _release(self, indices):
         """Return the still-preallocated cores among `indices` to the pool."""
@@ -346,12 +347,12 @@ class Supervisor:
         if code == isa.REG_ECC:
             return core.qt.ecc_index if core.qt is not None else 0
         if code == isa.REG_ESV:
-            return core.latches.get(map_esv(core.esv_context(), READ))
+            return core.latches.get(map_esv(core.phase, READ))
         return 0
 
     # ---- QTCreate / QFCreate --------------------------------------------
 
-    def _handle_qtcreate(self, core, instr, addr, cycle):
+    def _handle_qtcreate(self, core, instr, addr):
         if core.last_alloc is None:
             raise RuntimeFault("QTCreate without a preceding QAlloc",
                                core=core.index, qt=core.qt.id, addr=addr)
@@ -367,10 +368,10 @@ class Supervisor:
         mc.term_addr = instr.imm
         mc.link = instr.ra
         core.state = MASSLOOP
-        core.phase = Phase.GENERAL
+        core.phase = EsvContext.GENERAL
         # first check/creation happens in this tick's mass step
 
-    def _handle_qfcreate(self, core, instr, addr, cycle):
+    def _handle_qfcreate(self, core, instr, addr):
         if core.last_alloc is None:
             raise RuntimeFault("QFCreate without a preceding QAlloc",
                                core=core.index, qt=core.qt.id, addr=addr)
@@ -381,68 +382,62 @@ class Supervisor:
         # Denied: the requesting core itself runs the fallback body as a
         # same-core QT closed by the bracket QTerm.
         parent_qt = core.qt
-        qt = QTDescriptor(parent_qt.next_child_id(), parent_qt, core.index,
-                          addr, instr.imm, instr.ra, KIND_MASS_FALSE)
-        parent_qt.children.append(qt)
-        parent_qt.child_create_addrs.add(addr)
+        qt = parent_qt.add_child(core.index, addr, instr.imm, instr.ra,
+                                 KIND_MASS_FALSE)
         core.brackets.append((instr.imm, parent_qt))
         core.qt = qt
-        self.m.emit(cycle, core.index, qt.id, tr.QT_CREATED, addr)
+        self.m.emit(core.index, qt.id, tr.QT_CREATED, addr)
 
     # ---- mass-loop stepping ----------------------------------------------
 
-    def _mass_steps(self, cycle):
+    def _mass_steps(self):
         # An ended loop's entry stays in self.mass: its SUMUP children
         # keep feeding the adder.
         for index in sorted(self.massloop):
             mc = self.mass[index]
             if mc.mode == MODE_FOR:
-                self._step_for(mc, cycle)
+                self._step_for(mc)
             else:
-                self._step_sumup(mc, cycle)
+                self._step_sumup(mc)
 
-    def _step_for(self, mc, cycle):
-        parent = self.m.cores[mc.parent_core]
+    def _step_for(self, mc):
         if mc.current_child is not None and mc.current_child.alive:
             return
+        parent = self.m.cores[mc.owner_qt.core]
         # break-check after the child's QTerm transfer, before creation
         if parent.latches.get(Latch.FROM_CHILD) == 0:
-            self._end_loop(mc, parent, cycle)
+            self._end_loop(mc, parent)
             return
-        mc.current_child = self._create_mass_child(mc, parent, mc.cores[0],
-                                                    cycle)
+        mc.current_child = self._create_mass_child(mc, parent, mc.cores[0])
 
-    def _step_sumup(self, mc, cycle):
-        parent = self.m.cores[mc.parent_core]
-        if mc.remaining <= 0:
-            self._end_loop(mc, parent, cycle)
+    def _step_sumup(self, mc):
+        parent = self.m.cores[mc.owner_qt.core]
+        if not mc.cores:
+            self._end_loop(mc, parent)
             return
-        child_index = mc.cores[mc.next_core]
-        mc.next_core += 1
-        self._create_mass_child(mc, parent, child_index, cycle)
+        self._create_mass_child(mc, parent, mc.cores.pop(0))
 
-    def _create_mass_child(self, mc, parent, child_index, cycle):
+    def _create_mass_child(self, mc, parent, child_index):
         """The next FOR/SUMUP child, counted down in the parent's latches."""
         qt = self.create_qt(parent, child_index, mc.create_addr, mc.term_addr,
                             mc.link, KIND_MASS_TRUE, start_pc=mc.create_addr + 6,
-                            cycle=cycle, ecc_index=mc.created)
+                            ecc_index=mc.created)
         mc.created += 1
-        mc.remaining -= 1
         parent.latches.set(Latch.FOR_CHILD, parent.latches.get(Latch.FOR_CHILD) + 4)
         parent.latches.set(Latch.FROM_CHILD, max(parent.latches.get(Latch.FROM_CHILD) - 1, 0))
         return qt
 
-    def _end_loop(self, mc, parent, cycle):
+    def _end_loop(self, mc, parent):
         mc.current_child = None
-        self._release(mc.cores[mc.next_core if mc.mode == MODE_SUMUP else 0:])
-        mc.next_core = len(mc.cores)      # reservation fully disowned
+        self._release(mc.cores)
+        mc.cores = []                     # reservation fully disowned
         parent.pc = (mc.term_addr + 1) & isa.WORD_MASK
         parent.state = RUNNING
-        parent.phase = Phase.MASS_POST
+        parent.phase = EsvContext.MASS_POST
 
     # ---- SUMUP adder -------------------------------------------------------
 
-    def sumup_feed(self, child_core, value, addr, cycle):
+    def sumup_feed(self, child_core, value, addr):
         """Triggered by a mass child's ForParent write while its parent
         runs SUMUP: the summand is copied to the parent's FromChild which
         feeds the adder; the adder output latches back into FromChild."""
@@ -455,8 +450,7 @@ class Supervisor:
         mc.adder = (mc.adder + value) & isa.WORD_MASK
         parent_core = self.m.cores[qt.parent.core]
         parent_core.latches.set(Latch.FROM_CHILD, mc.adder)
-        self.m.emit(cycle, child_core.index, qt.id, tr.SUM_FEED, addr,
-                    payload=value)
+        self.m.emit(child_core.index, qt.id, tr.SUM_FEED, addr, payload=value)
         return True
 
 

@@ -12,6 +12,8 @@ import empa
 from empa import assembler, cli, engine, fixtures, trace as tr
 from empa.cli import StepSession
 
+from helpers import CountingList
+
 
 @pytest.fixture
 def fixture_dir(tmp_path):
@@ -375,6 +377,24 @@ def test_repl_breakpoint_stops_run():
     assert not machine.halted
     assert "breakpoint" in out.getvalue()
     assert any(core.pc == term_addr for core in machine.cores)
+
+
+@pytest.mark.parametrize("with_breakpoint", (False, True))
+def test_repl_run_looks_only_at_running_cores(with_breakpoint):
+    """The breakpoint check follows the work: `run` never scans the core
+    list, with no breakpoint or with one that is never hit."""
+    import io
+    image = assembler.assemble(fixtures.no_mode_source(list(range(1, 201))))
+    machine = engine.Machine(image, engine.MachineConfig(cores=64))
+    machine.cores = CountingList(machine.cores)
+    out = io.StringIO()
+    session = StepSession(machine, out=out)
+    if with_breakpoint:
+        session.do_break(["0x%x" % fixtures.DATA_BASE])    # data, never run
+    session.do_run([])
+    assert machine.halted and machine.clock > 2000
+    assert "breakpoint at" not in out.getvalue()
+    assert machine.cores.scans == 0
 
 
 def test_repl_unknown_command_prints_help():

@@ -4,8 +4,8 @@ semantics including phase-routed %esv access and the pseudo-registers."""
 import pytest
 
 from empa import isa
-from empa.coremodel import (CoreState, EsvContext, Latch, LatchSet, Phase,
-                            READ, State, WRITE, clone_into, condition_holds, map_esv,
+from empa.coremodel import (CoreState, EsvContext, Latch, LatchSet, READ,
+                            State, WRITE, clone_into, condition_holds, map_esv,
                             step_instruction)
 from empa.engine import Memory
 from empa.errors import AddressOutOfRange, RuntimeFault
@@ -48,7 +48,7 @@ class _Sink:
         self.writes.append((latch, value))
 
 
-def _core(phase=Phase.GENERAL, **latches):
+def _core(phase=EsvContext.GENERAL, **latches):
     core = CoreState(0)
     core.state = State.RUNNING
     core.phase = phase
@@ -98,7 +98,7 @@ def test_subl_overflow_flag():
 
 def test_rrmovl_esv_to_esv_in_mass_child():
     """Forwarding in a mass child copies FromParent into ForParent."""
-    core = _core(Phase.MASS_CHILD, from_parent=0x1234)
+    core = _core(EsvContext.MASS_CHILD, from_parent=0x1234)
     sink = _Sink()
     _exec(core, isa.Instruction(isa.RRMOVL, isa.REG_ESV, isa.REG_ESV), sink=sink)
     assert core.latches.for_parent == 0x1234
@@ -110,16 +110,16 @@ def test_rrmovl_esv_to_esv_in_mass_child():
 def test_mrmovl_via_esv_base_in_mass_child():
     mem = Memory(bytes(0x400))
     mem.write_word(0x200, 5)
-    core = _core(Phase.MASS_CHILD, from_parent=0x200)
+    core = _core(EsvContext.MASS_CHILD, from_parent=0x200)
     _exec(core, isa.Instruction(isa.MRMOVL, isa.REG_EAX, isa.REG_ESV, imm=0),
           mem=mem)
     assert core.regs[isa.REG_EAX] == 5
 
 
 def test_esv_write_routing_per_phase():
-    for phase, latch in [(Phase.MASS_PRE, Latch.FOR_CHILD),
-                         (Phase.MASS_POST, Latch.FOR_PARENT),
-                         (Phase.GENERAL, Latch.FOR_PARENT)]:
+    for phase, latch in [(EsvContext.MASS_PRE, Latch.FOR_CHILD),
+                         (EsvContext.MASS_POST, Latch.FOR_PARENT),
+                         (EsvContext.GENERAL, Latch.FOR_PARENT)]:
         core = _core(phase)
         core.regs[isa.REG_EBX] = 0x99
         _exec(core, isa.Instruction(isa.RRMOVL, isa.REG_EBX, isa.REG_ESV))

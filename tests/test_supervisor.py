@@ -195,14 +195,56 @@ S2:     QTerm
 
 
 def test_wait_on_unknown_target_flags_and_continues():
+    """A target that no child ever had warns once, stamped with the
+    waiting core and the cycle of the SV phase that served the wait."""
     source = """
-        QWait 0x70
+        QCreate T,%eno
+        nop
+        QPWait 0x70           # child: no sister was ever created at 0x70
+T:      QTerm
+        nop
+        QWait -1
+        QPWait 0x74           # root: has no sisters at all
+        QWait 0x78            # root: no child was ever created at 0x78
         halt
 """
-    _, machine, _ = assemble_run(source, cores=2)
+    image, machine, events = assemble_run(source, cores=2)
     assert machine.halted
-    assert machine.warnings
-    assert "0x0070" in machine.warnings[0]
+    served = {(ev.core, ev.addr): ev.cycle + 1
+              for ev in kinds(events, tr.META_RETIRED)}
+    t = image.symbols["T"]
+    assert machine.warnings == [
+        "wait target 0x0070 never matched a created QT (core 1, cycle %d)"
+        % served[(1, t - 5)],
+        "QPWait 0x0074 in the root QT has no sisters (core 0, cycle %d)"
+        % served[(0, t + 7)],
+        "wait target 0x0078 never matched a created QT (core 0, cycle %d)"
+        % served[(0, t + 12)]]
+
+
+def test_qpwait_on_its_own_qcreate_with_no_sister_left_warns_nothing():
+    """Both children come from the QCreate at L and QPWait on L: the
+    first has no sister, the second only a terminated one; the root then
+    waits on L with both children gone.  A child created at L has existed
+    each time, so no wait warns, and the second child is named 12, not
+    11 again."""
+    source = """
+        irmovl $1,%edi
+        irmovl $2,%ecx
+L:      QCreate T,%eno
+        QPWait L              # child: wait for sisters created at L
+T:      QTerm
+        QWait -1              # root: the first child ends before the next
+        subl %edi,%ecx
+        jne L
+        QWait L               # root: every child from L has ended
+        halt
+"""
+    _, machine, events = assemble_run(source, cores=2)
+    assert machine.halted
+    assert machine.warnings == []
+    assert [ev.qt for ev in kinds(events, tr.QT_CREATED)] == ["11", "12"]
+    assert [ev.qt for ev in kinds(events, tr.WAIT_BEGIN)] == ["1", "1"]
 
 
 # ---- QCall --------------------------------------------------------------------
@@ -568,11 +610,11 @@ def test_sumup_feed_order_independent():
         sv = machine.sv
         root = machine.cores[0]
         child = machine.cores[1]
-        mc = MassControl(machine.root_qt, 0, MODE_SUMUP, len(values), [1])
+        mc = MassControl(machine.root_qt, MODE_SUMUP, [1])
         sv.mass[0] = mc
-        sv.create_qt(root, 1, 0, 0, isa.REG_ENO, KIND_MASS_TRUE, 0, cycle=1)
+        sv.create_qt(root, 1, 0, 0, isa.REG_ENO, KIND_MASS_TRUE, 0)
         for value in order:
-            assert sv.sumup_feed(child, value, 0, cycle=1)
+            assert sv.sumup_feed(child, value, 0)
         assert mc.adder == expected
         assert root.latches.get(Latch.FROM_CHILD) == expected
 
@@ -647,6 +689,79 @@ HT:     QTerm
     created = kinds(events, tr.QT_CREATED)
     ended = kinds(events, tr.QT_TERMINATED)
     assert len(created) == len(ended)
+
+
+def test_sister_keeps_the_cores_that_an_ended_sumup_freed():
+    """P's SUMUP loop ends and its children free cores 3 and 4; sister S
+    then reserves them with its own SUMUP QAlloc.  P's next QAlloc drops
+    P's ended loop, which holds no cores, so S's cores stay reserved until
+    S's loop takes them."""
+    delay = """
+        irmovl $%d,%%esi
+        irmovl $1,%%edi
+%s:     subl %%edi,%%esi
+        jne %s
+"""
+    source = """
+        QCreate PT,%eno       # P on core 1
+        irmovl $2,%ecx
+        QAlloc 5,%ecx         # P: SUMUP on cores 3 and 4
+PC:     QTCreate PCT,%eno
+        irmovl $1,%edx
+        rrmovl %edx,%esv
+PCT:    QTerm
+        QWait -1
+PF:     QFCreate PFT,%eno
+        nop
+PFT:    QTerm
+""" + delay % (100, "DP", "DP") + """
+PA:     irmovl $0,%ecx
+        QAlloc 5,%ecx         # P again: releases what P's ended loop holds
+PC2:    QTCreate PCT2,%eno
+        nop
+PCT2:   QTerm
+PF2:    QFCreate PFT2,%eno
+        nop
+PFT2:   QTerm
+PT:     QTerm
+        QCreate ST,%eno       # S on core 2
+""" + delay % (40, "DS", "DS") + """
+        irmovl $2,%ecx
+        QAlloc 5,%ecx         # S: the cores that P's children freed
+""" + delay % (150, "DT", "DT") + """
+SC:     QTCreate SCT,%eno
+        irmovl $10,%edx
+        rrmovl %edx,%esv
+SCT:    QTerm
+        QWait -1
+        rrmovl %esv,%eax
+SF:     QFCreate SFT,%eno
+        nop
+SFT:    QTerm
+        rmmovl %eax,Out
+ST:     QTerm
+        QWait -1
+        halt
+        .pos 0x400
+Out:    .long 0
+"""
+    from empa.coremodel import State
+    from empa.supervisor import MODE_SUMUP
+    image, machine = make_machine(source, cores=5)
+    while not machine.halted:
+        machine.tick()
+        for mc in machine.sv.mass.values():
+            if mc.mode == MODE_SUMUP:
+                assert all(machine.cores[i].state is State.PREALLOCATED
+                           for i in mc.cores), machine.clock
+    assert word(machine, image, "Out") == 20
+    events = machine.events
+    created = {ev.qt: (ev.core, ev.cycle) for ev in kinds(events, tr.QT_CREATED)}
+    assert {created["111"][0], created["112"][0]} == {3, 4}      # P's children
+    assert {created["121"][0], created["122"][0]} == {3, 4}      # S's children
+    p_again = [ev.cycle for ev in kinds(events, tr.META_RETIRED)
+               if ev.addr == image.symbols["PA"] + 6]
+    assert created["112"][1] < p_again[0] < created["121"][1]
 
 
 def test_fallback_block_close_waits_for_its_children():
