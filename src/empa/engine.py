@@ -322,8 +322,8 @@ class Machine:
 
     def _check_invariants(self):
         """Every core is in the set of its state, no free core holds a
-        QT, and every core's QT parent chain ends.  A core's part of
-        that depends only on its state and qt (parent links never
+        QT, and every core's QT parent chain reaches the root.  A core's
+        part of that depends only on its state and qt (parent links never
         change), so only cores touched since the last check are checked
         again; the set sizes must still add up to the core count, also
         when none was touched."""
@@ -343,13 +343,16 @@ class Machine:
             if core.state is FREE and core.qt is not None:
                 raise InvariantViolation(
                     "free core %d still bound to QT %s" % (core.index, core.qt.id))
-            # live forest acyclicity (parent chain must reach the root)
-            qt, hops = core.qt, 0
-            while qt is not None:
-                qt = qt.parent
-                hops += 1
-                if hops > 1000:
-                    raise InvariantViolation("QT parent chain does not terminate")
+            # The parent chain reaches the root: every QT is checked here
+            # when it first lands on a core, after its parent, and each
+            # link lowers the depth by one down to the root's 0.  So one
+            # link per core, not the whole chain: fallback blocks nest
+            # on one core without limit.
+            qt = core.qt
+            if qt is not None and qt is not self.root_qt and (
+                    qt.parent is None or qt.depth != qt.parent.depth + 1):
+                raise InvariantViolation(
+                    "QT %s: parent chain does not reach the root" % qt.id)
         self._touched.clear()
 
     # ---- views -------------------------------------------------------------
@@ -357,14 +360,12 @@ class Machine:
     def live_qts(self):
         """The live QT forest as (depth, descriptor) pairs, root first."""
         out = []
-
-        def walk(qt, depth):
+        stack = [self.root_qt]
+        while stack:
+            qt = stack.pop()
             if qt.alive:
-                out.append((depth, qt))
-            for child in qt.children:
-                walk(child, depth + 1)
-
-        walk(self.root_qt, 0)
+                out.append((qt.depth, qt))
+            stack += reversed(qt.children)
         return out
 
 

@@ -43,14 +43,16 @@ KIND_MASS_FALSE = "MassFalse"
 
 
 class QTDescriptor:
-    """One quasi-thread: identity, parent link, bracket addresses, link
-    register and mass-processing role.  The parent never changes: it is
-    read-only, so a parent chain checked once stays checked."""
+    """One quasi-thread: identity, parent link, depth in the QT tree
+    (the root's is 0), bracket addresses, link register and
+    mass-processing role.  The parent never changes: it is read-only, so
+    a parent chain checked once stays checked."""
 
     def __init__(self, qt_id, parent, core, create_addr, term_addr, link,
                  kind, ecc_index=0):
         self.id = qt_id
         self._parent = parent
+        self.depth = 0 if parent is None else parent.depth + 1
         self.core = core
         self.create_addr = create_addr
         self.term_addr = term_addr

@@ -10,6 +10,7 @@ n = 1..35 and `(n)` from then on.  The trace is the sole input to
 diagrams and statistics, and both read it through `qt_spans`.
 """
 
+import re
 from collections import namedtuple
 from operator import itemgetter
 from typing import NamedTuple
@@ -134,78 +135,131 @@ def format_trace(events):
                     for ev in events])
 
 
+# The trace grammar: a line as format_event writes it, with single
+# spaces and no blanks around it.  Numbers are decimal without leading
+# zeros, or lowercase hex of any width after a lowercase 0x; a QT id is
+# printable ASCII and a kind is letters.
+_DECIMAL = "0|[1-9][0-9]*"
+_HEX = "0x[0-9a-f]+"
+_LINE_RE = re.compile(
+    r"^cycle=(%s) core=(%s) qt=([!-~]+) kind=([A-Za-z]+) addr=(%s)"
+    r"(?: payload=(%s))?$" % (_DECIMAL, _DECIMAL, _HEX, _HEX),
+    re.ASCII | re.MULTILINE)
 _KEYS = ("cycle", "core", "qt", "kind", "addr", "payload")
+# The numeric keys and their grammar, for lines outside _LINE_RE.
+_NUMBER_RES = {key: re.compile(form, re.ASCII) for key, form in
+               (("cycle", _DECIMAL), ("core", _DECIMAL), ("addr", _HEX),
+                ("payload", _HEX))}
+# Characters of trace text per findall.  The rows of a chunk are freed
+# before the next is read, so a parse holds one chunk of rows, and it
+# leaves about one new tracked object per event, as few garbage
+# collections as a line-by-line parse would cause.
+_CHUNK = 1 << 14
 
 
-def _key_error(tokens, lineno):
-    """What is wrong with the keys of a line that failed the key checks."""
-    seen = set()
-    for token in tokens:
-        key = token.partition("=")[0]
-        if key not in _KEYS:
-            return TraceFormatError("unknown key %r on line %s" % (key, lineno))
-        if key in seen:
-            return TraceFormatError("duplicate key %r on line %s" % (key, lineno))
-        seen.add(key)
-    missing = next(key for key in _KEYS if key not in seen)
-    return TraceFormatError("missing key %r on line %s" % (missing, lineno))
+class _Ints(dict):
+    """Number string -> int for one parse: cores, addresses and payloads
+    repeat, so each distinct string is converted once and its int
+    shared.  A missing payload, "", is None."""
+
+    def __init__(self):
+        super().__init__({"": None})
+
+    def __missing__(self, key):
+        value = self[key] = int(key, 0)
+        return value
 
 
-def parse_event(line, lineno=None):
-    """One trace line as an Event.  Every key must be known and appear
-    once, only payload may be left out, and each number must be written
-    as format_event writes it: ASCII digits, no sign, no underscores."""
-    tokens = line.split()
-    fields = {}
-    for token in tokens:
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise TraceFormatError("bad token %r on line %s" % (token, lineno))
-        fields[key] = value
-    payload = fields.get("payload")
-    # Five tokens, six with a payload: a line with a key that is unknown
-    # or given twice then lacks a required one, which a lookup catches.
-    if len(tokens) != (5 if payload is None else 6):
-        raise _key_error(tokens, lineno)
-    try:
-        kind = _KIND_OF.get(fields["kind"])
-        if kind is None:
-            raise TraceFormatError("unknown kind %r on line %s"
-                                   % (fields["kind"], lineno))
-        ev = _new(Event, (int(fields["cycle"]), int(fields["core"]),
-                          fields["qt"], kind, int(fields["addr"], 16),
-                          None if payload is None else int(payload, 16)))
-    except KeyError:
-        raise _key_error(tokens, lineno) from None
-    except ValueError as exc:
-        raise TraceFormatError("line %s: %s" % (lineno, exc)) from None
-    # int() also takes a sign, underscores and non-ASCII digits; a line
-    # with none of those characters holds only numbers format_event writes.
-    if "-" in line or "+" in line or "_" in line or not line.isascii():
-        _check_numbers(fields, ev, lineno)
-    return ev
-
-
-# Each numeric key and its index in Event.
-_NUMBERS = (("cycle", 0), ("core", 1), ("addr", 4), ("payload", 5))
-
-
-def _check_numbers(fields, ev, lineno):
-    for name, i in _NUMBERS:
-        value = fields.get(name)
-        if value is None:
-            continue
-        if "+" in value or "_" in value or not value.isascii():
-            raise TraceFormatError("bad %s %r on line %s"
-                                   % (name, value, lineno))
-        if ev[i] < 0:
-            raise TraceFormatError("negative %s on line %s" % (name, lineno))
+def _events(rows, ints):
+    """Events from _LINE_RE rows; KeyError on an unknown kind."""
+    kind_of = _KIND_OF
+    return [_new(Event, (int(cycle), ints[core], qt, kind_of[kind],
+                         ints[addr], ints[payload]))
+            for cycle, core, qt, kind, addr, payload in rows]
 
 
 def parse_trace(text):
+    """The events of a trace text.  Text in which every line is in
+    _LINE_RE, as format_trace writes it, is read in one compiled pass;
+    otherwise each line goes through parse_event."""
+    events = _parse_canonical(text)
+    return _parse_lines(text) if events is None else events
+
+
+def _parse_canonical(text):
+    """The events of `text` if every line is in _LINE_RE and of a known
+    kind, else None."""
+    events, ints = [], _Ints()
+    findall, count = _LINE_RE.findall, text.count
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _CHUNK) + 1 or size
+        rows = findall(text, start, end)
+        # A row is a whole line with no line break of any kind in it, so
+        # as many rows as lines means that every line matched.
+        if len(rows) != count("\n", start, end) + (text[end - 1] != "\n"):
+            return None
+        try:
+            events += _events(rows, ints)
+        except KeyError:
+            return None
+        start = end
+    return events
+
+
+def _parse_lines(text):
+    """The events of `text`, one parse_event per line that is not blank."""
     events = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line:
             events.append(parse_event(line, lineno))
     return events
+
+
+def parse_event(line, lineno=None):
+    """One trace line as an Event.  A line in _LINE_RE is read by it;
+    any other goes to _parse_tokens."""
+    match = _LINE_RE.fullmatch(line)
+    if match is not None and match[4] in _KIND_OF:
+        row = match.groups("")
+    else:
+        row = _parse_tokens(line, lineno)
+    return _events((row,), _Ints())[0]
+
+
+def _parse_tokens(line, lineno):
+    """The _LINE_RE row of a line outside it: key=value tokens in any
+    order, split by any whitespace.  Every key must be known and given
+    once, only payload may be left out, the kind must be known, and each
+    number must be in the trace grammar; one that is but for a leading
+    "-" is reported as negative."""
+    pairs = [token.partition("=") for token in line.split()]
+    for token, sep, _ in pairs:
+        if not sep:
+            raise TraceFormatError("bad token %r on line %s" % (token, lineno))
+    fields = {}
+    for key, _, value in pairs:
+        if key not in _KEYS:
+            raise TraceFormatError("unknown key %r on line %s" % (key, lineno))
+        if key in fields:
+            raise TraceFormatError("duplicate key %r on line %s"
+                                   % (key, lineno))
+        fields[key] = value
+    for key in _KEYS[:5]:
+        if key not in fields:
+            raise TraceFormatError("missing key %r on line %s" % (key, lineno))
+    kind = _KIND_OF.get(fields["kind"])
+    if kind is None:
+        raise TraceFormatError("unknown kind %r on line %s"
+                               % (fields["kind"], lineno))
+    for key, number_re in _NUMBER_RES.items():
+        value = fields.get(key)
+        if value is None or number_re.fullmatch(value):
+            continue
+        if value[:1] == "-" and number_re.fullmatch(value, 1) \
+                and int(value[1:], 0):
+            raise TraceFormatError("negative %s on line %s" % (key, lineno))
+        raise TraceFormatError("bad %s %r on line %s" % (key, value, lineno))
+    return (fields["cycle"], fields["core"], fields["qt"], kind,
+            fields["addr"], fields.get("payload", ""))

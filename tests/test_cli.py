@@ -220,13 +220,15 @@ def test_unwritable_output_is_a_user_error(fixture_dir, capsys, argv):
     assert not missing.exists()
 
 
-@pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"]])
+@pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],
+                                  ["diagram"]])
 @pytest.mark.parametrize("line, complaint", [
     ("cycle=1 cycle=7 core=0 qt=1 kind=InstrRetired addr=0x0000",
      "duplicate key 'cycle'"),
     ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 paylod=0x5",
      "unknown key 'paylod'"),
     ("cycle=-3 core=0 qt=1 kind=InstrRetired addr=0x0000", "negative cycle"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0XA", "bad addr '0XA'"),
 ])
 def test_malformed_trace_line_is_a_user_error(tmp_path, capsys, argv, line,
                                               complaint):

@@ -12,10 +12,11 @@ import random
 
 import pytest
 
-from empa import fixtures
+from empa import assembler, engine, fixtures, trace as tr
 from empa.coremodel import State
 from empa.errors import Deadlock, InvariantViolation
-from helpers import CountingList, make_machine
+from empa.supervisor import KIND_PLAIN, QTDescriptor
+from helpers import CountingList, make_machine, word
 from test_stress import _random_tree_program, _wide_program
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
@@ -167,6 +168,89 @@ def test_qt_parent_is_read_only():
     _, machine = make_machine(fixtures.no_mode_source(), cores=1)
     with pytest.raises(AttributeError):
         machine.root_qt.parent = machine.root_qt
+
+
+# Recursion through denied fallback blocks: each level asks SUMUP for 99
+# helpers, is denied, and runs its body as a same-core QT one level
+# deeper.  Out counts the levels on the way back.
+_DEEP_SOURCE = """
+        irmovl Stack,%%esp
+        irmovl $%d,%%ebx      # recursion depth
+        xorl %%eax,%%eax
+        call Rec
+        rmmovl %%eax,Out
+        halt
+Rec:    irmovl $99,%%ecx
+        QAlloc 5,%%ecx        # denied on fewer than 100 cores
+        QFCreate RFT,%%eno    # so this core runs the body itself
+        andl %%ebx,%%ebx
+        je RFT
+        irmovl $1,%%edx
+        subl %%edx,%%ebx
+        call Rec
+        irmovl $1,%%edx
+        addl %%edx,%%eax
+RFT:    QTerm
+        ret
+        .pos 0x8000
+Stack:
+Out:    .long 0
+"""
+
+
+def _deep_machine(depth):
+    image = assembler.assemble(_DEEP_SOURCE % depth, 0x10000)
+    return image, engine.Machine(image, engine.MachineConfig(
+        cores=2, mem_bytes=0x10000))
+
+
+def test_deep_fallback_recursion_is_legal():
+    """Fallback blocks nest on one core without limit: a recursion 1000
+    calls deep (1001 nested QTs) halts with the right result."""
+    image, machine = _deep_machine(1000)
+    events, _ = machine.run_to_halt()
+    assert word(machine, image, "Out") == 1000
+    created = [ev.qt for ev in events if ev.kind == tr.QT_CREATED]
+    assert len(created) == 1001 and len(created[-1]) == 1002
+
+
+def test_live_qts_walks_a_deep_chain():
+    _, machine = _deep_machine(1200)
+    while machine.cores[0].qt.depth < 1201:   # the deepest level
+        machine.tick()
+    forest = machine.live_qts()
+    assert [depth for depth, _ in forest] == list(range(1202))
+    assert all(qt.parent is parent
+               for (_, parent), (_, qt) in zip(forest, forest[1:]))
+
+
+def _preorder(qt, depth=0):
+    """The recursive walk live_qts replaced: live QTs, parents first."""
+    out = [(depth, qt)] if qt.alive else []
+    for child in qt.children:
+        out += _preorder(child, depth + 1)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_live_qts_is_the_preorder_of_the_live_forest(name):
+    _, machine = make_machine(fixtures.FIXTURES[name](), cores=8)
+    while not machine.halted:
+        machine.tick()
+        assert machine.live_qts() == _preorder(machine.root_qt)
+
+
+def test_qt_off_the_root_chain_is_caught():
+    machine, _ = _mid_run()
+    machine.cores[0].qt = QTDescriptor("7", None, 0, 0, None, 0, KIND_PLAIN)
+    with pytest.raises(InvariantViolation, match="QT 7: parent chain"):
+        machine.tick()
+    machine, _ = _mid_run()
+    child = machine.root_qt.add_child(0, 0, None, 0, KIND_PLAIN)
+    child.depth = 3
+    machine.cores[0].qt = child
+    with pytest.raises(InvariantViolation, match="QT 1.: parent chain"):
+        machine.tick()
 
 
 def test_whole_core_scans_follow_state_changes_not_cycles():

@@ -1,11 +1,13 @@
 """Trace serialization round-trip and format checks."""
 
+import importlib.util
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from empa import trace as tr
+from empa import assembler, engine, trace as tr
 from empa.fixtures import FIXTURES, sumup_mode_source
 from helpers import assemble_run, event_lists, fixture_trace
 
@@ -69,6 +71,16 @@ def test_parse_rejects_a_malformed_line_naming_it(line, complaint):
      "bad cycle '\u0663'"),
     ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x\uff14",
      "bad addr '0x\uff14'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0XA", "bad addr '0XA'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0xA", "bad addr '0xA'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=a", "bad addr 'a'"),
+    ("cycle=1 core=0 qt=1 kind=LatchRead addr=0x4 payload=0X1",
+     "bad payload '0X1'"),
+    ("cycle=007 core=0 qt=1 kind=InstrRetired addr=0x0", "bad cycle '007'"),
+    ("cycle=1 core=01 qt=1 kind=InstrRetired addr=0x0", "bad core '01'"),
+    # a sign on a zero is not a negative number
+    ("cycle=-0 core=0 qt=1 kind=InstrRetired addr=0x0", "bad cycle '-0'"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=-0x0", "bad addr '-0x0'"),
 ])
 def test_parse_rejects_numbers_format_event_never_writes(line, complaint):
     with pytest.raises(tr.TraceFormatError,
@@ -126,6 +138,96 @@ def test_roundtrip_fixture_traces(name, cores):
 def test_roundtrip_generated_traces(case):
     _, events = case
     assert tr.parse_trace(tr.format_trace(events)) == events
+
+
+def _count_slow_entries(monkeypatch):
+    """Count the calls of parse_event and of its per-token slow path."""
+    calls = {"parse_event": 0, "_parse_tokens": 0}
+    for name in calls:
+        real = getattr(tr, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(tr, name, counted)
+    return calls
+
+
+# Rewrites of a canonical trace that keep every event, and the path its
+# lines then take: the compiled pass, parse_event on each line, or the
+# per-token path on each line.
+_REWRITES = {
+    "reordered keys": (lambda text: "\n".join(
+        " ".join(reversed(line.split(" "))) for line in text.splitlines()),
+        "tokens"),
+    "tab separators": (lambda text: text.replace(" ", "\t"), "tokens"),
+    "CRLF endings": (lambda text: text.replace("\n", "\r\n"), "lines"),
+    "blank lines": (lambda text: "\n  \n" + text.replace("\n", "\n\n"),
+                    "lines"),
+    "trailing spaces": (lambda text: text.replace("\n", "  \n"), "lines"),
+    "no final newline": (lambda text: text[:-1], "compiled"),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(_REWRITES))
+def test_fallback_reads_rewritten_traces(rewrite, monkeypatch):
+    events = fixture_trace("adaptive", 5)
+    change, path = _REWRITES[rewrite]
+    text = change(tr.format_trace(events))
+    calls = _count_slow_entries(monkeypatch)
+    assert tr.parse_trace(text) == events
+    assert calls == {
+        "parse_event": 0 if path == "compiled" else len(events),
+        "_parse_tokens": len(events) if path == "tokens" else 0}
+
+
+def test_fallback_reads_non_ascii_qt_ids(monkeypatch):
+    events = [ev._replace(qt=ev.qt + "\u00e9") if ev.qt != "1" else ev
+              for ev in fixture_trace("adaptive", 5)]
+    calls = _count_slow_entries(monkeypatch)
+    assert tr.parse_trace(tr.format_trace(events)) == events
+    assert calls["_parse_tokens"] == sum(ev.qt != "1" for ev in events) > 0
+
+
+@given(event_lists())
+def test_compiled_pass_and_per_line_path_agree(case):
+    _, events = case
+    text = tr.format_trace(events)
+    fast = tr._parse_canonical(text)
+    # every generated QT id but "" is in the grammar
+    assert (fast is None) == any(ev.qt == "" for ev in events)
+    assert tr._parse_lines(text) == events
+    assert fast is None or fast == events
+
+
+def _bench_programs():
+    """The seed-0 programs of every benchmark workload."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in sorted(workloads.PARAMS):
+        yield from workloads.generate(name, 0)
+
+
+def _bench_trace(program):
+    image = assembler.assemble(program.source, program.mem_bytes)
+    machine = engine.Machine(image, engine.MachineConfig(
+        cores=program.cores, mem_bytes=program.mem_bytes))
+    return machine.run_to_halt()[0]
+
+
+def test_canonical_traces_take_the_compiled_pass(monkeypatch):
+    """What format_trace writes never goes line by line: the fixtures on
+    1, 2, 5 and 64 cores and the benchmark's seed-0 programs."""
+    traces = [fixture_trace(name, cores) for name in sorted(FIXTURES)
+              for cores in (1, 2, 5, 64)]
+    traces += map(_bench_trace, _bench_programs())
+    calls = _count_slow_entries(monkeypatch)
+    for events in traces:
+        assert tr.parse_trace(tr.format_trace(events)) == events
+    assert len(traces) == 20 + 242
+    assert calls == {"parse_event": 0, "_parse_tokens": 0}
 
 
 def test_kind_vocabulary_closed():
