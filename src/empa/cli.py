@@ -335,10 +335,8 @@ class StepSession:
             self._p("%s = 0x%08x" % (isa.REGISTER_NAMES[code], core.regs[code]))
         self._p("zf=%d sf=%d of=%d pc=0x%04x" %
                 (core.zf, core.sf, core.of, core.pc))
-        la = core.latches
         self._p("ForChild=0x%08x FromChild=0x%08x ForParent=0x%08x "
-                "FromParent=0x%08x" % (la.for_child, la.from_child,
-                                       la.for_parent, la.from_parent))
+                "FromParent=0x%08x" % tuple(core.latches))
         self._p("mode=%d parentMode=%d phase=%s status=%s qt=%s" % (
             core.mode, core.parent_mode, core.phase.value, core.state.value,
             core.qt.id if core.qt else "-"))

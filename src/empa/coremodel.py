@@ -18,42 +18,26 @@ from .errors import RuntimeFault
 WORD_MASK = isa.WORD_MASK
 
 
-class Latch(enum.Enum):
-    FOR_CHILD = "ForChild"
-    FROM_CHILD = "FromChild"
-    FOR_PARENT = "ForParent"
-    FROM_PARENT = "FromParent"
+# Indices into CoreState.latches, in the order `regs` prints them.
+FOR_CHILD, FROM_CHILD, FOR_PARENT, FROM_PARENT = range(4)
 
 
 class EsvContext(enum.Enum):
-    """The five rows of the latch-mapping table."""
-    CLONING = "cloning"
-    MASS_CHILD = "mass-child"
-    MASS_PRE = "mass-pre"
-    MASS_POST = "mass-post"
-    GENERAL = "general"
+    """The five rows of the latch-mapping table.  A row names the latch
+    an %esv read takes (`read`) and the latch an %esv write sets
+    (`write`)."""
+    CLONING = "cloning", FOR_PARENT, FROM_CHILD
+    MASS_CHILD = "mass-child", FROM_PARENT, FOR_PARENT
+    MASS_PRE = "mass-pre", FROM_PARENT, FOR_CHILD
+    MASS_POST = "mass-post", FROM_CHILD, FOR_PARENT
+    GENERAL = "general", FROM_CHILD, FOR_PARENT
 
-
-READ = "read"
-WRITE = "write"
-
-_ESV_TABLE = {
-    (EsvContext.CLONING, READ): Latch.FOR_PARENT,
-    (EsvContext.CLONING, WRITE): Latch.FROM_CHILD,
-    (EsvContext.MASS_CHILD, READ): Latch.FROM_PARENT,
-    (EsvContext.MASS_CHILD, WRITE): Latch.FOR_PARENT,
-    (EsvContext.MASS_PRE, READ): Latch.FROM_PARENT,
-    (EsvContext.MASS_PRE, WRITE): Latch.FOR_CHILD,
-    (EsvContext.MASS_POST, READ): Latch.FROM_CHILD,
-    (EsvContext.MASS_POST, WRITE): Latch.FOR_PARENT,
-    (EsvContext.GENERAL, READ): Latch.FROM_CHILD,
-    (EsvContext.GENERAL, WRITE): Latch.FOR_PARENT,
-}
-
-
-def map_esv(context, access):
-    """Latch addressed by an %esv access in the given context.  Total."""
-    return _ESV_TABLE[(context, access)]
+    def __new__(cls, value, read, write):
+        row = object.__new__(cls)
+        row._value_ = value
+        row.read = read
+        row.write = write
+        return row
 
 
 class State(enum.Enum):
@@ -78,28 +62,6 @@ class State(enum.Enum):
 
 
 @dataclass
-class LatchSet:
-    """The four inter-core mailboxes of one core."""
-    for_child: int = 0
-    from_child: int = 0
-    for_parent: int = 0
-    from_parent: int = 0
-
-    _ATTR = {
-        Latch.FOR_CHILD: "for_child",
-        Latch.FROM_CHILD: "from_child",
-        Latch.FOR_PARENT: "for_parent",
-        Latch.FROM_PARENT: "from_parent",
-    }
-
-    def get(self, latch):
-        return getattr(self, self._ATTR[latch])
-
-    def set(self, latch, value):
-        setattr(self, self._ATTR[latch], value & WORD_MASK)
-
-
-@dataclass
 class CoreState:
     index: int
     regs: list = field(default_factory=lambda: [0] * isa.GPR_COUNT)
@@ -107,7 +69,7 @@ class CoreState:
     sf: bool = False
     of: bool = False
     pc: int = 0
-    latches: LatchSet = field(default_factory=LatchSet)
+    latches: list = field(default_factory=lambda: [0] * 4)
     mode: int = 0
     parent_mode: int = 0
     phase: EsvContext = EsvContext.GENERAL   # %esv table row; never CLONING
@@ -160,45 +122,40 @@ def clone_into(parent, child, link):
     The link register is recorded by the caller on the QT descriptor."""
     child.regs = list(parent.regs)
     child.zf, child.sf, child.of = parent.zf, parent.sf, parent.of
-    child.latches = LatchSet(from_parent=parent.latches.for_child)
+    child.latches = [0, 0, 0, parent.latches[FOR_CHILD]]
     child.parent_mode = parent.mode
     child.mode = 0
     child.reset_runtime()
 
 
-def read_register(core, code, sink, addr):
+def read_register(core, code, sink=None, addr=0):
+    """The value of register `code`.  An %esv read takes the latch that
+    the core's row names and tells the sink; the SV reads with no sink,
+    so its reads emit no event."""
     if code < isa.GPR_COUNT:
         return core.regs[code]
-    if code == isa.REG_ENO:
-        return 0
+    if code == isa.REG_ESV:
+        value = core.latches[core.phase.read]
+        if sink is not None:
+            sink.latch_read(core, value, addr)
+        return value
     if code == isa.REG_ECC:
         return core.qt.ecc_index if core.qt is not None else 0
-    if code == isa.REG_ESV:
-        latch = map_esv(core.phase, READ)
-        value = core.latches.get(latch)
-        sink.latch_read(core, latch, value, addr)
-        return value
-    raise RuntimeFault("read of invalid register 0x%x" % code,
-                       core=core.index, addr=addr)
+    return 0                                     # %eno
 
 
 def write_register(core, code, value, sink, addr):
+    """A write of %eno is dropped; an %esv write sets the latch that the
+    core's row names and tells the sink which latch it set."""
     value &= WORD_MASK
     if code < isa.GPR_COUNT:
         core.regs[code] = value
-    elif code == isa.REG_ENO:
-        pass
+    elif code == isa.REG_ESV:
+        latch = core.phase.write
+        core.latches[latch] = value
+        sink.latch_write(core, latch, value, addr)
     elif code == isa.REG_ECC:
         raise RuntimeFault("%ecc is read-only", core=core.index, addr=addr)
-    elif code == isa.REG_ESV:
-        latch = map_esv(core.phase, WRITE)
-        core.latches.set(latch, value)
-        if latch is Latch.FOR_PARENT:
-            core.for_parent_dirty = True
-        sink.latch_write(core, latch, value, addr)
-    else:
-        raise RuntimeFault("write of invalid register 0x%x" % code,
-                           core=core.index, addr=addr)
 
 
 def _set_flags(core, result, a, b, op):
@@ -234,29 +191,17 @@ def condition_holds(core, fn):
     raise AssertionError(fn)
 
 
-HALTED = "halt"
-META = "meta"
-DONE = "done"
-
-
 def step_instruction(core, memory, sink):
     """Retire core.inflight: apply Y86 semantics, advance pc, emit latch
-    events through the sink.  Meta-instructions only advance pc and
-    return META so the supervisor can pick them up.  Never touches any
-    other core's state."""
+    events through the sink.  halt, nop and meta-instructions only
+    advance pc; the caller hands a meta-instruction to the supervisor.
+    Never touches any other core's state."""
     instr = core.inflight
     addr = core.inflight_addr
     op = instr.opcode
     group = op & 0xF0
     fn = op & 0x0F
     core.pc = (addr + instr.length) & WORD_MASK
-
-    if instr.is_meta:
-        return META
-    if op == isa.HALT:
-        return HALTED
-    if op == isa.NOP:
-        return DONE
 
     if group == isa.RRMOVL:
         value = read_register(core, instr.ra, sink, addr)
@@ -307,7 +252,3 @@ def step_instruction(core, memory, sink):
         value = memory.read_word(sp, core=core.index, addr=addr)
         write_register(core, isa.REG_ESP, (sp + 4) & WORD_MASK, sink, addr)
         write_register(core, instr.ra, value, sink, addr)
-    else:
-        raise RuntimeFault("unexecutable opcode 0x%02x" % op,
-                           core=core.index, addr=addr)
-    return DONE

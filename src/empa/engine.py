@@ -35,9 +35,8 @@ from dataclasses import dataclass, field
 
 from . import isa, trace as tr
 from .assembler import ObjectImage
-from .coremodel import CoreState, Latch, step_instruction
-from .coremodel import (FREE, HALTED, MASSLOOP, META, PARKED, RUNNING,
-                        WAITING)
+from .coremodel import (FOR_PARENT, FREE, MASSLOOP, PARKED, RUNNING, WAITING,
+                        CoreState, step_instruction)
 from .errors import (AddressOutOfRange, Deadlock, ImageTooLarge,
                      InvariantViolation, RuntimeFault, WatchdogExpired)
 from .supervisor import KIND_PLAIN, QTDescriptor, Supervisor
@@ -185,12 +184,15 @@ class Machine:
     def warn(self, message):
         self.warnings.append(message)
 
-    def latch_read(self, core, latch, value, addr):
+    def latch_read(self, core, value, addr):
         self.emit(core.index, core.qt.id, tr.LATCH_READ, addr, payload=value)
 
     def latch_write(self, core, latch, value, addr):
+        """An %esv write: a ForParent write marks the core's break channel
+        and feeds the adder when the core is a SUMUP child."""
         self.emit(core.index, core.qt.id, tr.LATCH_WRITE, addr, payload=value)
-        if latch is Latch.FOR_PARENT:
+        if latch == FOR_PARENT:
+            core.for_parent_dirty = True
             self.sv.sumup_feed(core, value, addr)
 
     # ---- stepping -----------------------------------------------------------
@@ -256,16 +258,16 @@ class Machine:
         instr = core.inflight
         addr = core.inflight_addr
         duration = core.inflight_cycles
-        outcome = step_instruction(core, self.memory, self)
+        step_instruction(core, self.memory, self)
         core.inflight = None
-        if outcome is META:
+        if instr.is_meta:
             self.emit(core.index, core.qt.id, tr.META_RETIRED, addr,
                       payload=duration)
             self.sv.submit(core, instr, addr)
             return
         self.emit(core.index, core.qt.id, tr.INSTR_RETIRED, addr,
                   payload=duration)
-        if outcome is HALTED:
+        if instr.opcode == isa.HALT:
             if core.qt.parent is not None:
                 raise RuntimeFault("halt outside the root QT",
                                    core=core.index, qt=core.qt.id, addr=addr)

@@ -25,9 +25,9 @@ leaves its core POSTPONED and is served again next tick.
 """
 
 from . import isa
-from .coremodel import (FREE, MASSLOOP, PARKED, POSTPONED, PREALLOCATED,
-                        READ, RUNNING, SV, WAITING, WRITE, EsvContext, Latch,
-                        State, clone_into, map_esv)
+from .coremodel import (FOR_CHILD, FOR_PARENT, FREE, FROM_CHILD, MASSLOOP,
+                        PARKED, POSTPONED, PREALLOCATED, RUNNING, SV, WAITING,
+                        EsvContext, State, clone_into, read_register)
 from .errors import RuntimeFault
 from . import trace as tr
 
@@ -84,7 +84,8 @@ class MassControl:
     FromChild latch (the break channel); SUMUP takes one core per child
     off the front and ends when none is left, because child summands
     overwrite FromChild on their way into the adder.  An ended loop
-    holds no cores."""
+    holds no cores.  A grant serves one QTCreate, which sets
+    create_addr; a second QTCreate on the same grant faults."""
 
     def __init__(self, owner_qt, mode, cores):
         self.owner_qt = owner_qt
@@ -235,6 +236,9 @@ class Supervisor:
             # an implied QWait -1 (also before a fallback bracket closes)
             core.state = POSTPONED
             return
+        mc = self.mass.get(core.index)
+        if mc is not None and mc.owner_qt is qt:
+            self._drop_grant(core.index)
         if core.brackets:
             _, outer = core.brackets.pop()
             qt.alive = False
@@ -251,9 +255,8 @@ class Supervisor:
         if link not in (isa.REG_ENO, isa.REG_ECC):
             if link == isa.REG_ESV:
                 # the cloning row: a child's %esv read, the parent's write
-                parent_core.latches.set(
-                    map_esv(EsvContext.CLONING, WRITE),
-                    core.latches.get(map_esv(EsvContext.CLONING, READ)))
+                cloning = EsvContext.CLONING
+                parent_core.latches[cloning.write] = core.latches[cloning.read]
             else:
                 parent_core.regs[link] = core.regs[link]
         mc = self.mass.get(qt.parent.core)
@@ -261,8 +264,7 @@ class Supervisor:
                   and mc.owner_qt is qt.parent and mc.mode == MODE_FOR)
         if in_for and core.for_parent_dirty:
             # the break channel
-            parent_core.latches.set(Latch.FROM_CHILD,
-                                    core.latches.get(Latch.FOR_PARENT))
+            parent_core.latches[FROM_CHILD] = core.latches[FOR_PARENT]
         qt.alive = False
         self.qt_ended = True
         core.qt = None
@@ -312,8 +314,8 @@ class Supervisor:
         if mode not in (MODE_FOR, MODE_SUMUP):
             raise RuntimeFault("unknown mass-processing mode %d" % mode,
                                core=core.index, qt=core.qt.id, addr=addr)
-        self._release_abandoned(core.index)
-        count = max(isa.to_signed(self._plain_read(core, instr.ra)), 0)
+        self._drop_grant(core.index)
+        count = max(isa.to_signed(read_register(core, instr.ra)), 0)
         need = 1 if mode == MODE_FOR else count
         core.state = RUNNING
         if len(self.free) < need:
@@ -323,15 +325,15 @@ class Supervisor:
         for i in taken:
             self.m.cores[i].state = PREALLOCATED
         self.mass[core.index] = MassControl(core.qt, mode, taken)
-        core.latches.set(Latch.FROM_CHILD, count)
-        core.latches.set(Latch.FOR_CHILD, 0)
+        core.latches[FROM_CHILD] = count
+        core.latches[FOR_CHILD] = 0
         core.mode = mode
         core.phase = EsvContext.MASS_PRE
         core.last_alloc = "granted"
 
-    def _release_abandoned(self, core_index):
-        """Only the last QAlloc counts: an unconsumed earlier grant of the
-        same core returns its reserved cores to the pool."""
+    def _drop_grant(self, core_index):
+        """End the grant held on a core; its unused cores return to the
+        pool.  A grant ends at its QT's next QAlloc or at its QTerm."""
         old = self.mass.pop(core_index, None)
         if old is not None:
             self._release(old.cores)
@@ -341,16 +343,6 @@ class Supervisor:
         for i in indices:
             if self.m.cores[i].state is PREALLOCATED:
                 self.m.cores[i].state = FREE
-
-    def _plain_read(self, core, code):
-        """Register read by the SV itself (no instruction-level events)."""
-        if code < isa.GPR_COUNT:
-            return core.regs[code]
-        if code == isa.REG_ECC:
-            return core.qt.ecc_index if core.qt is not None else 0
-        if code == isa.REG_ESV:
-            return core.latches.get(map_esv(core.phase, READ))
-        return 0
 
     # ---- QTCreate / QFCreate --------------------------------------------
 
@@ -365,6 +357,10 @@ class Supervisor:
         mc = self.mass.get(core.index)
         if mc is None or mc.owner_qt is not core.qt:
             raise RuntimeFault("QTCreate does not match the granted QAlloc",
+                               core=core.index, qt=core.qt.id, addr=addr)
+        if mc.create_addr is not None:
+            raise RuntimeFault("QTCreate on a used-up QAlloc grant: its loop "
+                               "has run; QAlloc again first",
                                core=core.index, qt=core.qt.id, addr=addr)
         mc.create_addr = addr
         mc.term_addr = instr.imm
@@ -407,7 +403,7 @@ class Supervisor:
             return
         parent = self.m.cores[mc.owner_qt.core]
         # break-check after the child's QTerm transfer, before creation
-        if parent.latches.get(Latch.FROM_CHILD) == 0:
+        if parent.latches[FROM_CHILD] == 0:
             self._end_loop(mc, parent)
             return
         mc.current_child = self._create_mass_child(mc, parent, mc.cores[0])
@@ -425,8 +421,9 @@ class Supervisor:
                             mc.link, KIND_MASS_TRUE, start_pc=mc.create_addr + 6,
                             ecc_index=mc.created)
         mc.created += 1
-        parent.latches.set(Latch.FOR_CHILD, parent.latches.get(Latch.FOR_CHILD) + 4)
-        parent.latches.set(Latch.FROM_CHILD, max(parent.latches.get(Latch.FROM_CHILD) - 1, 0))
+        latches = parent.latches
+        latches[FOR_CHILD] = (latches[FOR_CHILD] + 4) & isa.WORD_MASK
+        latches[FROM_CHILD] = max(latches[FROM_CHILD] - 1, 0)
         return qt
 
     def _end_loop(self, mc, parent):
@@ -451,7 +448,7 @@ class Supervisor:
             return False
         mc.adder = (mc.adder + value) & isa.WORD_MASK
         parent_core = self.m.cores[qt.parent.core]
-        parent_core.latches.set(Latch.FROM_CHILD, mc.adder)
+        parent_core.latches[FROM_CHILD] = mc.adder
         self.m.emit(child_core.index, qt.id, tr.SUM_FEED, addr, payload=value)
         return True
 

@@ -10,7 +10,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 from empa import assembler, diagram, engine, isa, stats, trace as tr
-from empa.coremodel import EsvContext, Latch, READ, WRITE, map_esv
+from empa.coremodel import (FOR_CHILD, FOR_PARENT, FROM_CHILD, FROM_PARENT,
+                            EsvContext)
 from empa.fixtures import (FIXTURES, adaptive_source, dynpar_source,
                            no_mode_source)
 
@@ -189,20 +190,21 @@ def test_criterion_3_sum_oracle():
 
 def test_criterion_4_esv_table():
     expected = {
-        (EsvContext.CLONING, READ): Latch.FOR_PARENT,
-        (EsvContext.CLONING, WRITE): Latch.FROM_CHILD,
-        (EsvContext.MASS_CHILD, READ): Latch.FROM_PARENT,
-        (EsvContext.MASS_CHILD, WRITE): Latch.FOR_PARENT,
-        (EsvContext.MASS_PRE, READ): Latch.FROM_PARENT,
-        (EsvContext.MASS_PRE, WRITE): Latch.FOR_CHILD,
-        (EsvContext.MASS_POST, READ): Latch.FROM_CHILD,
-        (EsvContext.MASS_POST, WRITE): Latch.FOR_PARENT,
-        (EsvContext.GENERAL, READ): Latch.FROM_CHILD,
-        (EsvContext.GENERAL, WRITE): Latch.FOR_PARENT,
+        (EsvContext.CLONING, "read"): FOR_PARENT,
+        (EsvContext.CLONING, "write"): FROM_CHILD,
+        (EsvContext.MASS_CHILD, "read"): FROM_PARENT,
+        (EsvContext.MASS_CHILD, "write"): FOR_PARENT,
+        (EsvContext.MASS_PRE, "read"): FROM_PARENT,
+        (EsvContext.MASS_PRE, "write"): FOR_CHILD,
+        (EsvContext.MASS_POST, "read"): FROM_CHILD,
+        (EsvContext.MASS_POST, "write"): FOR_PARENT,
+        (EsvContext.GENERAL, "read"): FROM_CHILD,
+        (EsvContext.GENERAL, "write"): FOR_PARENT,
     }
     assert len(expected) == 10
+    assert len(EsvContext) == 5
     for (context, access), latch in expected.items():
-        assert map_esv(context, access) is latch
+        assert getattr(context, access) == latch
     _passed(4, "context-dependent latch map matches all 5 rows / 10 cells")
 
 

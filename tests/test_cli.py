@@ -368,6 +368,54 @@ def test_repl_regs_match_trace_values(capsys):
     assert "ForParent=0x%08x" % first_feed.payload in out.getvalue()
 
 
+_SUMUP_CHILD_REGS = """\
+cycle 10
+%eax = 0x00000000
+%ecx = 0x00000004
+%edx = 0x00000005
+%ebx = 0x00000200
+%esp = 0x00000000
+%ebp = 0x00000000
+%esi = 0x00000000
+%edi = 0x00000000
+zf=1 sf=0 of=0 pc=0x0024
+ForChild=0x00000000 FromChild=0x00000000 ForParent=0x00000005 \
+FromParent=0x00000200
+mode=0 parentMode=5 phase=mass-child status=running qt=11
+"""
+
+_SUMUP_POST_REGS = """\
+cycle 16
+%eax = 0x0000000f
+%ecx = 0x00000004
+%edx = 0x00000000
+%ebx = 0x00000200
+%esp = 0x00000000
+%ebp = 0x00000000
+%esi = 0x00000000
+%edi = 0x00000000
+zf=1 sf=0 of=0 pc=0x002c
+ForChild=0x00000210 FromChild=0x0000000f ForParent=0x00000000 \
+FromParent=0x00000000
+mode=5 parentMode=0 phase=mass-post status=running qt=1
+"""
+
+
+@pytest.mark.parametrize("cycle,core,expected", [
+    (10, 1, _SUMUP_CHILD_REGS),     # the first SUMUP child, at its feed
+    (16, 0, _SUMUP_POST_REGS),      # the parent, at its adder read-out
+])
+def test_repl_regs_full_output_in_sumup(cycle, core, expected):
+    """The whole `regs` view of a SUMUP child and of its parent after
+    the loop: each latch under its own name, mode and phase."""
+    import io
+    out = io.StringIO()
+    _session(fixtures.sumup_mode_source(), 5,
+             ["step %d" % cycle, "regs %d" % core, "quit"], out)
+    text = out.getvalue()
+    assert text[text.index("cycle %d\n" % cycle):] == expected
+
+
 def test_repl_breakpoint_stops_run():
     import io
     source = fixtures.for_mode_source()

@@ -3,37 +3,42 @@ semantics including phase-routed %esv access and the pseudo-registers."""
 
 import pytest
 
-from empa import isa
-from empa.coremodel import (CoreState, EsvContext, Latch, LatchSet, READ,
-                            State, WRITE, clone_into, condition_holds, map_esv,
-                            step_instruction)
+from empa import assembler, engine, isa, trace as tr
+from empa.coremodel import (FOR_CHILD, FOR_PARENT, FROM_CHILD, FROM_PARENT,
+                            CoreState, EsvContext, State, clone_into,
+                            condition_holds, step_instruction)
 from empa.engine import Memory
 from empa.errors import AddressOutOfRange, RuntimeFault
 
 
+# (row, access, latch): the ten cells of the %esv table.
 ESV_TABLE_CELLS = [
-    (EsvContext.CLONING, READ, Latch.FOR_PARENT),
-    (EsvContext.CLONING, WRITE, Latch.FROM_CHILD),
-    (EsvContext.MASS_CHILD, READ, Latch.FROM_PARENT),
-    (EsvContext.MASS_CHILD, WRITE, Latch.FOR_PARENT),
-    (EsvContext.MASS_PRE, READ, Latch.FROM_PARENT),
-    (EsvContext.MASS_PRE, WRITE, Latch.FOR_CHILD),
-    (EsvContext.MASS_POST, READ, Latch.FROM_CHILD),
-    (EsvContext.MASS_POST, WRITE, Latch.FOR_PARENT),
-    (EsvContext.GENERAL, READ, Latch.FROM_CHILD),
-    (EsvContext.GENERAL, WRITE, Latch.FOR_PARENT),
+    (EsvContext.CLONING, "read", FOR_PARENT),
+    (EsvContext.CLONING, "write", FROM_CHILD),
+    (EsvContext.MASS_CHILD, "read", FROM_PARENT),
+    (EsvContext.MASS_CHILD, "write", FOR_PARENT),
+    (EsvContext.MASS_PRE, "read", FROM_PARENT),
+    (EsvContext.MASS_PRE, "write", FOR_CHILD),
+    (EsvContext.MASS_POST, "read", FROM_CHILD),
+    (EsvContext.MASS_POST, "write", FOR_PARENT),
+    (EsvContext.GENERAL, "read", FROM_CHILD),
+    (EsvContext.GENERAL, "write", FOR_PARENT),
 ]
 
 
-@pytest.mark.parametrize("context,access,expected", ESV_TABLE_CELLS)
-def test_map_esv_cell(context, access, expected):
-    assert map_esv(context, access) is expected
+@pytest.mark.parametrize("context,access,expected", ESV_TABLE_CELLS,
+                         ids=["%s-%s" % (c.value, a) for c, a, _ in ESV_TABLE_CELLS])
+def test_esv_table_cell(context, access, expected):
+    assert getattr(context, access) == expected
 
 
-def test_map_esv_total():
+def test_esv_table_total():
+    """Every row names a latch for both accesses, and the table has no
+    other cell."""
+    cells = {(context, access) for context, access, _ in ESV_TABLE_CELLS}
+    assert cells == {(c, a) for c in EsvContext for a in ("read", "write")}
     for context in EsvContext:
-        for access in (READ, WRITE):
-            assert map_esv(context, access) in Latch
+        assert {context.read, context.write} <= set(range(4))
 
 
 class _Sink:
@@ -41,18 +46,18 @@ class _Sink:
         self.reads = []
         self.writes = []
 
-    def latch_read(self, core, latch, value, addr):
-        self.reads.append((latch, value))
+    def latch_read(self, core, value, addr):
+        self.reads.append(value)
 
     def latch_write(self, core, latch, value, addr):
         self.writes.append((latch, value))
 
 
-def _core(phase=EsvContext.GENERAL, **latches):
+def _core(phase=EsvContext.GENERAL, latches=(0, 0, 0, 0)):
     core = CoreState(0)
     core.state = State.RUNNING
     core.phase = phase
-    core.latches = LatchSet(**latches)
+    core.latches = list(latches)
     return core
 
 
@@ -66,15 +71,14 @@ def test_clone_into_copies_register_file_and_flags():
     parent, child = CoreState(0), CoreState(1)
     parent.regs = [10, 1, 2, 3, 4, 5, 6, 7]
     parent.zf, parent.sf, parent.of = False, True, False
-    parent.latches.for_child = 0x200
+    parent.latches = [0x200, 1, 2, 3]
     parent.mode = 5
     clone_into(parent, child, isa.REG_EAX)
     assert child.regs == parent.regs
     assert child.regs is not parent.regs
     assert (child.zf, child.sf, child.of) == (False, True, False)
-    assert child.latches.from_parent == 0x200
+    assert child.latches == [0, 0, 0, 0x200]     # FromParent = ForChild
     assert child.parent_mode == 5
-    assert child.latches.for_parent == 0
     assert child.mode == 0
 
 
@@ -96,34 +100,64 @@ def test_subl_overflow_flag():
     assert core.of
 
 
+# Latch i holds 0x10 + i, so a read value names the latch it came from.
+_MARKED = [0x10 + latch for latch in range(4)]
+
+
 def test_rrmovl_esv_to_esv_in_mass_child():
     """Forwarding in a mass child copies FromParent into ForParent."""
-    core = _core(EsvContext.MASS_CHILD, from_parent=0x1234)
+    core = _core(EsvContext.MASS_CHILD, latches=_MARKED)
     sink = _Sink()
     _exec(core, isa.Instruction(isa.RRMOVL, isa.REG_ESV, isa.REG_ESV), sink=sink)
-    assert core.latches.for_parent == 0x1234
-    assert sink.reads == [(Latch.FROM_PARENT, 0x1234)]
-    assert sink.writes == [(Latch.FOR_PARENT, 0x1234)]
-    assert core.for_parent_dirty
+    assert core.latches == [0x10, 0x11, 0x10 + FROM_PARENT, 0x13]
+    assert sink.reads == [0x10 + FROM_PARENT]
+    assert sink.writes == [(FOR_PARENT, 0x10 + FROM_PARENT)]
 
 
 def test_mrmovl_via_esv_base_in_mass_child():
     mem = Memory(bytes(0x400))
     mem.write_word(0x200, 5)
-    core = _core(EsvContext.MASS_CHILD, from_parent=0x200)
+    core = _core(EsvContext.MASS_CHILD, latches=(0, 0, 0, 0x200))
     _exec(core, isa.Instruction(isa.MRMOVL, isa.REG_EAX, isa.REG_ESV, imm=0),
           mem=mem)
     assert core.regs[isa.REG_EAX] == 5
 
 
-def test_esv_write_routing_per_phase():
-    for phase, latch in [(EsvContext.MASS_PRE, Latch.FOR_CHILD),
-                         (EsvContext.MASS_POST, Latch.FOR_PARENT),
-                         (EsvContext.GENERAL, Latch.FOR_PARENT)]:
-        core = _core(phase)
-        core.regs[isa.REG_EBX] = 0x99
-        _exec(core, isa.Instruction(isa.RRMOVL, isa.REG_EBX, isa.REG_ESV))
-        assert core.latches.get(latch) == 0x99, phase
+def _machine_core(phase):
+    """The root core of a one-core machine, in `phase`, with marked
+    latches: the machine is the sink, so accesses become trace events."""
+    machine = engine.Machine(assembler.assemble("halt\n"),
+                             engine.MachineConfig(cores=1))
+    core = machine.cores[0]
+    core.phase = phase
+    core.latches = list(_MARKED)
+    return machine, core
+
+
+# The rows a core can be in; the cloning row is applied only by QTerm.
+_CORE_ROWS = [EsvContext.MASS_CHILD, EsvContext.MASS_PRE,
+              EsvContext.MASS_POST, EsvContext.GENERAL]
+
+
+@pytest.mark.parametrize("phase", _CORE_ROWS, ids=lambda row: row.value)
+def test_esv_routing_per_phase(phase):
+    """An %esv read takes the row's read latch and an %esv write sets
+    its write latch; each emits one event whose payload is the word."""
+    cells = {(row, access): latch for row, access, latch in ESV_TABLE_CELLS}
+    read, write = cells[phase, "read"], cells[phase, "write"]
+    machine, core = _machine_core(phase)
+    _exec(core, isa.Instruction(isa.RRMOVL, isa.REG_ESV, isa.REG_EAX),
+          sink=machine)
+    assert core.regs[isa.REG_EAX] == 0x10 + read
+    core.regs[isa.REG_EBX] = 0x99
+    _exec(core, isa.Instruction(isa.RRMOVL, isa.REG_EBX, isa.REG_ESV),
+          sink=machine)
+    expected = list(_MARKED)
+    expected[write] = 0x99
+    assert core.latches == expected
+    assert [(ev.kind, ev.payload) for ev in machine.events] == [
+        (tr.LATCH_READ, 0x10 + read), (tr.LATCH_WRITE, 0x99)]
+    assert core.for_parent_dirty == (write == FOR_PARENT)
 
 
 def test_eno_reads_zero_ignores_writes():
@@ -209,6 +243,5 @@ def test_jumps_taken_and_fallthrough():
 def test_meta_only_advances_pc():
     core = _core()
     core.pc = 0x20
-    outcome = _exec(core, isa.Instruction(isa.QCREATE, ra=isa.REG_EAX, imm=0x40))
-    assert outcome == "meta"
+    _exec(core, isa.Instruction(isa.QCREATE, ra=isa.REG_EAX, imm=0x40))
     assert core.pc == 0x26

@@ -4,7 +4,7 @@ pool discipline.  Exercised through small assembled programs."""
 import pytest
 
 from empa import isa, trace as tr
-from empa.coremodel import Latch
+from empa.coremodel import FOR_CHILD, FROM_CHILD
 from empa.errors import Deadlock, RuntimeFault
 from empa.supervisor import KIND_MASS_FALSE, KIND_MASS_TRUE
 
@@ -349,8 +349,8 @@ def test_qalloc_grant_preallocates_and_seeds_latches():
     from empa.coremodel import State
     assert [c.state for c in machine.cores[1:5]] == [State.PREALLOCATED] * 4
     root = machine.cores[0]
-    assert root.latches.from_child == 4
-    assert root.latches.for_child == 0
+    assert root.latches[FROM_CHILD] == 4
+    assert root.latches[FOR_CHILD] == 0
     assert root.mode == 5
 
 
@@ -396,11 +396,161 @@ Out:    .long 0
     assert word(machine, image, "Out") == 0     # QFCreate body skipped
 
 
+def test_qalloc_count_from_esv_reads_the_phase_latch_silently():
+    """The SV reads QAlloc's %esv count through the core's row (general:
+    FromChild, here set by the child's cloning-row QTerm) and emits no
+    LatchRead for it."""
+    source = """
+        QCreate PT,%esv
+        irmovl $3,%eax
+        rrmovl %eax,%esv      # child: ForParent = 3
+PT:     QTerm                 # cloning row: the root's FromChild = 3
+        QWait -1
+Q:      QAlloc 5,%esv         # SUMUP over 3 cores
+        halt
+"""
+    image, machine, events = assemble_run(source, cores=8)
+    assert machine.sv.mass[0].cores == [1, 2, 3]
+    assert machine.cores[0].latches[FROM_CHILD] == 3
+    assert not [ev for ev in kinds(events, tr.LATCH_READ) if ev.qt == "1"]
+
+
+def test_qalloc_count_from_ecc_is_the_creation_index():
+    """Each SUMUP child asks for as many cores as its %ecc says."""
+    source = """
+        irmovl $3,%ecx
+        QAlloc 5,%ecx
+T:      QTCreate TT,%eno
+        QAlloc 5,%ecc         # child k asks for k cores
+TT:     QTerm
+        QWait -1
+        halt
+"""
+    image, machine, events = assemble_run(source, cores=8)
+    assert [machine.cores[i].latches[FROM_CHILD] for i in (1, 2, 3)] == [0, 1, 2]
+    assert not kinds(events, tr.LATCH_READ)
+
+
 def test_orphan_qtcreate_faults():
     _, machine = make_machine("QTCreate T,%eax\nnop\nT: QTerm\nhalt\n", cores=4)
     with pytest.raises(RuntimeFault) as exc:
         machine.run_to_halt()
     assert "QAlloc" in str(exc.value)
+
+
+# A loop that goes back to its QTCreate without a new QAlloc.  In between,
+# a child sets the root's FromChild through the cloning row, so a FOR
+# loop's break check alone would not stop the second pass.
+REUSED_GRANT = """
+        irmovl $1,%ecx
+        QAlloc {mode},%ecx
+TC:     QTCreate TT,%eax
+        nop
+TT:     QTerm
+        QCreate PT,%esv
+        irmovl $7,%eax
+        rrmovl %eax,%esv
+PT:     QTerm
+        QWait -1
+        jmp TC
+        halt
+"""
+
+
+@pytest.mark.parametrize("mode", (1, 5), ids=("for", "sumup"))
+def test_qtcreate_on_a_used_up_grant_faults(mode):
+    image, machine = make_machine(REUSED_GRANT.format(mode=mode), cores=4)
+    with pytest.raises(RuntimeFault, match="used-up QAlloc grant") as exc:
+        machine.run_to_halt(max_cycles=500)
+    assert exc.value.addr == image.symbols["TC"]
+    assert len(kinds(machine.events, tr.QT_CREATED)) == 2    # body once
+
+
+def test_qtcreate_on_a_used_up_grant_exits_2(tmp_path, capsys):
+    from empa import cli
+    path = tmp_path / "reuse.eyo"
+    path.write_text(REUSED_GRANT.format(mode=1))
+    assert cli.main(["run", str(path), "--cores", "4"]) == 2
+    assert "used-up QAlloc grant" in capsys.readouterr().err
+
+
+def test_qfcreate_after_a_granted_loop_skips_its_block():
+    source = """
+        irmovl $2,%ecx
+        QAlloc 1,%ecx
+T:      QTCreate TT,%eno
+        nop
+TT:     QTerm
+F:      QFCreate FT,%eno
+        irmovl $1,%edx        # the fallback: must not run
+FT:     QTerm
+        rmmovl %edx,Out
+        halt
+        .pos 0x100
+Out:    .long 0
+"""
+    image, machine, events = assemble_run(source, cores=2)
+    assert word(machine, image, "Out") == 0
+    assert not [ev for ev in kinds(events, tr.QT_CREATED)
+                if ev.addr == image.symbols["F"]]
+    assert len(kinds(events, tr.QT_CREATED)) == 2
+
+
+def test_qterm_returns_its_unused_grant():
+    """A child that QAllocs and ends without a QTCreate leaves no core
+    reserved."""
+    source = """
+        QCreate T1,%eno
+        irmovl $2,%ecx
+        QAlloc 5,%ecx
+T1:     QTerm
+        QWait -1
+        halt
+"""
+    from empa.coremodel import State
+    _, machine, _ = assemble_run(source, cores=4)
+    assert machine.halted
+    assert [c.state for c in machine.cores[1:]] == [State.FREE] * 3
+    assert machine.sv.mass == {}
+
+
+def test_fallback_bracket_returns_only_its_own_grant():
+    """The grant taken inside a fallback block ends when the bracket
+    closes; the grant the outer QT takes afterwards lives on until that
+    QT ends."""
+    source = """
+        QCreate CT,%eno
+        irmovl $9,%ecx
+        QAlloc 5,%ecx         # denied: 9 cores wanted
+        QFCreate FT,%eno      # the child's core runs the fallback QT
+        irmovl $1,%ecx
+        QAlloc 5,%ecx         # granted to the fallback QT: one core
+FT:     QTerm                 # the bracket closes: that core is free again
+        irmovl $2,%ecx
+OA:     QAlloc 5,%ecx         # granted to the child: two cores
+        nop
+        nop
+CT:     QTerm
+        QWait -1
+        halt
+"""
+    from empa.coremodel import State
+    image, machine = make_machine(source, cores=4)
+
+    def tick_past(kind, addr):
+        while not any(ev.kind == kind and ev.addr == addr
+                      for ev in machine.events):
+            machine.tick()
+
+    tick_past(tr.QT_TERMINATED, image.symbols["FT"])
+    assert [c.state for c in machine.cores[2:]] == [State.FREE] * 2
+    assert 1 not in machine.sv.mass
+    tick_past(tr.META_RETIRED, image.symbols["OA"])
+    machine.tick()                                  # the SV serves OA
+    assert machine.sv.mass[1].owner_qt is machine.cores[1].qt
+    assert [c.state for c in machine.cores[2:]] == [State.PREALLOCATED] * 2
+    machine.run_to_halt()
+    assert [c.state for c in machine.cores[1:]] == [State.FREE] * 3
 
 
 FOR_PROG = """
@@ -592,6 +742,25 @@ Out:    .long 0
     assert word(machine, image, "Out") == 0x77
 
 
+def test_for_child_address_step_wraps_at_32_bits():
+    """The SV steps the parent's ForChild by 4 per child; the step wraps
+    like every other latch write."""
+    source = """
+        irmovl $2,%ecx
+        QAlloc 1,%ecx
+        irmovl $-4,%ebx
+        rrmovl %ebx,%esv      # ForChild = 0xfffffffc
+T:      QTCreate TT,%eno
+        rrmovl %esv,%eax      # child: FromParent
+TT:     QTerm
+        halt
+"""
+    _, machine, events = assemble_run(source, cores=2)
+    reads = [ev.payload for ev in kinds(events, tr.LATCH_READ)]
+    assert reads == [0xFFFFFFFC, 0]
+    assert machine.cores[0].latches[FOR_CHILD] == 4
+
+
 def test_sumup_feed_order_independent():
     """The adder is commutative: any arrival order gives the sequential
     sum, 32-bit wrap included."""
@@ -616,7 +785,7 @@ def test_sumup_feed_order_independent():
         for value in order:
             assert sv.sumup_feed(child, value, 0)
         assert mc.adder == expected
-        assert root.latches.get(Latch.FROM_CHILD) == expected
+        assert root.latches[FROM_CHILD] == expected
 
 
 def test_reissued_qalloc_releases_abandoned_reservation():
