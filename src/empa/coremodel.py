@@ -80,8 +80,6 @@ class CoreState:
     inflight_cycles = 0      # cycles of the inflight instruction
     remaining: int = 0
     for_parent_dirty: bool = False
-    brackets: list = field(default_factory=list)   # open inline QFCreate blocks
-    last_alloc = None        # None | "granted" | "denied"
     request = None           # (Instruction, addr) while SV or POSTPONED
     wait_cond = None         # (instr_addr, frozenset of QTDescriptor) while WAITING
 
@@ -112,8 +110,6 @@ class CoreState:
         self.inflight = None
         self.remaining = 0
         self.for_parent_dirty = False
-        self.brackets = []
-        self.last_alloc = None
 
 
 def clone_into(parent, child, link):

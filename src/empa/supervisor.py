@@ -22,6 +22,12 @@ state write, so each step of the phase visits only the cores in the
 state it serves.  A meta request lives on its core (core.request) from
 submission until it is served; a request that cannot be served yet
 leaves its core POSTPONED and is served again next tick.
+
+A QAlloc outcome belongs to the QT that ran it (QTDescriptor.alloc),
+and so does the grant it leaves: a core in MASSLOOP runs the loop of
+its QT's grant.  A denied QFCreate runs its block as a same-core
+fallback QT, which starts from its creator's denial; its QTerm hands
+the core back to the outer QT and that QT's own outcome.
 """
 
 from . import isa
@@ -41,12 +47,16 @@ KIND_CALL = "Call"
 KIND_MASS_TRUE = "MassTrue"
 KIND_MASS_FALSE = "MassFalse"
 
+DENIED = "denied"             # QTDescriptor.alloc after a denied QAlloc
+
 
 class QTDescriptor:
     """One quasi-thread: identity, parent link, depth in the QT tree
-    (the root's is 0), bracket addresses, link register and
-    mass-processing role.  The parent never changes: it is read-only, so
-    a parent chain checked once stays checked."""
+    (the root's is 0), bracket addresses, link register, mass-processing
+    role and the outcome of its last QAlloc (`alloc`: None before the
+    first, DENIED, or the MassControl of its grant).  The parent never
+    changes: it is read-only, so a parent chain checked once stays
+    checked."""
 
     def __init__(self, qt_id, parent, core, create_addr, term_addr, link,
                  kind, ecc_index=0):
@@ -60,6 +70,7 @@ class QTDescriptor:
         self.kind = kind
         self.ecc_index = ecc_index
         self.alive = True
+        self.alloc = None
         self.children = []            # every child ever created, in order
 
     @property
@@ -78,17 +89,17 @@ class QTDescriptor:
 
 
 class MassControl:
-    """Per-parent state of one FOR/SUMUP operation; the parent runs on
-    owner_qt.core.  `cores` holds the reserved cores not yet used up:
-    FOR runs every child on cores[0] and counts down in the parent's
-    FromChild latch (the break channel); SUMUP takes one core per child
-    off the front and ends when none is left, because child summands
-    overwrite FromChild on their way into the adder.  An ended loop
-    holds no cores.  A grant serves one QTCreate, which sets
-    create_addr; a second QTCreate on the same grant faults."""
+    """One QAlloc grant and the FOR/SUMUP loop it serves; it lives on
+    the QT it was granted to (QTDescriptor.alloc).  `cores` holds the
+    reserved cores not yet used up: FOR runs every child on cores[0]
+    and counts down in the parent's FromChild latch (the break channel);
+    SUMUP takes one core per child off the front and ends when none is
+    left, because child summands overwrite FromChild on their way into
+    the adder.  An ended loop holds no cores.  A grant serves one
+    QTCreate, which sets create_addr; a second QTCreate on the same
+    grant faults."""
 
-    def __init__(self, owner_qt, mode, cores):
-        self.owner_qt = owner_qt
+    def __init__(self, mode, cores):
         self.mode = mode
         self.cores = cores            # preallocated core indices, in order
         self.created = 0
@@ -102,7 +113,6 @@ class MassControl:
 class Supervisor:
     def __init__(self, machine):
         self.m = machine
-        self.mass = {}                # parent core index -> MassControl
         # Core indices by state; only Machine.touch moves them.
         self.in_state = {state: set() for state in State}
         self.in_state[FREE] = set(range(machine.cfg.cores))
@@ -144,7 +154,7 @@ class Supervisor:
                 or (self.qt_ended and self.waiting)):
             return False
         for index in self.massloop:
-            mc = self.mass[index]
+            mc = self.m.cores[index].qt.alloc
             if (mc.mode != MODE_FOR or mc.current_child is None
                     or not mc.current_child.alive):
                 return False
@@ -225,8 +235,9 @@ class Supervisor:
 
     def _handle_qterm(self, core, instr, addr):
         qt = core.qt
-        if core.brackets:
-            if core.brackets[-1][0] != addr:
+        fallback = qt.kind == KIND_MASS_FALSE
+        if fallback:
+            if qt.term_addr != addr:
                 raise RuntimeFault("QTerm does not close the open fallback block",
                                    core=core.index, qt=qt.id, addr=addr)
         elif qt.parent is None:
@@ -236,14 +247,11 @@ class Supervisor:
             # an implied QWait -1 (also before a fallback bracket closes)
             core.state = POSTPONED
             return
-        mc = self.mass.get(core.index)
-        if mc is not None and mc.owner_qt is qt:
-            self._drop_grant(core.index)
-        if core.brackets:
-            _, outer = core.brackets.pop()
+        self._drop_grant(qt)
+        if fallback:
             qt.alive = False
             self.qt_ended = True
-            core.qt = outer
+            core.qt = qt.parent
             core.state = RUNNING
             self.m.emit(core.index, qt.id, tr.QT_TERMINATED, addr)
             return
@@ -259,9 +267,9 @@ class Supervisor:
                 parent_core.latches[cloning.write] = core.latches[cloning.read]
             else:
                 parent_core.regs[link] = core.regs[link]
-        mc = self.mass.get(qt.parent.core)
-        in_for = (qt.kind == KIND_MASS_TRUE and mc is not None
-                  and mc.owner_qt is qt.parent and mc.mode == MODE_FOR)
+        mc = qt.parent.alloc
+        in_for = (qt.kind == KIND_MASS_TRUE
+                  and mc.__class__ is MassControl and mc.mode == MODE_FOR)
         if in_for and core.for_parent_dirty:
             # the break channel
             parent_core.latches[FROM_CHILD] = core.latches[FOR_PARENT]
@@ -314,29 +322,28 @@ class Supervisor:
         if mode not in (MODE_FOR, MODE_SUMUP):
             raise RuntimeFault("unknown mass-processing mode %d" % mode,
                                core=core.index, qt=core.qt.id, addr=addr)
-        self._drop_grant(core.index)
+        qt = core.qt
+        self._drop_grant(qt)
         count = max(isa.to_signed(read_register(core, instr.ra)), 0)
         need = 1 if mode == MODE_FOR else count
         core.state = RUNNING
         if len(self.free) < need:
-            core.last_alloc = "denied"
+            qt.alloc = DENIED
             return
         taken = sorted(self.free)[:need]
         for i in taken:
             self.m.cores[i].state = PREALLOCATED
-        self.mass[core.index] = MassControl(core.qt, mode, taken)
+        qt.alloc = MassControl(mode, taken)
         core.latches[FROM_CHILD] = count
         core.latches[FOR_CHILD] = 0
         core.mode = mode
         core.phase = EsvContext.MASS_PRE
-        core.last_alloc = "granted"
 
-    def _drop_grant(self, core_index):
-        """End the grant held on a core; its unused cores return to the
+    def _drop_grant(self, qt):
+        """End qt's grant, if it holds one; its unused cores return to the
         pool.  A grant ends at its QT's next QAlloc or at its QTerm."""
-        old = self.mass.pop(core_index, None)
-        if old is not None:
-            self._release(old.cores)
+        if qt.alloc.__class__ is MassControl:
+            self._release(qt.alloc.cores)
 
     def _release(self, indices):
         """Return the still-preallocated cores among `indices` to the pool."""
@@ -347,17 +354,14 @@ class Supervisor:
     # ---- QTCreate / QFCreate --------------------------------------------
 
     def _handle_qtcreate(self, core, instr, addr):
-        if core.last_alloc is None:
+        mc = core.qt.alloc
+        if mc is None:
             raise RuntimeFault("QTCreate without a preceding QAlloc",
                                core=core.index, qt=core.qt.id, addr=addr)
-        if core.last_alloc == "denied":
+        if mc is DENIED:
             core.pc = (instr.imm + 1) & isa.WORD_MASK
             core.state = RUNNING
             return
-        mc = self.mass.get(core.index)
-        if mc is None or mc.owner_qt is not core.qt:
-            raise RuntimeFault("QTCreate does not match the granted QAlloc",
-                               core=core.index, qt=core.qt.id, addr=addr)
         if mc.create_addr is not None:
             raise RuntimeFault("QTCreate on a used-up QAlloc grant: its loop "
                                "has run; QAlloc again first",
@@ -370,46 +374,45 @@ class Supervisor:
         # first check/creation happens in this tick's mass step
 
     def _handle_qfcreate(self, core, instr, addr):
-        if core.last_alloc is None:
+        if core.qt.alloc is None:
             raise RuntimeFault("QFCreate without a preceding QAlloc",
                                core=core.index, qt=core.qt.id, addr=addr)
         core.state = RUNNING
-        if core.last_alloc == "granted":
+        if core.qt.alloc is not DENIED:
             core.pc = (instr.imm + 1) & isa.WORD_MASK
             return
         # Denied: the requesting core itself runs the fallback body as a
-        # same-core QT closed by the bracket QTerm.
-        parent_qt = core.qt
-        qt = parent_qt.add_child(core.index, addr, instr.imm, instr.ra,
-                                 KIND_MASS_FALSE)
-        core.brackets.append((instr.imm, parent_qt))
+        # same-core QT closed by the bracket QTerm.  The block is the
+        # denied branch, so the QT starts from that denial.
+        qt = core.qt.add_child(core.index, addr, instr.imm, instr.ra,
+                               KIND_MASS_FALSE)
+        qt.alloc = DENIED
         core.qt = qt
         self.m.emit(core.index, qt.id, tr.QT_CREATED, addr)
 
     # ---- mass-loop stepping ----------------------------------------------
 
     def _mass_steps(self):
-        # An ended loop's entry stays in self.mass: its SUMUP children
-        # keep feeding the adder.
+        # An ended loop's grant stays on its QT: its SUMUP children keep
+        # feeding the adder.
         for index in sorted(self.massloop):
-            mc = self.mass[index]
+            parent = self.m.cores[index]
+            mc = parent.qt.alloc
             if mc.mode == MODE_FOR:
-                self._step_for(mc)
+                self._step_for(mc, parent)
             else:
-                self._step_sumup(mc)
+                self._step_sumup(mc, parent)
 
-    def _step_for(self, mc):
+    def _step_for(self, mc, parent):
         if mc.current_child is not None and mc.current_child.alive:
             return
-        parent = self.m.cores[mc.owner_qt.core]
         # break-check after the child's QTerm transfer, before creation
         if parent.latches[FROM_CHILD] == 0:
             self._end_loop(mc, parent)
             return
         mc.current_child = self._create_mass_child(mc, parent, mc.cores[0])
 
-    def _step_sumup(self, mc):
-        parent = self.m.cores[mc.owner_qt.core]
+    def _step_sumup(self, mc, parent):
         if not mc.cores:
             self._end_loop(mc, parent)
             return
@@ -443,8 +446,8 @@ class Supervisor:
         qt = child_core.qt
         if qt is None or qt.kind != KIND_MASS_TRUE or qt.parent is None:
             return False
-        mc = self.mass.get(qt.parent.core)
-        if mc is None or mc.owner_qt is not qt.parent or mc.mode != MODE_SUMUP:
+        mc = qt.parent.alloc
+        if mc.__class__ is not MassControl or mc.mode != MODE_SUMUP:
             return False
         mc.adder = (mc.adder + value) & isa.WORD_MASK
         parent_core = self.m.cores[qt.parent.core]

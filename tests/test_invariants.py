@@ -5,9 +5,12 @@ active-core list incrementally, and rechecks only the cores whose state
 changed.  The full sweep it replaced is kept here as the oracle: after
 every tick it rebuilds the sets from every core's state and checks the
 whole predicate again, together with the fields that go with each state
-and the legality of every state write.
+and the legality of every state write.  A second oracle checks the
+reservations: every preallocated core belongs to exactly one live QT's
+grant.
 """
 
+import collections
 import random
 
 import pytest
@@ -15,11 +18,11 @@ import pytest
 from empa import assembler, engine, fixtures, trace as tr
 from empa.coremodel import State
 from empa.errors import Deadlock, InvariantViolation
-from empa.supervisor import KIND_PLAIN, QTDescriptor
+from empa.supervisor import KIND_PLAIN, MassControl, QTDescriptor
 from helpers import CountingList, make_machine, word
 from test_stress import _random_tree_program, _wide_program
 
-CORE_COUNTS = (1, 2, 4, 5, 8, 64)
+CORE_COUNTS = (1, 2, 3, 4, 5, 8, 64)
 
 
 # Every state write the supervisor and the engine may make.
@@ -40,7 +43,8 @@ LEGAL_WRITES = {
 def _full_sweep(machine):
     """The per-tick checker before incremental sets: the sets derived
     from every core's state partition the cores, no free core holds a
-    QT, and every parent chain ends.  Returns the derived sets."""
+    QT, and every parent chain ends within its QT's depth.  Returns the
+    derived sets."""
     derived = {state: set() for state in State}
     for core in machine.cores:
         derived[core.state].add(core.index)
@@ -52,8 +56,19 @@ def _full_sweep(machine):
         while qt is not None:
             qt = qt.parent
             hops += 1
-            assert hops <= 1000
+            assert hops <= core.qt.depth + 1, core.index
     return derived
+
+
+def _check_grants(machine):
+    """Every preallocated core is reserved by exactly one live QT's
+    grant: a reservation nothing holds would never return to the pool."""
+    held = collections.Counter(
+        i for _, qt in machine.live_qts()
+        if isinstance(qt.alloc, MassControl) for i in qt.alloc.cores)
+    for core in machine.cores:
+        if core.state is State.PREALLOCATED:
+            assert held[core.index] == 1, (machine.clock, core.index)
 
 
 def _record_writes(machine):
@@ -81,6 +96,7 @@ def _run_swept(machine):
             return False
         at = machine.clock
         assert sv.in_state == _full_sweep(machine), at
+        _check_grants(machine)
         running = [c for c in machine.cores if c.state is State.RUNNING]
         assert machine._active is None or machine._active == running, at
         for core in machine.cores:
@@ -113,6 +129,30 @@ def test_incremental_pools_match_the_full_sweep_on_random_trees():
             source, _ = _wide_program(rng, rng.randrange(4, 13))
         _, machine = make_machine(source, cores=cores)
         assert _run_swept(machine), trial
+
+
+# A child and a fallback QT inside it each end on a grant they never used.
+_UNUSED_GRANTS = """
+        QCreate CT,%eno
+        irmovl $9,%ecx
+        QAlloc 5,%ecx         # denied
+        QFCreate FT,%eno
+        irmovl $1,%ecx
+        QAlloc 5,%ecx         # granted to the fallback QT
+FT:     QTerm
+        irmovl $1,%ecx
+        QAlloc 1,%ecx         # granted to the child
+CT:     QTerm
+        QWait -1
+        halt
+"""
+
+
+@pytest.mark.parametrize("cores", (2, 3, 4))
+def test_grants_ended_unused_hold_no_core(cores):
+    _, machine = make_machine(_UNUSED_GRANTS, cores=cores)
+    assert _run_swept(machine)
+    assert all(c.state is State.FREE for c in machine.cores[1:])
 
 
 def _mid_run(cores=4):
@@ -212,6 +252,21 @@ def test_deep_fallback_recursion_is_legal():
     assert word(machine, image, "Out") == 1000
     created = [ev.qt for ev in events if ev.kind == tr.QT_CREATED]
     assert len(created) == 1001 and len(created[-1]) == 1002
+
+
+def test_full_sweep_accepts_a_chain_deeper_than_1000():
+    """The oracle bounds a parent chain by its QT's depth, not by a
+    fixed hop count: recursion through fallback blocks nests deeper."""
+    image, machine = _deep_machine(1050)
+    deepest = 0
+    while not machine.halted:
+        machine.tick()
+        depth = machine.cores[0].qt.depth
+        deepest = max(deepest, depth)
+        if depth > 990:
+            assert machine.sv.in_state == _full_sweep(machine), machine.clock
+    assert deepest == 1051
+    assert word(machine, image, "Out") == 1050
 
 
 def test_live_qts_walks_a_deep_chain():

@@ -6,7 +6,8 @@ import pytest
 from empa import isa, trace as tr
 from empa.coremodel import FOR_CHILD, FROM_CHILD
 from empa.errors import Deadlock, RuntimeFault
-from empa.supervisor import KIND_MASS_FALSE, KIND_MASS_TRUE
+from empa.supervisor import (DENIED, KIND_MASS_FALSE, KIND_MASS_TRUE,
+                             MassControl)
 
 from helpers import assemble_run, make_machine, word
 
@@ -365,7 +366,7 @@ def test_qalloc_denied_leaves_pool_untouched():
         machine.tick()
     from empa.coremodel import State
     assert all(c.state is State.FREE for c in machine.cores[1:])
-    assert machine.cores[0].last_alloc == "denied"
+    assert machine.cores[0].qt.alloc is DENIED
 
 
 def test_qalloc_unknown_mode_faults():
@@ -410,7 +411,7 @@ Q:      QAlloc 5,%esv         # SUMUP over 3 cores
         halt
 """
     image, machine, events = assemble_run(source, cores=8)
-    assert machine.sv.mass[0].cores == [1, 2, 3]
+    assert machine.cores[0].qt.alloc.cores == [1, 2, 3]
     assert machine.cores[0].latches[FROM_CHILD] == 3
     assert not [ev for ev in kinds(events, tr.LATCH_READ) if ev.qt == "1"]
 
@@ -511,7 +512,7 @@ T1:     QTerm
     _, machine, _ = assemble_run(source, cores=4)
     assert machine.halted
     assert [c.state for c in machine.cores[1:]] == [State.FREE] * 3
-    assert machine.sv.mass == {}
+    assert [qt.alloc for _, qt in machine.live_qts()] == [None]
 
 
 def test_fallback_bracket_returns_only_its_own_grant():
@@ -544,14 +545,102 @@ CT:     QTerm
 
     tick_past(tr.QT_TERMINATED, image.symbols["FT"])
     assert [c.state for c in machine.cores[2:]] == [State.FREE] * 2
-    assert 1 not in machine.sv.mass
+    assert machine.cores[1].qt.alloc is DENIED     # the child's own outcome
     tick_past(tr.META_RETIRED, image.symbols["OA"])
     machine.tick()                                  # the SV serves OA
-    assert machine.sv.mass[1].owner_qt is machine.cores[1].qt
+    assert machine.cores[1].qt.alloc.cores == [2, 3]
     assert [c.state for c in machine.cores[2:]] == [State.PREALLOCATED] * 2
     machine.run_to_halt()
     assert [c.state for c in machine.cores[1:]] == [State.FREE] * 3
 
+
+
+def test_closing_a_fallback_block_restores_the_outer_outcome():
+    """A QAlloc belongs to the QT that ran it: the grant taken inside a
+    fallback block does not decide the outer QT's next QFCreate, whose
+    own QAlloc was denied, so that block runs."""
+    source = """
+        irmovl $9,%ecx
+        QAlloc 5,%ecx         # denied: 9 cores wanted
+        QFCreate FT,%eno
+        irmovl $1,%ecx
+        QAlloc 5,%ecx         # granted to the fallback QT
+FT:     QTerm
+        irmovl $0,%eax
+        QFCreate GT,%eno      # the root's outcome again: denied
+        irmovl $1,%eax
+GT:     QTerm
+        rmmovl %eax,Out
+        halt
+        .pos 0x100
+Out:    .long 0
+"""
+    image, machine, events = assemble_run(source, cores=4)
+    assert word(machine, image, "Out") == 1
+    assert machine.clock == 14
+    assert [ev.qt for ev in kinds(events, tr.QT_CREATED)] == ["11", "12"]
+    assert machine.root_qt.alloc is DENIED
+
+
+def test_fallback_block_starts_from_its_creators_denial():
+    """A QFCreate inside a denied block, before any QAlloc of the
+    block's own, opens a nested block on the same core."""
+    source = """
+        irmovl $9,%ecx
+        QAlloc 5,%ecx         # denied
+F:      QFCreate FT,%eno      # QT 11
+G:      QFCreate GT,%eno      # QT 111, inside 11
+        nop
+GT:     QTerm
+FT:     QTerm
+        halt
+"""
+    image, machine, events = assemble_run(source, cores=4)
+    created = [(ev.qt, ev.core, ev.addr) for ev in kinds(events, tr.QT_CREATED)]
+    assert created == [("11", 0, image.symbols["F"]),
+                       ("111", 0, image.symbols["G"])]
+    ended = [(ev.qt, ev.addr) for ev in kinds(events, tr.QT_TERMINATED)]
+    assert ended == [("111", image.symbols["GT"]), ("11", image.symbols["FT"])]
+
+
+# Each program faults in the SV with the message it is keyed by.
+SV_FAULTS = {
+    "QTCreate without a preceding QAlloc": """
+        QTCreate T,%eno
+        nop
+T:      QTerm
+        halt
+""",
+    "QFCreate without a preceding QAlloc": """
+        QFCreate T,%eno
+        nop
+T:      QTerm
+        halt
+""",
+    "QTerm does not close the open fallback block": """
+        irmovl $9,%ecx
+        QAlloc 5,%ecx         # denied
+        QFCreate FT,%eno
+        nop
+X:      QTerm                 # a second QTerm inside the block
+        nop
+FT:     QTerm
+        halt
+""",
+}
+
+
+@pytest.mark.parametrize("message", sorted(SV_FAULTS))
+def test_sv_fault_is_named_by_its_message(message, tmp_path, capsys):
+    from empa import cli
+    _, machine = make_machine(SV_FAULTS[message], cores=4)
+    with pytest.raises(RuntimeFault, match=message) as exc:
+        machine.run_to_halt()
+    assert exc.value.core == 0
+    path = tmp_path / "fault.eyo"
+    path.write_text(SV_FAULTS[message])
+    assert cli.main(["run", str(path), "--cores", "4"]) == 2
+    assert message in capsys.readouterr().err
 
 FOR_PROG = """
         irmovl Vec,%ebx
@@ -766,7 +855,7 @@ def test_sumup_feed_order_independent():
     sum, 32-bit wrap included."""
     import random
     from empa import assembler, engine
-    from empa.supervisor import MassControl, MODE_SUMUP
+    from empa.supervisor import MODE_SUMUP
 
     rng = random.Random(7)
     image = assembler.assemble("halt\n")
@@ -779,8 +868,7 @@ def test_sumup_feed_order_independent():
         sv = machine.sv
         root = machine.cores[0]
         child = machine.cores[1]
-        mc = MassControl(machine.root_qt, MODE_SUMUP, [1])
-        sv.mass[0] = mc
+        mc = machine.root_qt.alloc = MassControl(MODE_SUMUP, [1])
         sv.create_qt(root, 1, 0, 0, isa.REG_ENO, KIND_MASS_TRUE, 0)
         for value in order:
             assert sv.sumup_feed(child, value, 0)
@@ -919,8 +1007,9 @@ Out:    .long 0
     image, machine = make_machine(source, cores=5)
     while not machine.halted:
         machine.tick()
-        for mc in machine.sv.mass.values():
-            if mc.mode == MODE_SUMUP:
+        for _, qt in machine.live_qts():
+            mc = qt.alloc
+            if isinstance(mc, MassControl) and mc.mode == MODE_SUMUP:
                 assert all(machine.cores[i].state is State.PREALLOCATED
                            for i in mc.cores), machine.clock
     assert word(machine, image, "Out") == 20
