@@ -1,11 +1,12 @@
 """One Y86 core extended with the EMPA latch set, mode state and the
-context-dependent %esv mapping.
+context-dependent %esv mapping, and the executors that retire its
+instructions.
 
-A core is stepped by the engine when its current instruction's cycle
-budget runs out; meta-instructions are never executed here, they raise a
-request for the supervisor.  %esv is never a storage cell: every access
-resolves at the moment of access through the latch table row that the
-core's phase names.
+An executor is bound once per decoded address (bind) and run by the
+engine when the instruction's cycle budget runs out; meta-instructions
+only advance pc here, they raise a request for the supervisor.  %esv is
+never a storage cell: every access resolves at the moment of access
+through the latch table row that the core's phase names.
 """
 
 import enum
@@ -75,9 +76,9 @@ class CoreState:
     phase: EsvContext = EsvContext.GENERAL   # %esv table row; never CLONING
 
     # execution bookkeeping (engine-owned)
-    inflight = None          # decoded Instruction currently executing
+    inflight = None          # decode_at entry executing: (Instruction,
+                             # cycles, executor)
     inflight_addr: int = 0
-    inflight_cycles = 0      # cycles of the inflight instruction
     remaining: int = 0
     for_parent_dirty: bool = False
     request = None           # (Instruction, addr) while SV or POSTPONED
@@ -154,97 +155,256 @@ def write_register(core, code, value, sink, addr):
         raise RuntimeFault("%ecc is read-only", core=core.index, addr=addr)
 
 
-def _set_flags(core, result, a, b, op):
-    result &= WORD_MASK
-    core.zf = result == 0
-    core.sf = bool(result & 0x80000000)
-    sa, sb, sr = a & 0x80000000, b & 0x80000000, result & 0x80000000
-    if op == isa.ADDL:
-        core.of = sa == sb and sr != sa
-    elif op == isa.SUBL:
-        core.of = sa != sb and sr != sb
+# ---- executors -----------------------------------------------------------
+#
+# An executor retires one decoded instruction at one address:
+# execute(core, memory, sink) advances pc before anything can fault, then
+# applies the semantics and tells the sink of each %esv access.  halt,
+# nop and the meta-instructions only advance pc; the engine hands a
+# meta-instruction to the supervisor.  An executor never touches any
+# other core's state.
+#
+# bind() builds one per decoded address, with the operands, the address
+# and the next pc closed over.  An instruction whose operands are all
+# GPRs reads and writes core.regs directly; only one that names %eno,
+# %ecc or %esv goes through read_register/write_register.
+
+MAX_POSITIVE = 0x7FFFFFFF
+_ESP = isa.REG_ESP
+
+# The condition of cmovXX/jXX by function code: always, le, l, e, ne, ge, g.
+CONDITIONS = (
+    lambda core: True,
+    lambda core: core.sf != core.of or core.zf,
+    lambda core: core.sf != core.of,
+    lambda core: core.zf,
+    lambda core: not core.zf,
+    lambda core: core.sf == core.of,
+    lambda core: core.sf == core.of and not core.zf,
+)
+
+
+# OPl by opcode: (a, b) -> (result, overflow flag) of `b op a`.  The
+# sign bit of the xor terms is set where signs differ.
+def _addl(a, b):
+    result = (b + a) & WORD_MASK           # a, b alike, result not
+    return result, ((a ^ result) & (b ^ result)) > MAX_POSITIVE
+
+
+def _subl(a, b):
+    result = (b - a) & WORD_MASK           # a, b differ, result not b
+    return result, ((a ^ b) & (b ^ result)) > MAX_POSITIVE
+
+
+def _andl(a, b):
+    return b & a, False
+
+
+def _xorl(a, b):
+    return b ^ a, False
+
+
+_ALU = {isa.ADDL: _addl, isa.SUBL: _subl, isa.ANDL: _andl, isa.XORL: _xorl}
+
+
+def _pseudo(code):
+    """Whether register operand `code` names %eno, %ecc or %esv."""
+    return isa.GPR_COUNT <= code != isa.RNONE
+
+
+def _advance(instr, addr, nxt):
+    def execute(core, memory, sink):
+        core.pc = nxt
+    return execute
+
+
+def _rrmovl(instr, addr, nxt):
+    ra, rb, fn = instr.ra, instr.rb, instr.opcode & 0x0F
+    holds = CONDITIONS[fn]
+    if _pseudo(ra) or _pseudo(rb):
+        def execute(core, memory, sink):
+            core.pc = nxt
+            value = read_register(core, ra, sink, addr)   # read even if not moved
+            if holds(core):
+                write_register(core, rb, value, sink, addr)
+    elif fn == 0:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            regs = core.regs
+            regs[rb] = regs[ra]
     else:
-        core.of = False
-    return result
+        def execute(core, memory, sink):
+            core.pc = nxt
+            if holds(core):
+                regs = core.regs
+                regs[rb] = regs[ra]
+    return execute
 
 
-def condition_holds(core, fn):
-    zf, sf, of = core.zf, core.sf, core.of
+def _irmovl(instr, addr, nxt):
+    rb, imm = instr.rb, instr.imm
+    if _pseudo(rb):
+        def execute(core, memory, sink):
+            core.pc = nxt
+            write_register(core, rb, imm, sink, addr)
+    else:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            core.regs[rb] = imm
+    return execute
+
+
+def _rmmovl(instr, addr, nxt):
+    ra, rb, imm = instr.ra, instr.rb, instr.imm
+    if _pseudo(ra) or _pseudo(rb):
+        def execute(core, memory, sink):
+            core.pc = nxt
+            base = 0 if rb == isa.RNONE else read_register(core, rb, sink, addr)
+            value = read_register(core, ra, sink, addr)
+            memory.write_word((imm + base) & WORD_MASK, value, core.index, addr)
+    elif rb == isa.RNONE:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            memory.write_word(imm, core.regs[ra], core.index, addr)
+    else:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            regs = core.regs
+            memory.write_word((imm + regs[rb]) & WORD_MASK, regs[ra],
+                              core.index, addr)
+    return execute
+
+
+def _mrmovl(instr, addr, nxt):
+    ra, rb, imm = instr.ra, instr.rb, instr.imm
+    if _pseudo(ra) or _pseudo(rb):
+        def execute(core, memory, sink):
+            core.pc = nxt
+            base = 0 if rb == isa.RNONE else read_register(core, rb, sink, addr)
+            value = memory.read_word((imm + base) & WORD_MASK, core.index, addr)
+            write_register(core, ra, value, sink, addr)
+    elif rb == isa.RNONE:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            core.regs[ra] = memory.read_word(imm, core.index, addr)
+    else:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            regs = core.regs
+            regs[ra] = memory.read_word((imm + regs[rb]) & WORD_MASK,
+                                        core.index, addr)
+    return execute
+
+
+def _opl(instr, addr, nxt):
+    ra, rb = instr.ra, instr.rb
+    alu = _ALU[instr.opcode]
+    if _pseudo(ra) or _pseudo(rb):
+        def execute(core, memory, sink):
+            core.pc = nxt
+            a = read_register(core, ra, sink, addr)
+            b = read_register(core, rb, sink, addr)
+            result, core.of = alu(a, b)
+            core.zf = result == 0
+            core.sf = result > MAX_POSITIVE
+            write_register(core, rb, result, sink, addr)  # %eno: flags only
+    else:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            regs = core.regs
+            result, core.of = alu(regs[ra], regs[rb])
+            core.zf = result == 0
+            core.sf = result > MAX_POSITIVE
+            regs[rb] = result
+    return execute
+
+
+def _jxx(instr, addr, nxt):
+    target, fn = instr.imm, instr.opcode & 0x0F
+    holds = CONDITIONS[fn]
     if fn == 0:
-        return True
-    if fn == 1:                      # le
-        return (sf != of) or zf
-    if fn == 2:                      # l
-        return sf != of
-    if fn == 3:                      # e
-        return zf
-    if fn == 4:                      # ne
-        return not zf
-    if fn == 5:                      # ge
-        return not (sf != of)
-    if fn == 6:                      # g
-        return not (sf != of) and not zf
-    raise AssertionError(fn)
+        def execute(core, memory, sink):
+            core.pc = target
+    else:
+        def execute(core, memory, sink):
+            core.pc = target if holds(core) else nxt
+    return execute
 
 
-def step_instruction(core, memory, sink):
-    """Retire core.inflight: apply Y86 semantics, advance pc, emit latch
-    events through the sink.  halt, nop and meta-instructions only
-    advance pc; the caller hands a meta-instruction to the supervisor.
-    Never touches any other core's state."""
-    instr = core.inflight
-    addr = core.inflight_addr
-    op = instr.opcode
-    group = op & 0xF0
-    fn = op & 0x0F
-    core.pc = (addr + instr.length) & WORD_MASK
+def _call(instr, addr, nxt):
+    target = instr.imm
 
-    if group == isa.RRMOVL:
-        value = read_register(core, instr.ra, sink, addr)
-        if condition_holds(core, fn):
-            write_register(core, instr.rb, value, sink, addr)
-    elif op == isa.IRMOVL:
-        write_register(core, instr.rb, instr.imm, sink, addr)
-    elif op == isa.RMMOVL:
-        base = 0 if instr.rb == isa.RNONE else read_register(core, instr.rb, sink, addr)
-        value = read_register(core, instr.ra, sink, addr)
-        memory.write_word((instr.imm + base) & WORD_MASK, value, core=core.index, addr=addr)
-    elif op == isa.MRMOVL:
-        base = 0 if instr.rb == isa.RNONE else read_register(core, instr.rb, sink, addr)
-        value = memory.read_word((instr.imm + base) & WORD_MASK, core=core.index, addr=addr)
-        write_register(core, instr.ra, value, sink, addr)
-    elif group == 0x60:
-        a = read_register(core, instr.ra, sink, addr)
-        b = read_register(core, instr.rb, sink, addr)
-        if op == isa.ADDL:
-            result = b + a
-        elif op == isa.SUBL:
-            result = b - a
-        elif op == isa.ANDL:
-            result = b & a
-        else:
-            result = b ^ a
-        result = _set_flags(core, result, a, b, op)
-        write_register(core, instr.rb, result, sink, addr)
-    elif group == isa.JMP:
-        if condition_holds(core, fn):
-            core.pc = instr.imm
-    elif op == isa.CALL:
-        sp = (read_register(core, isa.REG_ESP, sink, addr) - 4) & WORD_MASK
-        memory.write_word(sp, core.pc, core=core.index, addr=addr)
-        write_register(core, isa.REG_ESP, sp, sink, addr)
-        core.pc = instr.imm
-    elif op == isa.RET:
-        sp = read_register(core, isa.REG_ESP, sink, addr)
-        core.pc = memory.read_word(sp, core=core.index, addr=addr)
-        write_register(core, isa.REG_ESP, (sp + 4) & WORD_MASK, sink, addr)
-    elif op == isa.PUSHL:
-        value = read_register(core, instr.ra, sink, addr)
-        sp = (read_register(core, isa.REG_ESP, sink, addr) - 4) & WORD_MASK
-        memory.write_word(sp, value, core=core.index, addr=addr)
-        write_register(core, isa.REG_ESP, sp, sink, addr)
-    elif op == isa.POPL:
-        sp = read_register(core, isa.REG_ESP, sink, addr)
-        value = memory.read_word(sp, core=core.index, addr=addr)
-        write_register(core, isa.REG_ESP, (sp + 4) & WORD_MASK, sink, addr)
-        write_register(core, instr.ra, value, sink, addr)
+    def execute(core, memory, sink):
+        core.pc = nxt
+        regs = core.regs
+        sp = (regs[_ESP] - 4) & WORD_MASK
+        memory.write_word(sp, nxt, core.index, addr)
+        regs[_ESP] = sp
+        core.pc = target
+    return execute
+
+
+def _ret(instr, addr, nxt):
+    def execute(core, memory, sink):
+        core.pc = nxt
+        regs = core.regs
+        sp = regs[_ESP]
+        core.pc = memory.read_word(sp, core.index, addr)
+        regs[_ESP] = (sp + 4) & WORD_MASK
+    return execute
+
+
+def _pushl(instr, addr, nxt):
+    ra = instr.ra
+    if _pseudo(ra):
+        def execute(core, memory, sink):
+            core.pc = nxt
+            value = read_register(core, ra, sink, addr)
+            regs = core.regs
+            sp = (regs[_ESP] - 4) & WORD_MASK
+            memory.write_word(sp, value, core.index, addr)
+            regs[_ESP] = sp
+    else:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            regs = core.regs
+            sp = (regs[_ESP] - 4) & WORD_MASK
+            memory.write_word(sp, regs[ra], core.index, addr)  # old %esp
+            regs[_ESP] = sp
+    return execute
+
+
+def _popl(instr, addr, nxt):
+    ra = instr.ra
+    if _pseudo(ra):
+        def execute(core, memory, sink):
+            core.pc = nxt
+            regs = core.regs
+            sp = regs[_ESP]
+            value = memory.read_word(sp, core.index, addr)
+            regs[_ESP] = (sp + 4) & WORD_MASK
+            write_register(core, ra, value, sink, addr)
+    else:
+        def execute(core, memory, sink):
+            core.pc = nxt
+            regs = core.regs
+            sp = regs[_ESP]
+            value = memory.read_word(sp, core.index, addr)
+            regs[_ESP] = (sp + 4) & WORD_MASK
+            regs[ra] = value                    # popl %esp keeps the word
+    return execute
+
+
+_GROUP_FACTORIES = {
+    isa.RRMOVL: _rrmovl, isa.IRMOVL: _irmovl, isa.RMMOVL: _rmmovl,
+    isa.MRMOVL: _mrmovl, isa.ADDL: _opl, isa.JMP: _jxx, isa.CALL: _call,
+    isa.RET: _ret, isa.PUSHL: _pushl, isa.POPL: _popl,
+}
+_FACTORIES = {op: _GROUP_FACTORIES.get(op & 0xF0, _advance)
+              for op in isa.OPCODES}
+
+
+def bind(instr, addr):
+    """The executor of `instr` decoded at `addr`."""
+    return _FACTORIES[instr.opcode](
+        instr, addr, (addr + instr.length) & WORD_MASK)

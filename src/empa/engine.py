@@ -24,10 +24,13 @@ checker, which rechecks only touched cores.  A runtime fault parks the
 core that raised it.
 
 Each code address is decoded once.  Machine.decode_at keeps, per pc,
-the decoded instruction, its raw bytes and its cycle count, and reuses
-them only while memory still holds those bytes.  Decoding is a pure
-function of the bytes (and the fixed memory size), so self-modifying
-code and writes by other cores need no invalidation.
+the raw bytes and the entry decoded from them: the instruction, its
+cycle count and its executor (coremodel.bind), and reuses the entry
+only while memory still holds those bytes.  A retiring core runs the
+executor; there is no dispatch on the opcode.  Decoding and binding
+are pure functions of the bytes and the pc (and the fixed memory
+size), so self-modifying code and writes by other cores need no
+invalidation.
 """
 
 import math
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from . import isa, trace as tr
 from .assembler import ObjectImage
 from .coremodel import (FOR_PARENT, FREE, MASSLOOP, PARKED, RUNNING, WAITING,
-                        CoreState, step_instruction)
+                        CoreState, bind)
 from .errors import (AddressOutOfRange, Deadlock, ImageTooLarge,
                      InvariantViolation, RuntimeFault, WatchdogExpired)
 from .supervisor import KIND_PLAIN, QTDescriptor, Supervisor
@@ -147,7 +150,7 @@ class Machine:
         # invariant check; all of them before the first.
         self._touched = set(range(cfg.cores))
         self._active = None       # the running cores; None: stale
-        self._decoded = {}        # pc -> (Instruction, raw bytes, cycles)
+        self._decoded = {}        # pc -> (raw bytes, decode_at entry)
         self.sv = Supervisor(self)
         self._state_sets = tuple(self.sv.in_state.values())
         self.clock = 0
@@ -232,33 +235,35 @@ class Machine:
             raise
 
     def decode_at(self, pc):
-        """(Instruction, cycles) for the code at pc; EncodingError if it
-        does not decode.  A cached decode is used only while memory
-        still holds its bytes; a failed decode is not cached."""
+        """(Instruction, cycles, executor) for the code at pc;
+        EncodingError if it does not decode.  A cached entry is used
+        only while memory still holds its bytes; a failed decode is not
+        cached."""
         data = self.memory.data
         hit = self._decoded.get(pc)
-        if hit is not None and data[pc:pc + len(hit[1])] == hit[1]:
-            return hit[0], hit[2]
+        if hit is not None:
+            raw, entry = hit
+            if data[pc:pc + len(raw)] == raw:
+                return entry
         instr, length = isa.decode(data, pc)
-        cycles = self.cfg.timing.cycles_for(instr.opcode)
-        self._decoded[pc] = (instr, bytes(data[pc:pc + length]), cycles)
-        return instr, cycles
+        entry = (instr, self.cfg.timing.cycles_for(instr.opcode),
+                 bind(instr, pc))
+        self._decoded[pc] = (bytes(data[pc:pc + length]), entry)
+        return entry
 
     def _fetch(self, core):
         try:
-            instr, cycles = self.decode_at(core.pc)
+            core.inflight = entry = self.decode_at(core.pc)
         except isa.EncodingError as exc:
             raise RuntimeFault("fetch failed: %s" % exc, core=core.index,
                                qt=core.qt.id, addr=core.pc) from None
-        core.inflight = instr
         core.inflight_addr = core.pc
-        core.inflight_cycles = core.remaining = cycles
+        core.remaining = entry[1]
 
     def _retire(self, core):
-        instr = core.inflight
+        instr, duration, execute = core.inflight
         addr = core.inflight_addr
-        duration = core.inflight_cycles
-        step_instruction(core, self.memory, self)
+        execute(core, self.memory, self)
         core.inflight = None
         if instr.is_meta:
             self.emit(core.index, core.qt.id, tr.META_RETIRED, addr,

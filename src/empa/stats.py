@@ -106,12 +106,16 @@ def format_stats(stats):
     return "\n".join(lines) + "\n"
 
 
-def parse_baseline(text):
-    """Baseline cycles from a stats key-value file or a bare integer."""
+def _baseline_cycles(text):
     for line in text.splitlines():
         line = line.strip()
         if line.startswith("totalCycles="):
-            return int(line.partition("=")[2])
+            value = line.partition("=")[2]
+            try:
+                return int(value)
+            except ValueError:
+                raise ValueError("totalCycles in baseline file is not an "
+                                 "integer: %r" % value) from None
     stripped = text.strip()
     if stripped:
         try:
@@ -119,3 +123,13 @@ def parse_baseline(text):
         except ValueError:
             pass
     raise ValueError("no totalCycles in baseline file")
+
+
+def parse_baseline(text):
+    """Baseline cycles from a stats key-value file or a bare integer;
+    ValueError unless that is a positive count."""
+    cycles = _baseline_cycles(text)
+    if cycles <= 0:
+        raise ValueError("baseline cycle count must be positive, not %d"
+                         % cycles)
+    return cycles

@@ -192,7 +192,7 @@ class Supervisor:
         if instr.opcode == isa.QCALL:
             target = instr.imm
             try:
-                created, _ = self.m.decode_at(target)
+                created = self.m.decode_at(target)[0]
             except isa.EncodingError:
                 created = None
             if created is None or created.opcode != isa.QCREATE:

@@ -151,8 +151,9 @@ def test_criterion_2_y86_differential():
         image = engine.image_from_bytes(blob, size=4096)
         machine = engine.Machine(image, engine.MachineConfig(cores=1))
         _, machine = machine.run_to_halt()
-        ref_regs, _ = run_y86(bytes(image.memory).ljust(4096, b"\0"))
+        ref_regs, ref_mem = run_y86(bytes(image.memory).ljust(4096, b"\0"))
         assert machine.cores[0].regs == ref_regs, "case %d" % case
+        assert machine.memory.data == ref_mem, "case %d" % case
     _passed(2, "1000 random straight-line programs bit-identical to the "
                "reference oracle")
 

@@ -452,3 +452,31 @@ def test_repl_unknown_command_prints_help():
     out = io.StringIO()
     _session("halt\n", 1, ["wat", "quit"], out)
     assert "commands:" in out.getvalue()
+
+
+@pytest.mark.parametrize("baseline, complaint", [
+    ("0", "baseline cycle count must be positive, not 0"),
+    ("-3", "baseline cycle count must be positive, not -3"),
+    ("{dir}/zero.kv", "baseline cycle count must be positive, not 0"),
+    ("{dir}/abc.kv", "totalCycles in baseline file is not an integer: 'abc'"),
+])
+@pytest.mark.parametrize("command", ["run", "stats"])
+def test_a_baseline_that_is_not_a_positive_count_is_a_user_error(
+        fixture_dir, command, baseline, complaint):
+    (fixture_dir / "zero.kv").write_text("totalCycles=0\ncores=1\n")
+    (fixture_dir / "abc.kv").write_text("totalCycles=abc\n")
+    source = fixture_dir / "adaptive.eyo"
+    trace = fixture_dir / "adaptive.trace"
+    assert cli.main(["run", _p(source), "--cores", "5",
+                     "--trace", _p(trace)]) == 0
+    target = source if command == "run" else trace
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(empa.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "empa.cli", command, _p(target),
+         "--baseline", baseline.format(dir=fixture_dir)],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert "error: %s\n" % complaint in done.stderr
+    assert done.stdout == ""

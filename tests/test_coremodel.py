@@ -1,12 +1,13 @@
 """Core-model tests: the latch map (full table), cloning, instruction
-semantics including phase-routed %esv access and the pseudo-registers."""
+semantics (the executors bind builds) including phase-routed %esv access
+and the pseudo-registers."""
 
 import pytest
 
 from empa import assembler, engine, isa, trace as tr
 from empa.coremodel import (FOR_CHILD, FOR_PARENT, FROM_CHILD, FROM_PARENT,
-                            CoreState, EsvContext, State, clone_into,
-                            condition_holds, step_instruction)
+                            CONDITIONS, CoreState, EsvContext, State, bind,
+                            clone_into)
 from empa.engine import Memory
 from empa.errors import AddressOutOfRange, RuntimeFault
 
@@ -62,9 +63,9 @@ def _core(phase=EsvContext.GENERAL, latches=(0, 0, 0, 0)):
 
 
 def _exec(core, instr, mem=None, sink=None):
-    core.inflight = instr
-    core.inflight_addr = core.pc
-    return step_instruction(core, mem or Memory(bytes(64)), sink or _Sink())
+    """Retire `instr` at core.pc through the executor bound there."""
+    return bind(instr, core.pc)(core, mem or Memory(bytes(64)),
+                                sink or _Sink())
 
 
 def test_clone_into_copies_register_file_and_flags():
@@ -192,7 +193,7 @@ def test_conditions_against_truth_table():
                 expect = [True, lt or zf, lt, zf, not zf, not lt,
                           not lt and not zf]
                 for fn in range(7):
-                    assert condition_holds(core, fn) == expect[fn]
+                    assert CONDITIONS[fn](core) == expect[fn]
 
 
 def test_cmov_moves_only_when_condition_holds():

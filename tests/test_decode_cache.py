@@ -16,6 +16,7 @@ from empa import engine, fixtures, isa, trace as tr
 from empa.coremodel import State
 from empa.errors import RuntimeFault
 from helpers import assemble_run, make_machine
+from test_executors import assert_acts_as_reference
 from y86_ref import run_y86
 
 # Each program loops over code that it rewrites ahead of its next fetch;
@@ -196,7 +197,7 @@ Bad:    nop                   # runs once, then holds opcode 0xff
     with pytest.raises(isa.IllegalOpcode):
         machine.decode_at(bad)
     machine.memory.data[bad] = isa.NOP
-    assert machine.decode_at(bad) == (isa.Instruction(isa.NOP), 1)
+    assert machine.decode_at(bad)[:2] == (isa.Instruction(isa.NOP), 1)
 
 
 def _sample(opcode):
@@ -210,7 +211,11 @@ def _sample(opcode):
 
 @pytest.mark.parametrize("opcode", sorted(isa.OPCODES))
 def test_a_change_to_any_byte_of_a_cached_instruction_is_seen(opcode):
-    raw = isa.encode(_sample(opcode))
+    """Also by the executor in the entry: after a flip it does what the
+    flipped instruction does, and after the flip is undone what the
+    original does."""
+    sample = _sample(opcode)
+    raw = isa.encode(sample)
     machine = engine.Machine(engine.image_from_bytes(raw),
                              engine.MachineConfig(cores=1, mem_bytes=8))
     memory = machine.memory.data
@@ -223,9 +228,13 @@ def test_a_change_to_any_byte_of_a_cached_instruction_is_seen(opcode):
             with pytest.raises(isa.IllegalOpcode, match=re.escape(str(exc))):
                 machine.decode_at(0)
         else:
-            assert machine.decode_at(0)[0] == want != _sample(opcode)
+            instr, _, execute = machine.decode_at(0)
+            assert instr == want != sample
+            assert_acts_as_reference(execute, want, 0, seed=i)
         memory[i] ^= 0x01
-        assert machine.decode_at(0)[0] == _sample(opcode)
+        instr, _, execute = machine.decode_at(0)
+        assert instr == sample
+        assert_acts_as_reference(execute, sample, 0, seed=i)
 
 
 _MEMORY = 12
@@ -255,4 +264,5 @@ def test_decode_at_equals_a_fresh_decode_after_any_writes(data, steps):
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 machine.decode_at(pc)
             continue
-        assert machine.decode_at(pc) == (want, timing.cycles_for(want.opcode))
+        assert machine.decode_at(pc)[:2] == (want,
+                                             timing.cycles_for(want.opcode))
