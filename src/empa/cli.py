@@ -272,6 +272,16 @@ _REPL_HELP = """commands:
 """
 
 
+def _int_arg(text, name, low, high=None):
+    """An integer REPL argument in [low, high); ValueError otherwise."""
+    value = int(text, 0)
+    if value < low:
+        raise ValueError("%s must be at least %d, not %s" % (name, low, text))
+    if high is not None and value >= high:
+        raise ValueError("%s must be below 0x%x, not %s" % (name, high, text))
+    return value
+
+
 class StepSession:
     def __init__(self, machine, out=sys.stdout):
         self.machine = machine
@@ -308,7 +318,7 @@ class StepSession:
         self._p("halted at cycle %d" % m.clock)
 
     def do_step(self, argv):
-        n = int(argv[0], 0) if argv else 1
+        n = _int_arg(argv[0], "step count", 0) if argv else 1
         self._advance(limit=n)
         self._p("cycle %d" % self.machine.clock)
 
@@ -345,8 +355,10 @@ class StepSession:
         if len(argv) != 2:
             self._p("usage: mem ADDR LEN")
             return
-        addr, length = int(argv[0], 0), int(argv[1], 0)
-        data = self.machine.memory.data[addr:addr + length]
+        data = self.machine.memory.data
+        addr = _int_arg(argv[0], "address", 0, len(data))
+        length = _int_arg(argv[1], "length", 1)
+        data = data[addr:addr + length]
         for offset in range(0, len(data), 16):
             chunk = data[offset:offset + 16]
             self._p("0x%04x: %s" % (addr + offset, chunk.hex(" ")))
@@ -363,7 +375,8 @@ class StepSession:
             self._p("breakpoints: %s" %
                     ", ".join("0x%04x" % a for a in sorted(self.breakpoints)))
             return
-        addr = int(argv[0], 0)
+        addr = _int_arg(argv[0], "address", 0,
+                        len(self.machine.memory.data))
         if addr in self.breakpoints:
             self.breakpoints.discard(addr)
             self._p("cleared 0x%04x" % addr)
@@ -372,8 +385,9 @@ class StepSession:
             self._p("set 0x%04x" % addr)
 
     def do_trace(self, argv):
-        n = int(argv[0], 0) if argv else 10
-        for ev in self.machine.events[-n:]:
+        n = _int_arg(argv[0], "event count", 0) if argv else 10
+        events = self.machine.events
+        for ev in events[max(len(events) - n, 0):]:
             self._p(tr.format_event(ev))
 
     def run(self, lines):

@@ -191,8 +191,9 @@ def render_ascii(events, cores=None):
     """Character-cell counterpart of the SVG diagram.  A core's cell
     shows its highest-priority event glyph, else 'w' while it waits,
     '|' inside a QT span and '.' otherwise.  The background changes
-    only at span and wait boundaries, so each row copies it and patches
-    in the cells that have events."""
+    only at span and wait boundaries, so it is joined into one row
+    there.  A row with events patches their cells into a copy of it,
+    once for each set of events on each background."""
     cores, spans, total = _cores_and_spans(events, cores)
 
     steps = defaultdict(list)   # cycle -> [(core, span step, wait step)]
@@ -227,18 +228,31 @@ def render_ascii(events, cores=None):
     lines = [header]
     in_span, waiting = [0] * cores, [0] * cores
     background = [_IDLE] * cores
+    joined = "".join(background)
+    row_cache = {}              # background row -> {marks: row}
+    rows = row_cache[joined] = {}
     for cycle in range(0, total + 1):
-        for core, span, wait in steps.get(cycle, ()):
-            in_span[core] += span
-            waiting[core] += wait
-            background[core] = (_WAIT if waiting[core] else
-                                _ALIVE if in_span[core] else _IDLE)
-        row = background
+        changes = steps.get(cycle)
+        if changes:
+            for core, span, wait in changes:
+                in_span[core] += span
+                waiting[core] += wait
+                background[core] = (_WAIT if waiting[core] else
+                                    _ALIVE if in_span[core] else _IDLE)
+            joined = "".join(background)
+            rows = row_cache.get(joined)
+            if rows is None:
+                rows = row_cache[joined] = {}
+        row = joined
         marks = cells.get(cycle)
         if marks:
-            row = background[:]
-            for core, kind in marks.items():
-                row[core] = _CELLS[kind]
+            key = tuple(marks.items())
+            row = rows.get(key)
+            if row is None:
+                row = background[:]
+                for core, kind in marks.items():
+                    row[core] = _CELLS[kind]
+                row = rows[key] = "".join(row)
         label = "%5d " % cycle if cycle % 5 == 0 else "      "
-        lines.append(label + "".join(row))
+        lines.append(label + row)
     return "\n".join(lines) + "\n"

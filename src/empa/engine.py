@@ -4,22 +4,27 @@ invariant checker.
 
 Each tick runs the supervisor phase first (so a QTerm retired at cycle t
 takes effect at t+1), then lets every running core burn one cycle of
-its current instruction, retiring it when the budget reaches zero.  Identical inputs give identical machines and traces.
+its current instruction, retiring it when the budget reaches zero.
+Identical inputs give identical machines and traces.
 
-tick() is always one full cycle: SV phase, cores, checker, watchdog.
-run_to_halt() gives the same machine and trace with less work: after a
-full tick that leaves the SV idle (Supervisor.idle), it steps only the
-running cores, cycle by cycle with the watchdog, until some core is
-touched, the machine halts or the cycle budget runs out, and then runs
-the checker once.  Only a touch can give the SV work or change the
-checked state sets, so the checker still sees every touched core.
+One cycle body (Machine._run_cores) steps the running cores: per core,
+in ascending index order, the fetch with its decode-cache hit, the
+countdown, the executor and the retire, all inline.  tick() runs it for
+one full cycle: SV phase, cores, checker, watchdog.  run_to_halt()
+gives the same machine and trace with less work: after a full tick that
+leaves the SV idle (Supervisor.idle), the same body goes on through a
+quiet stretch of cycles, with the watchdog and no SV phase, until some
+core is touched, the machine halts or the cycle budget runs out, and
+then the checker runs once.  Only a touch can give the SV work or
+change the checked state sets, so the checker still sees every touched
+core.
 
 A tick costs the running cores plus the state changes it makes, not
 the configured core count.  Every write to a core's state or qt goes
 through a CoreState property that calls Machine.touch.  A state write
 moves the core's index to the supervisor's set for its new state and
 marks the list of running cores stale (it is rebuilt from the running
-set at the next tick); every touch queues the core for the invariant
+set at the next cycle); every touch queues the core for the invariant
 checker, which rechecks only touched cores.  A runtime fault parks the
 core that raised it.
 
@@ -32,7 +37,6 @@ are pure functions of the bytes and the pc (and the fixed memory
 size), so self-modifying code and writes by other cores need no
 invalidation.
 """
-
 import math
 from dataclasses import dataclass, field
 
@@ -207,29 +211,84 @@ class Machine:
             raise RuntimeFault("tick on a halted machine")
         self.clock += 1
         self.sv.phase(self.clock)
-        self._step_cores()
+        self._run_cores()
         self._check_invariants()
         if self.clock - self._last_event_clock >= self.cfg.watchdog:
             self._watchdog_failed()
 
-    def _step_cores(self):
-        """Burn one cycle of every running core; a fault parks the core
+    def _run_cores(self, budget=None):
+        """Step every running core through the cycle at self.clock.  With
+        a budget (a quiet stretch), go on through the next cycles, with
+        the watchdog after each, until a core is touched, the machine
+        halts or the clock reaches the budget.  A fault parks the core
         that raised it."""
-        # A retiring core changes no other core's state, so this snapshot
-        # matches a per-core check at each core's turn; ascending order
-        # keeps same-tick memory visibility and the halt break.
-        if self._active is None:
+        # A retiring core changes no other core's state, so one snapshot
+        # of the running cores serves a cycle; ascending order keeps
+        # same-cycle memory visibility and the halt break.  A stretch goes
+        # on only while no core is touched, so the snapshot serves it all.
+        active = self._active
+        if active is None:
             cores = self.cores
-            self._active = [cores[i] for i in sorted(self.sv.running)]
+            active = self._active = [cores[i] for i in sorted(self.sv.running)]
+        touched = self._touched
+        watchdog = self.cfg.watchdog
+        memory = self.memory
+        data = memory.data
+        cached = self._decoded.get
+        emit = self.emit
+        submit = self.sv.submit
+        clock = self.clock
         try:
-            for core in self._active:
-                if core.inflight is None:
-                    self._fetch(core)
-                core.remaining -= 1
-                if core.remaining == 0:
-                    self._retire(core)
-                if self.halted:
-                    break
+            while True:
+                for core in active:
+                    entry = core.inflight
+                    if entry is None:
+                        # the fetch: decode_at, with its cache hit inline
+                        pc = core.pc
+                        hit = cached(pc)
+                        if hit is not None and data.startswith(hit[0], pc):
+                            entry = hit[1]
+                        else:
+                            try:
+                                entry = self.decode_at(pc)
+                            except isa.EncodingError as exc:
+                                raise RuntimeFault(
+                                    "fetch failed: %s" % exc, core=core.index,
+                                    qt=core.qt.id, addr=pc) from None
+                        core.inflight = entry
+                        core.inflight_addr = pc
+                        remaining = entry[1] - 1
+                    else:
+                        remaining = core.remaining - 1
+                    core.remaining = remaining
+                    if remaining:
+                        continue
+                    # the retire
+                    instr, duration, execute = entry
+                    addr = core.inflight_addr
+                    execute(core, memory, self)
+                    core.inflight = None
+                    if instr.is_meta:
+                        emit(core.index, core.qt.id, tr.META_RETIRED, addr,
+                             duration)
+                        submit(core, instr, addr)
+                    else:
+                        emit(core.index, core.qt.id, tr.INSTR_RETIRED, addr,
+                             duration)
+                        if instr.opcode == isa.HALT:
+                            if core.qt.parent is not None:
+                                raise RuntimeFault(
+                                    "halt outside the root QT",
+                                    core=core.index, qt=core.qt.id, addr=addr)
+                            self.halted = True
+                            return
+                if budget is None:
+                    return
+                if clock - self._last_event_clock >= watchdog:
+                    self._watchdog_failed()
+                if touched or clock >= budget:
+                    return
+                clock = self.clock = clock + 1
         except RuntimeFault:
             core.state = PARKED
             raise
@@ -241,69 +300,34 @@ class Machine:
         cached."""
         data = self.memory.data
         hit = self._decoded.get(pc)
-        if hit is not None:
-            raw, entry = hit
-            if data[pc:pc + len(raw)] == raw:
-                return entry
+        if hit is not None and data.startswith(hit[0], pc):
+            return hit[1]
         instr, length = isa.decode(data, pc)
         entry = (instr, self.cfg.timing.cycles_for(instr.opcode),
                  bind(instr, pc))
         self._decoded[pc] = (bytes(data[pc:pc + length]), entry)
         return entry
 
-    def _fetch(self, core):
-        try:
-            core.inflight = entry = self.decode_at(core.pc)
-        except isa.EncodingError as exc:
-            raise RuntimeFault("fetch failed: %s" % exc, core=core.index,
-                               qt=core.qt.id, addr=core.pc) from None
-        core.inflight_addr = core.pc
-        core.remaining = entry[1]
-
-    def _retire(self, core):
-        instr, duration, execute = core.inflight
-        addr = core.inflight_addr
-        execute(core, self.memory, self)
-        core.inflight = None
-        if instr.is_meta:
-            self.emit(core.index, core.qt.id, tr.META_RETIRED, addr,
-                      payload=duration)
-            self.sv.submit(core, instr, addr)
-            return
-        self.emit(core.index, core.qt.id, tr.INSTR_RETIRED, addr,
-                  payload=duration)
-        if instr.opcode == isa.HALT:
-            if core.qt.parent is not None:
-                raise RuntimeFault("halt outside the root QT",
-                                   core=core.index, qt=core.qt.id, addr=addr)
-            self.halted = True
-
     def run_to_halt(self, max_cycles=None):
         """Tick until the root QT halts.  Returns (events, self).
 
-        After a tick that leaves the SV idle, the following ticks skip
-        the SV phase and the checker until a core is touched: only
-        then can the phase have work or the checked sets change."""
+        After a tick that leaves the SV idle comes a quiet stretch: the
+        running cores step with no SV phase and no checker until a core
+        is touched (only then can the phase have work or the checked
+        sets change), the machine halts or the budget runs out; then
+        the checker runs once."""
         budget = math.inf if max_cycles is None else max_cycles
         while not self.halted:
             if self.clock >= budget:
                 raise WatchdogExpired("cycle budget of %d exhausted" % max_cycles)
             self.tick()
-            if not self.halted and self.sv.idle():
-                self._run_quiet(budget)
+            if self.halted or not self.sv.idle():
+                continue
+            if self.clock < budget:
+                self.clock += 1
+                self._run_cores(budget)
+            self._check_invariants()
         return self.events, self
-
-    def _run_quiet(self, budget):
-        """Quiet ticks: the running cores step with no SV phase, up to the
-        first touched core, halt or the cycle budget; then one check."""
-        touched = self._touched
-        watchdog = self.cfg.watchdog
-        while not touched and not self.halted and self.clock < budget:
-            self.clock += 1
-            self._step_cores()
-            if self.clock - self._last_event_clock >= watchdog:
-                self._watchdog_failed()
-        self._check_invariants()
 
     # ---- health ------------------------------------------------------------
 

@@ -447,6 +447,38 @@ def test_repl_run_looks_only_at_running_cores(with_breakpoint):
     assert machine.cores.scans == 0
 
 
+@pytest.mark.parametrize("command, complaint", [
+    ("trace -2", "event count must be at least 0, not -2"),
+    ("mem -4 8", "address must be at least 0, not -4"),
+    ("mem 0x10000 4", "address must be below 0x1000, not 0x10000"),
+    ("mem 0 0", "length must be at least 1, not 0"),
+    ("mem 0 -1", "length must be at least 1, not -1"),
+    ("break -1", "address must be at least 0, not -1"),
+    ("break 0x1000", "address must be below 0x1000, not 0x1000"),
+    ("step -2", "step count must be at least 0, not -2"),
+])
+def test_repl_numbers_out_of_range_are_bad_arguments(command, complaint):
+    import io
+    out = io.StringIO()
+    machine, session = _session("nop\nhalt\n", 1, ["step", command], out)
+    lines = out.getvalue().splitlines()
+    assert lines[-1] == "bad argument: " + complaint
+    assert lines[-2] == "cycle 1"                   # nothing else printed
+    assert machine.clock == 1 and not session.breakpoints
+
+
+def test_repl_trace_counts_from_the_end():
+    import io
+    out = io.StringIO()
+    machine, _ = _session("nop\nnop\nhalt\n", 1,
+                          ["run", "trace 0", "trace 2", "trace 9"], out)
+    lines = out.getvalue().splitlines()
+    shown = [tr.format_event(ev) for ev in machine.events]
+    assert len(shown) == 3
+    assert lines[lines.index("halted at cycle 3") + 1:] \
+        == shown[1:] + shown
+
+
 def test_repl_unknown_command_prints_help():
     import io
     out = io.StringIO()

@@ -17,6 +17,7 @@ from empa.coremodel import State
 from empa.errors import RuntimeFault
 from helpers import assemble_run, make_machine
 from test_executors import assert_acts_as_reference
+from test_quiet_ticks import _assert_same_run
 from y86_ref import run_y86
 
 # Each program loops over code that it rewrites ahead of its next fetch;
@@ -132,6 +133,62 @@ P:      irmovl $1,%eax
                 root.regs[isa.REG_EAX]) == (1, 2, 3), cores
         assert {ev.core for ev in events if ev.kind == tr.INSTR_RETIRED} \
             == {0, 1}
+
+
+# A child QT on core 1 and the root on core 0 both run; one of them
+# patches the immediate of T (1 -> 2), a one-cycle irmovl that the other
+# fetches.  Padding nops set the patch's cycle against T's fetch.
+PATCHED_BY_ROOT = """
+        irmovl T,%ebp
+        irmovl $2,%ecx
+        QCreate CT,%eax
+        nop
+        nop
+        nop
+        nop
+T:      irmovl $1,%eax        # core 1
+CT:     QTerm
+{pad}        rmmovl %ecx,2(%ebp)   # core 0 patches T
+        QWait -1              # %eax linked back from the child
+        halt
+"""
+PATCHED_BY_CHILD = """
+        irmovl T,%ebp
+        irmovl $2,%ecx
+        QCreate CT,%eno
+        nop
+        rmmovl %ecx,2(%ebp)   # core 1 patches T
+CT:     QTerm
+{pad}T:      irmovl $1,%eax        # core 0
+        QWait -1
+        halt
+"""
+
+
+@pytest.mark.parametrize("source, writer, nops, offset", [
+    (PATCHED_BY_ROOT, 0, 2, 0),      # the write lands in the fetch's cycle
+    (PATCHED_BY_ROOT, 0, 1, -1),     # ... one cycle earlier
+    (PATCHED_BY_ROOT, 0, 3, 1),      # ... one cycle later
+    (PATCHED_BY_CHILD, 1, 3, 0),
+    (PATCHED_BY_CHILD, 1, 4, -1),
+], ids=["root-same", "root-earlier", "root-later", "child-same",
+        "child-earlier"])
+def test_a_same_cycle_code_patch_is_seen_in_ascending_core_order(
+        source, writer, nops, offset):
+    """A write is seen by the fetches of higher cores in its own cycle and
+    by every core from the next cycle on; quiet stretches agree."""
+    source = source.format(pad="        nop\n" * nops)
+    outcome = _assert_same_run(source, 2)
+    image, machine, events = assemble_run(source, cores=2)
+    write = [ev.cycle for ev in events if ev.core == writer
+             and ev.kind == tr.INSTR_RETIRED and ev.payload == 3]
+    fetch = [ev.cycle for ev in events if ev.core != writer
+             and ev.addr == image.symbols["T"]]
+    assert len(write) == len(fetch) == 1
+    assert write[0] - fetch[0] == offset
+    seen = offset < 0 or (offset == 0 and writer == 0)
+    assert outcome["error"] is None
+    assert machine.cores[0].regs[isa.REG_EAX] == (2 if seen else 1)
 
 
 def test_qcall_sees_its_target_patched_between_calls():

@@ -12,10 +12,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from empa import assembler, engine, fixtures, trace as tr
+from empa import assembler, engine, fixtures, isa, trace as tr
 from empa.coremodel import State
-from empa.errors import (Deadlock, InvariantViolation, RuntimeFault,
-                         WatchdogExpired)
+from empa.errors import (AddressOutOfRange, Deadlock, InvariantViolation,
+                         RuntimeFault, WatchdogExpired)
 from test_stress import _random_tree_program, _wide_program
 
 CORE_COUNTS = (1, 2, 3, 4, 5, 8, 64)
@@ -46,7 +46,9 @@ def _outcome(machine, run, max_cycles):
         "clock": machine.clock,
         "events": machine.events,
         "memory": bytes(machine.memory.data),
-        "cores": [(c.state, c.pc, c.regs, c.latches) for c in machine.cores],
+        "cores": [(c.state, c.pc, c.regs, c.latches, c.inflight_addr,
+                   c.remaining, c.inflight and c.inflight[0])
+                  for c in machine.cores],
         "warnings": machine.warnings,
     }
 
@@ -101,6 +103,50 @@ def test_deadlock_at_the_same_clock(cores):
 def test_cycle_budget_at_the_same_clock():
     error = _assert_same_run("L: jmp L\n", 1, max_cycles=100)["error"]
     assert error == (WatchdogExpired, "cycle budget of 100 exhausted", 100)
+
+
+def test_cycle_budget_in_the_middle_of_an_instruction():
+    # mrmovl takes cycles 101-103 of the 4-cycle loop; the budget ends
+    # after its second
+    outcome = _assert_same_run("L: mrmovl 0(%eax),%ecx\n   jmp L\n", 1,
+                               max_cycles=102)
+    assert outcome["error"][0] is WatchdogExpired
+    assert outcome["cores"][0][4:] == (0, 1, isa.Instruction(isa.MRMOVL, 1, 0))
+
+
+def test_root_halt_leaves_a_higher_core_mid_instruction():
+    """The root halts at cycle 4, in which core 1 would have retired the
+    mrmovl it began at cycle 2: the halt stops the cycle's stepping."""
+    outcome = _assert_same_run("""
+        QCreate CT,%eno
+L:      mrmovl 0(%eax),%ecx
+        jmp L
+CT:     QTerm
+        nop
+        nop
+        halt
+""", 2)
+    assert outcome["error"] is None and outcome["clock"] == 4
+    assert outcome["cores"][1][0] is State.RUNNING
+    assert outcome["cores"][1][4:] == (6, 1, isa.Instruction(isa.MRMOVL, 1, 0))
+
+
+def test_retire_fault_on_the_second_running_core_parks_only_it():
+    outcome = _assert_same_run("""
+        irmovl $0x7fff0000,%ebx
+        QCreate CT,%eno
+        nop
+        mrmovl 0(%ebx),%ecx   # core 1: faults at retire, cycle 6
+CT:     QTerm
+L:      mrmovl 0(%eax),%ecx
+        jmp L
+""", 2)
+    assert outcome["error"][0] is AddressOutOfRange
+    assert outcome["clock"] == 6
+    assert [core[0] for core in outcome["cores"]] == [State.RUNNING,
+                                                      State.PARKED]
+    # core 0 stepped first in the fault's cycle: its jmp retired
+    assert outcome["events"][-1] == (6, 0, "1", tr.INSTR_RETIRED, 0x1A, 1)
 
 
 def test_fetch_fault_at_the_same_clock_parks_the_core():
