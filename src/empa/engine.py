@@ -21,12 +21,13 @@ core.
 
 A tick costs the running cores plus the state changes it makes, not
 the configured core count.  Every write to a core's state or qt goes
-through a CoreState property that calls Machine.touch.  A state write
-moves the core's index to the supervisor's set for its new state and
-marks the list of running cores stale (it is rebuilt from the running
-set at the next cycle); every touch queues the core for the invariant
-checker, which rechecks only touched cores.  A runtime fault parks the
-core that raised it.
+through a CoreState property, which does the machine's bookkeeping
+itself.  A state write moves the core's index to the supervisor's set
+for its new state and marks the list of running cores stale (it is
+rebuilt from the running set at the next cycle); a state or qt write
+touches the core: it queues the core in Machine._touched for the
+invariant checker, which rechecks only touched cores in one pass.  A
+runtime fault parks the core that raised it.
 
 Each code address is decoded once.  Machine.decode_at keeps, per pc,
 the raw bytes and the entry decoded from them: the instruction, its
@@ -169,16 +170,6 @@ class Machine:
         root.state = RUNNING
         root.pc = image.entry
         root.qt = self.root_qt
-
-    def touch(self, core, old=None):
-        """Called on every write to a core's state (with the old state)
-        or qt (see CoreState)."""
-        self._touched.add(core.index)
-        if old is not None:
-            in_state = self.sv.in_state
-            in_state[old].discard(core.index)
-            in_state[core.state].add(core.index)
-            self._active = None
 
     # ---- event sink ------------------------------------------------------
 
@@ -357,34 +348,48 @@ class Machine:
         part of that depends only on its state and qt (parent links never
         change), so only cores touched since the last check are checked
         again; the set sizes must still add up to the core count, also
-        when none was touched."""
+        when none was touched.  A broken partition is reported before
+        any other violation; the others in ascending core order."""
         # unrolled: sum(map(len, ...)) costs twice as much, every check
         a, b, c, d, e, f, g, h = self._state_sets
         sizes_ok = (len(a) + len(b) + len(c) + len(d) + len(e) + len(f)
                     + len(g) + len(h) == self.cfg.cores)
-        if sizes_ok and not self._touched:
+        touched = self._touched
+        if sizes_ok and not touched:
             return
         in_state = self.sv.in_state
-        cores = [self.cores[i] for i in sorted(self._touched)]
-        if not sizes_ok or any(c.index not in in_state[c.state]
-                               for c in cores):
-            raise InvariantViolation(
-                "state sets do not partition the cores at cycle %d" % self.clock)
-        for core in cores:
-            if core.state is FREE and core.qt is not None:
-                raise InvariantViolation(
-                    "free core %d still bound to QT %s" % (core.index, core.qt.id))
+        cores = self.cores
+        root = self.root_qt
+        partitioned = sizes_ok
+        error = None              # the first other violation
+        for index in sorted(touched):
+            core = cores[index]
+            state = core._state
+            if index not in in_state[state]:
+                partitioned = False
+                break
+            qt = core._qt
+            if error is not None or qt is None:
+                continue
+            if state is FREE:
+                error = ("free core %d still bound to QT %s"
+                         % (index, qt.id))
+                continue
             # The parent chain reaches the root: every QT is checked here
             # when it first lands on a core, after its parent, and each
             # link lowers the depth by one down to the root's 0.  So one
             # link per core, not the whole chain: fallback blocks nest
             # on one core without limit.
-            qt = core.qt
-            if qt is not None and qt is not self.root_qt and (
-                    qt.parent is None or qt.depth != qt.parent.depth + 1):
-                raise InvariantViolation(
-                    "QT %s: parent chain does not reach the root" % qt.id)
-        self._touched.clear()
+            parent = qt._parent
+            if qt is not root and (parent is None
+                                   or qt.depth != parent.depth + 1):
+                error = "QT %s: parent chain does not reach the root" % qt.id
+        if not partitioned:
+            raise InvariantViolation(
+                "state sets do not partition the cores at cycle %d" % self.clock)
+        if error is not None:
+            raise InvariantViolation(error)
+        touched.clear()
 
     # ---- views -------------------------------------------------------------
 

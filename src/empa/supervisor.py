@@ -17,9 +17,9 @@ write can change that, so the engine runs the cores without the phase
 until some core is touched.
 
 Each core is in exactly one State.  The supervisor holds one set of
-core indices per state, which Machine.touch keeps in step with every
-state write, so each step of the phase visits only the cores in the
-state it serves.  A meta request lives on its core (core.request) from
+core indices per state, which the CoreState.state setter keeps in step
+with every state write, so each step of the phase visits only the cores
+in the state it serves.  A meta request lives on its core (core.request) from
 submission until it is served; a request that cannot be served yet
 leaves its core POSTPONED and is served again next tick.
 
@@ -113,7 +113,8 @@ class MassControl:
 class Supervisor:
     def __init__(self, machine):
         self.m = machine
-        # Core indices by state; only Machine.touch moves them.
+        # Core indices by state; only the CoreState.state setter moves
+        # them.
         self.in_state = {state: set() for state in State}
         self.in_state[FREE] = set(range(machine.cfg.cores))
         self.free = self.in_state[FREE]
@@ -173,7 +174,10 @@ class Supervisor:
         """Serve every pending request.  One that cannot be served yet
         leaves its core POSTPONED with the request kept; a fault parks
         its core and leaves the later requests pending."""
-        for index in self.queue:
+        # the queue property, without a set union in the common case
+        postponed = self.postponed
+        for index in (sorted(self.requested | postponed) if postponed
+                      else sorted(self.requested)):
             core = self.m.cores[index]
             instr, addr = core.request
             try:
@@ -243,7 +247,7 @@ class Supervisor:
         elif qt.parent is None:
             raise RuntimeFault("QTerm executed by the root QT",
                                core=core.index, qt=qt.id, addr=addr)
-        if any(c.alive for c in qt.children):
+        if qt.children and any(c.alive for c in qt.children):
             # an implied QWait -1 (also before a fallback bracket closes)
             core.state = POSTPONED
             return

@@ -512,3 +512,15 @@ def test_a_baseline_that_is_not_a_positive_count_is_a_user_error(
     assert "Traceback" not in done.stderr
     assert "error: %s\n" % complaint in done.stderr
     assert done.stdout == ""
+
+
+def test_python_dash_m_empa_runs_the_cli_from_a_checkout():
+    """`python -m empa` is the `empa` command, with only src/ on the path."""
+    src = os.path.dirname(os.path.dirname(empa.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "empa", "run", "fixtures/adaptive.eyo",
+         "--cores", "5", "--stats"],
+        cwd=os.path.dirname(src), env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "totalCycles=21\n" in done.stdout

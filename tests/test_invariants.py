@@ -14,9 +14,10 @@ import collections
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from empa import assembler, engine, fixtures, trace as tr
-from empa.coremodel import State
+from empa.coremodel import CoreState, State
 from empa.errors import Deadlock, InvariantViolation
 from empa.supervisor import KIND_PLAIN, MassControl, QTDescriptor
 from helpers import CountingList, make_machine, word
@@ -72,15 +73,20 @@ def _check_grants(machine):
 
 
 def _record_writes(machine):
-    """Wrap Machine.touch; returns the list of (old, new) state writes."""
+    """Record every state write on the machine's cores, through a
+    CoreState subclass whose state setter logs and then delegates;
+    returns the list of (old, new) state writes."""
     writes = []
-    touch = machine.touch
 
-    def recording(core, old=None):
-        if old is not None:
-            writes.append((old, core.state))
-        touch(core, old)
-    machine.touch = recording
+    class Recording(CoreState):
+        def _record(self, value):
+            if value is not self._state:
+                writes.append((self._state, value))
+            CoreState.state.fset(self, value)
+        state = property(CoreState.state.fget, _record)
+
+    for core in machine.cores:
+        core.__class__ = Recording
     return writes
 
 
@@ -201,6 +207,97 @@ def test_pool_sizes_are_checked_on_a_tick_that_touches_no_core():
     machine.sv.running.add(5)                # core 5 is free
     assert not machine._touched              # a plain loop changes no core
     with pytest.raises(InvariantViolation, match="partition"):
+        machine.tick()
+
+
+# ---- the CoreState setters keep the bookkeeping ---------------------------
+
+_QT_CHOICES = ("none", "root", "stray")
+
+
+@settings(max_examples=150, deadline=None)
+@given(cores=st.integers(1, 8),
+       writes=st.lists(st.tuples(st.integers(0, 63), st.booleans(),
+                                 st.sampled_from(list(State)),
+                                 st.sampled_from(_QT_CHOICES)),
+                       max_size=40))
+def test_state_and_qt_writes_keep_the_sets_a_partition(cores, writes):
+    """Any sequence of state and qt writes keeps the per-state sets an
+    exact partition of the core indices and queues every changed core
+    for the checker; only a state change marks the running list stale.
+    A lone core takes the same writes with no machine."""
+    _, machine = make_machine("halt\n", cores=cores)
+    machine._touched.clear()                  # as after a check
+    stray = QTDescriptor("7", None, 0, 0, None, 0, KIND_PLAIN)
+    qts = {"none": None, "root": machine.root_qt, "stray": stray}
+    lone = [CoreState(i) for i in range(cores)]
+    lone[0].state, lone[0].qt = State.RUNNING, machine.root_qt
+    for index, is_state, state, qt_name in writes:
+        index %= cores
+        core = machine.cores[index]
+        before = (core.state, core.qt)
+        touched = set(machine._touched)
+        running = machine._active = []         # a fresh, non-stale list
+        if is_state:
+            core.state = lone[index].state = state
+        else:
+            core.qt = lone[index].qt = qts[qt_name]
+        changed = (core.state, core.qt) != before
+        assert set(machine._touched) == (
+            touched | {index} if changed else touched)
+        if is_state and changed:
+            assert machine._active is None
+        else:
+            assert machine._active is running
+        sets = machine.sv.in_state
+        assert sum(map(len, sets.values())) == cores
+        assert set().union(*sets.values()) == set(range(cores))
+        assert all(c.index in sets[c.state] for c in machine.cores)
+    assert [(c.state, c.qt) for c in lone] == [
+        (c.state, c.qt) for c in machine.cores]
+
+
+# ---- which violation one check reports ---------------------------------------
+
+
+def _violations(partition=None, free=False, chain_core=None):
+    """A no_mode machine on 8 cores three ticks in (cores 1-7 free), with
+    these violations made before the next tick: a broken partition
+    ("member": core 6's state changes behind the sets' back; "sizes":
+    core 6 is added to a second set), free core 3 bound to a QT, and a
+    preallocated core holding a QT off the root chain."""
+    _, machine = make_machine(fixtures.no_mode_source(), cores=8)
+    for _ in range(3):
+        machine.tick()
+    stray = QTDescriptor("7", None, 0, 0, None, 0, KIND_PLAIN)
+    if chain_core is not None:
+        machine.cores[chain_core].state = State.PREALLOCATED
+        machine.cores[chain_core].qt = stray
+    if free:
+        machine.cores[3].qt = stray            # also off the root chain
+    if partition == "member":
+        machine.cores[6]._state = State.PARKED
+        machine._touched.add(6)
+    elif partition == "sizes":
+        machine.sv.in_state[State.PARKED].add(6)
+    return machine
+
+
+@pytest.mark.parametrize("violations,message", [
+    (dict(partition="member", free=True, chain_core=4), "do not partition"),
+    (dict(partition="sizes", free=True, chain_core=2), "do not partition"),
+    (dict(free=True, chain_core=4), "free core 3 still bound to QT 7"),
+    (dict(free=True), "free core 3 still bound to QT 7"),
+    (dict(chain_core=4), "QT 7: parent chain does not reach the root"),
+    (dict(free=True, chain_core=2), "QT 7: parent chain does not reach"),
+])
+def test_a_check_reports_the_partition_first_then_the_lowest_core(
+        violations, message):
+    """With several violations in one tick, a broken partition is
+    reported wherever it is; otherwise the lowest core's, and on one
+    core a free core's QT before its parent chain."""
+    machine = _violations(**violations)
+    with pytest.raises(InvariantViolation, match=message):
         machine.tick()
 
 

@@ -161,6 +161,90 @@ def test_event_less_watchdog_at_the_same_clock():
     assert outcome["error"] == (WatchdogExpired, "no event for 30 cycles", 41)
 
 
+# ---- bench-shaped streams: one SV round trip per vector item --------------
+
+
+def _words(n):
+    rng = random.Random(n)
+    return [rng.getrandbits(32) for _ in range(n)]
+
+
+def _sum_of(source, outcome):
+    """The Sum word the run left in memory."""
+    at = assembler.assemble(source).symbols["Sum"]
+    return int.from_bytes(outcome["memory"][at:at + 4], "little")
+
+
+def _mass_children(outcome):
+    """QTs created on a helper core (a fallback block stays on core 0)."""
+    return sum(1 for ev in outcome["events"]
+               if ev.kind == tr.QT_CREATED and ev.core != 0)
+
+
+@pytest.mark.parametrize("builder,words,cores", [
+    ("adaptive", 50, 2), ("adaptive", 173, 2), ("adaptive", 300, 2),
+    ("for_mode", 50, 2), ("for_mode", 300, 4),
+    ("sumup_mode", 20, 21), ("adaptive", 40, 64),
+])
+def test_run_to_halt_matches_the_tick_loop_on_mass_streams(builder, words,
+                                                          cores):
+    """FOR granted (adaptive on 2 cores, for_mode) runs one create/QTerm
+    round trip through the SV per item; a granted SUMUP (enough cores)
+    creates one child per item."""
+    values = _words(words)
+    source = fixtures.FIXTURES[builder](values)
+    outcome = _assert_same_run(source, cores)
+    assert outcome["error"] is None
+    assert _sum_of(source, outcome) == sum(values) & isa.WORD_MASK
+    assert _mass_children(outcome) == words
+
+
+_STREAM = fixtures.adaptive_source(_words(50))    # FOR granted on 2 cores
+
+
+@settings(max_examples=40, deadline=None)
+@given(budget=st.integers(13, 267))
+def test_a_budget_inside_a_for_round_trip_ends_both_runs_alike(budget):
+    """The stream's first child is created at cycle 13 and the root halts
+    at 268; every budget between ends inside some round trip."""
+    error = _assert_same_run(_STREAM, 2, max_cycles=budget)["error"]
+    assert error == (WatchdogExpired,
+                     "cycle budget of %d exhausted" % budget, budget)
+
+
+def _tamper_in_phase(machine, at):
+    """After the SV phase at clock `at`, bind a QT to free core 2."""
+    phase = machine.sv.phase
+
+    def tampering_phase(cycle):
+        phase(cycle)
+        if machine.clock == at:
+            machine.cores[2].qt = machine.root_qt
+    machine.sv.phase = tampering_phase
+    return machine
+
+
+def test_a_qt_bound_to_a_free_core_in_an_sv_phase_raises_at_the_same_clock():
+    """A tamper inside one SV phase of a FOR stream (core 2 stays free on
+    3 cores) is caught by that tick's check, in both runs."""
+    # a clock at which run_to_halt runs an SV phase, mid-stream
+    machine = _machine(_STREAM, 3)
+    clocks = []
+    phase = machine.sv.phase
+    machine.sv.phase = lambda cycle: (clocks.append(machine.clock),
+                                      phase(cycle))
+    machine.run_to_halt()
+    at = clocks[len(clocks) // 2]
+    assert at > 13
+    quick = _outcome(_tamper_in_phase(_machine(_STREAM, 3), at),
+                     lambda m, n: m.run_to_halt(max_cycles=n), None)
+    plain = _outcome(_tamper_in_phase(_machine(_STREAM, 3), at),
+                     _tick_loop, None)
+    assert quick == plain
+    assert quick["error"] == (InvariantViolation,
+                              "free core 2 still bound to QT 1", at)
+
+
 # ---- the SV phase and the checker follow SV work, not cycles ---------------
 
 
