@@ -8,13 +8,10 @@ only advance pc here, they raise a request for the supervisor.  %esv is
 never a storage cell: every access resolves at the moment of access
 through the latch table row that the core's phase names.
 
-A core's state and qt are properties, and their setters are the one
-place that keeps the owning machine's bookkeeping in step: a state
-write moves the core's index between the supervisor's per-state sets
-(Supervisor.in_state) and marks the machine's list of running cores
-stale; a state or qt write adds the core to the cores the invariant
-checker rechecks (Machine._touched).  A lone core (owner None) takes
-both writes with no machine.
+A core's state and qt are properties.  A write that changes one tells
+the owning machine (Machine.state_written, Machine.qt_written), which
+keeps its bookkeeping in step; a lone core (owner None) takes both
+writes with no machine.
 """
 
 import enum
@@ -98,27 +95,17 @@ class CoreState:
     _qt = None               # QTDescriptor the core runs, or None
 
     def _set_state(self, value):
-        """Move the core's index to the supervisor's set for its new
-        state, queue it for the invariant checker and mark the list of
-        running cores stale."""
         old = self._state
         if value is not old:
             self._state = value
-            machine = self.owner
-            if machine is not None:
-                index = self.index
-                in_state = machine.sv.in_state
-                in_state[old].discard(index)
-                in_state[value].add(index)
-                machine._touched.add(index)
-                machine._active = None
+            if self.owner is not None:
+                self.owner.state_written(self.index, old, value)
 
     def _set_qt(self, value):
-        """Queue the core for the invariant checker."""
         if value is not self._qt:
             self._qt = value
             if self.owner is not None:
-                self.owner._touched.add(self.index)
+                self.owner.qt_written(self.index)
 
     state = property(operator.attrgetter("_state"), _set_state)
     qt = property(operator.attrgetter("_qt"), _set_qt)

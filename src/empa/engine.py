@@ -21,13 +21,13 @@ core.
 
 A tick costs the running cores plus the state changes it makes, not
 the configured core count.  Every write to a core's state or qt goes
-through a CoreState property, which does the machine's bookkeeping
-itself.  A state write moves the core's index to the supervisor's set
-for its new state and marks the list of running cores stale (it is
-rebuilt from the running set at the next cycle); a state or qt write
-touches the core: it queues the core in Machine._touched for the
-invariant checker, which rechecks only touched cores in one pass.  A
-runtime fault parks the core that raised it.
+through a CoreState property, which calls Machine.state_written or
+Machine.qt_written.  A state write moves the core's index to the
+supervisor's set for its new state, the one place where that set move
+happens, and marks the list of running cores stale (it is rebuilt from
+the running set at the next cycle).  Either write touches the core: it
+queues the core for the invariant checker, which rechecks only touched
+cores, in one pass.  A runtime fault parks the core that raised it.
 
 Each code address is decoded once.  Machine.decode_at keeps, per pc,
 the raw bytes and the entry decoded from them: the instruction, its
@@ -170,6 +170,20 @@ class Machine:
         root.state = RUNNING
         root.pc = image.entry
         root.qt = self.root_qt
+
+    def state_written(self, index, old, new):
+        """Core `index` went from state `old` to `new` (see CoreState):
+        move it between the supervisor's per-state sets, touch it and
+        mark the list of running cores stale."""
+        in_state = self.sv.in_state
+        in_state[old].discard(index)
+        in_state[new].add(index)
+        self._touched.add(index)
+        self._active = None
+
+    def qt_written(self, index):
+        """Core `index` got a new qt (see CoreState): touch it."""
+        self._touched.add(index)
 
     # ---- event sink ------------------------------------------------------
 
@@ -364,11 +378,11 @@ class Machine:
         error = None              # the first other violation
         for index in sorted(touched):
             core = cores[index]
-            state = core._state
+            state = core.state
             if index not in in_state[state]:
                 partitioned = False
                 break
-            qt = core._qt
+            qt = core.qt
             if error is not None or qt is None:
                 continue
             if state is FREE:
@@ -380,7 +394,7 @@ class Machine:
             # link lowers the depth by one down to the root's 0.  So one
             # link per core, not the whole chain: fallback blocks nest
             # on one core without limit.
-            parent = qt._parent
+            parent = qt.parent
             if qt is not root and (parent is None
                                    or qt.depth != parent.depth + 1):
                 error = "QT %s: parent chain does not reach the root" % qt.id

@@ -17,9 +17,9 @@ write can change that, so the engine runs the cores without the phase
 until some core is touched.
 
 Each core is in exactly one State.  The supervisor holds one set of
-core indices per state, which the CoreState.state setter keeps in step
-with every state write, so each step of the phase visits only the cores
-in the state it serves.  A meta request lives on its core (core.request) from
+core indices per state, which Machine.state_written keeps in step with
+every state write, so each step of the phase visits only the cores in
+the state it serves.  A meta request lives on its core (core.request) from
 submission until it is served; a request that cannot be served yet
 leaves its core POSTPONED and is served again next tick.
 
@@ -113,8 +113,7 @@ class MassControl:
 class Supervisor:
     def __init__(self, machine):
         self.m = machine
-        # Core indices by state; only the CoreState.state setter moves
-        # them.
+        # Core indices by state; only Machine.state_written moves them.
         self.in_state = {state: set() for state in State}
         self.in_state[FREE] = set(range(machine.cfg.cores))
         self.free = self.in_state[FREE]
@@ -128,7 +127,9 @@ class Supervisor:
     @property
     def queue(self):
         """The cores with a pending request, in ascending index."""
-        return sorted(self.requested | self.postponed)
+        if self.postponed:
+            return sorted(self.requested | self.postponed)
+        return sorted(self.requested)
 
     # ---- requests from retiring cores -------------------------------
 
@@ -174,10 +175,7 @@ class Supervisor:
         """Serve every pending request.  One that cannot be served yet
         leaves its core POSTPONED with the request kept; a fault parks
         its core and leaves the later requests pending."""
-        # the queue property, without a set union in the common case
-        postponed = self.postponed
-        for index in (sorted(self.requested | postponed) if postponed
-                      else sorted(self.requested)):
+        for index in self.queue:
             core = self.m.cores[index]
             instr, addr = core.request
             try:

@@ -73,20 +73,15 @@ def _check_grants(machine):
 
 
 def _record_writes(machine):
-    """Record every state write on the machine's cores, through a
-    CoreState subclass whose state setter logs and then delegates;
-    returns the list of (old, new) state writes."""
+    """Wrap Machine.state_written; returns the list of (old, new) state
+    writes."""
     writes = []
+    state_written = machine.state_written
 
-    class Recording(CoreState):
-        def _record(self, value):
-            if value is not self._state:
-                writes.append((self._state, value))
-            CoreState.state.fset(self, value)
-        state = property(CoreState.state.fget, _record)
-
-    for core in machine.cores:
-        core.__class__ = Recording
+    def recording(index, old, new):
+        writes.append((old, new))
+        state_written(index, old, new)
+    machine.state_written = recording
     return writes
 
 
