@@ -44,10 +44,16 @@ def _positive_cores(parser, n):
     return n
 
 
-def _trace_cores(parser, events, cores):
+def _trace_cores(parser, path, events, cores):
     """--cores for a saved trace: inferred by default, never too few."""
+    if cores is not None:
+        _positive_cores(parser, cores)
     needed = diagram.infer_cores(events)
-    cores = _positive_cores(parser, needed if cores is None else cores)
+    if needed > 64:
+        parser.error("%s: the trace names core %d, but a machine has at most "
+                     "64 cores" % (path, needed - 1))
+    if cores is None:
+        return needed
     if cores < needed:
         parser.error("the trace uses %d cores, more than --cores" % needed)
     return cores
@@ -235,7 +241,7 @@ def _read_trace(path, parser):
 
 def cmd_stats(args, parser):
     events = _read_trace(args.trace, parser)
-    cores = _trace_cores(parser, events, args.cores)
+    cores = _trace_cores(parser, args.trace, events, args.cores)
     baseline = _read_baseline(args.baseline, parser)
     st = statsmod.compute_stats(events, cores, baseline)
     text = statsmod.format_stats(st)
@@ -247,7 +253,7 @@ def cmd_stats(args, parser):
 
 def cmd_diagram(args, parser):
     events = _read_trace(args.trace, parser)
-    cores = _trace_cores(parser, events, args.cores)
+    cores = _trace_cores(parser, args.trace, events, args.cores)
     if args.ascii:
         print(diagram.render_ascii(events, cores), end="")
         return EXIT_OK

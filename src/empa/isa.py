@@ -6,6 +6,7 @@ an optional 32-bit immediate word.  Total length 1-6 bytes, a pure
 function of the opcode.  All functions here are pure and thread-safe.
 """
 
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,7 +122,6 @@ def _build_opcode_table():
 
 
 OPCODES = _build_opcode_table()
-MNEMONIC_TO_OPCODE = {spec.mnemonic: op for op, spec in OPCODES.items()}
 
 META_OPCODES = frozenset(op for op in OPCODES if op >> 4 == META_GROUP)
 QCREATE_FAMILY = frozenset((QCREATE, QTCREATE, QFCREATE))
@@ -175,13 +175,6 @@ class Instruction:
         return self.opcode >> 4 == META_GROUP
 
 
-def instruction_length(opcode):
-    spec = OPCODES.get(opcode)
-    if spec is None:
-        raise IllegalOpcode("unknown opcode 0x%02x" % opcode)
-    return spec.length
-
-
 def _check_reg(code, *, allow_none, what):
     if code == RNONE:
         if not allow_none:
@@ -227,12 +220,24 @@ def encode(instr):
     """Encode to bytes; exactly instr.length of them, immediate words
     little-endian."""
     spec = _validate(instr)
-    out = bytearray((instr.opcode,))
-    if spec.form in ("rr", "r", "ir", "rm", "qr"):
-        out.append(((instr.ra & 0xF) << 4) | (instr.rb & 0xF))
-    if spec.form in ("ir", "rm", "d", "qr"):
-        out += (instr.imm & WORD_MASK).to_bytes(4, "little")
-    return bytes(out)
+    return pack(spec.form, instr.opcode, instr.ra, instr.rb, instr.imm)
+
+
+_OP_REG_WORD = struct.Struct("<BBI")
+_OP_WORD = struct.Struct("<BI")
+
+
+def pack(form, opcode, ra, rb, imm):
+    """The bytes of an instruction of `form` with these fields, without
+    the checks of _validate: the caller guarantees them, and that imm is
+    a word.  Fields the form does not use are ignored."""
+    if form == "n":
+        return bytes((opcode,))
+    if form == "d":
+        return _OP_WORD.pack(opcode, imm)
+    if form == "rr" or form == "r":
+        return bytes((opcode, ra << 4 | rb))
+    return _OP_REG_WORD.pack(opcode, ra << 4 | rb, imm)
 
 
 def decode(buf, offset=0):
@@ -267,36 +272,6 @@ def decode(buf, offset=0):
         raise IllegalOpcode(
             "malformed %s at 0x%x: %s" % (spec.mnemonic, offset, exc)) from None
     return instr, length
-
-
-def format_instruction(instr):
-    """Assembly text for an instruction (addresses as hex literals)."""
-    name = instr.mnemonic
-    form = instr.spec.form
-    if form == "n":
-        return name
-    if form == "rr":
-        return "%s %s,%s" % (name, REGISTER_NAMES[instr.ra], REGISTER_NAMES[instr.rb])
-    if form == "r":
-        return "%s %s" % (name, REGISTER_NAMES[instr.ra])
-    if form == "ir":
-        return "%s $0x%x,%s" % (name, instr.imm, REGISTER_NAMES[instr.rb])
-    if form == "rm":
-        mem = "0x%x" % instr.imm
-        if instr.rb != RNONE:
-            mem += "(%s)" % REGISTER_NAMES[instr.rb]
-        if instr.opcode == RMMOVL:
-            return "%s %s,%s" % (name, REGISTER_NAMES[instr.ra], mem)
-        return "%s %s,%s" % (name, mem, REGISTER_NAMES[instr.ra])
-    if form == "d":
-        if instr.imm == WORD_MASK and instr.opcode in (QWAIT, QPWAIT):
-            return "%s -1" % name
-        return "%s 0x%x" % (name, instr.imm)
-    if form == "qr":
-        if instr.opcode == QALLOC:
-            return "%s %d,%s" % (name, instr.imm, REGISTER_NAMES[instr.ra])
-        return "%s 0x%x,%s" % (name, instr.imm, REGISTER_NAMES[instr.ra])
-    raise AssertionError(form)
 
 
 def to_signed(value):

@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from empa import assembler, engine, fixtures, trace as tr
+from empa import assembler, engine, fixtures, isa, trace as tr
 from empa.errors import Deadlock
 
 
@@ -24,6 +24,74 @@ def make_machine(source, cores=8, watchdog=10000):
 
 def word(machine, image, label):
     return machine.memory.read_word(image.symbols[label])
+
+
+def format_instruction(instr):
+    """Assembly text for an instruction (addresses as hex literals)."""
+    name, form, reg = instr.mnemonic, instr.spec.form, isa.REGISTER_NAMES
+    if form == "n":
+        return name
+    if form == "rr":
+        return "%s %s,%s" % (name, reg[instr.ra], reg[instr.rb])
+    if form == "r":
+        return "%s %s" % (name, reg[instr.ra])
+    if form == "ir":
+        return "%s $0x%x,%s" % (name, instr.imm, reg[instr.rb])
+    if form == "rm":
+        mem = "0x%x" % instr.imm
+        if instr.rb != isa.RNONE:
+            mem += "(%s)" % reg[instr.rb]
+        if instr.opcode == isa.RMMOVL:
+            return "%s %s,%s" % (name, reg[instr.ra], mem)
+        return "%s %s,%s" % (name, mem, reg[instr.ra])
+    if form == "d":
+        if instr.imm == isa.WORD_MASK and instr.opcode in (isa.QWAIT, isa.QPWAIT):
+            return "%s -1" % name
+        return "%s 0x%x" % (name, instr.imm)
+    if form == "qr":
+        if instr.opcode == isa.QALLOC:
+            return "%s %d,%s" % (name, instr.imm, reg[instr.ra])
+        return "%s 0x%x,%s" % (name, instr.imm, reg[instr.ra])
+    raise AssertionError(form)
+
+
+def valid_instruction_space():
+    """Strategy over every syntactically valid instruction."""
+    regs = st.sampled_from(sorted(isa.VALID_REG_CODES))
+    imm = st.integers(min_value=0, max_value=0xFFFFFFFF)
+
+    def for_opcode(op):
+        form = isa.OPCODES[op].form
+        if form == "n":
+            return st.just(isa.Instruction(op))
+        if form == "rr":
+            return st.builds(isa.Instruction, st.just(op), regs, regs)
+        if form == "r":
+            return st.builds(isa.Instruction, st.just(op), regs)
+        if form == "ir":
+            return st.builds(lambda o, r, i: isa.Instruction(o, rb=r, imm=i),
+                             st.just(op), regs, imm)
+        if form == "rm":
+            base = st.sampled_from(sorted(isa.VALID_REG_CODES) + [isa.RNONE])
+            return st.builds(isa.Instruction, st.just(op), regs, base, imm)
+        if form == "d":
+            return st.builds(lambda o, i: isa.Instruction(o, imm=i),
+                             st.just(op), imm)
+        if form == "qr":
+            return st.builds(lambda o, r, i: isa.Instruction(o, ra=r, imm=i),
+                             st.just(op), regs, imm)
+        raise AssertionError(form)
+
+    return st.sampled_from(sorted(isa.OPCODES)).flatmap(for_opcode)
+
+
+def listing_source(text):
+    """The source column of a listing written by assembler.write_listing."""
+    lines = []
+    for line in text.splitlines():
+        if " | " in line:
+            lines.append(line.split(" | ", 1)[1])
+    return "\n".join(lines) + "\n"
 
 
 class CountingList(list):

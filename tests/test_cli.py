@@ -53,6 +53,18 @@ def test_asm_undefined_label_exit_1(tmp_path, capsys):
     assert "Missing" in err and "line 1" in err
 
 
+@pytest.mark.parametrize("source", [".long 0x1ffffffff",
+                                    "irmovl $99999999999,%eax",
+                                    "QAlloc $0x1ffffffff,%ecx"])
+def test_asm_value_beyond_32_bits_exit_1(tmp_path, capsys, source):
+    bad = tmp_path / "wide.eyo"
+    bad.write_text("nop\n" + source + "\n")
+    assert cli.main(["asm", _p(bad)]) == 1
+    err = capsys.readouterr().err
+    assert "line 2: value" in err and "does not fit in 32 bits" in err
+    assert not (tmp_path / "wide.yo").exists()
+
+
 def test_run_listing_and_raw_image(fixture_dir, capsys):
     src = fixture_dir / "no_mode.eyo"
     cli.main(["asm", _p(src)])
@@ -198,6 +210,32 @@ def test_saved_trace_with_too_few_cores_is_a_user_error(fixture_dir, capsys,
     assert exc.value.code == 1
     assert "trace uses 7 cores" in capsys.readouterr().err
     assert not (fixture_dir / "dp.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],
+                                  ["diagram"]])
+@pytest.mark.parametrize("flag", [[], ["--cores", "8"]])
+def test_a_trace_core_beyond_64_is_named_as_the_trace_s(tmp_path, capsys,
+                                                        argv, flag):
+    trace_out = tmp_path / "far.trace"
+    trace_out.write_text("cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+                         "cycle=1 core=6400 qt=1 kind=InstrRetired "
+                         "addr=0x0000\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + [_p(trace_out)] + flag + argv[1:])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "%s: the trace names core 6400, but a machine has at most 64 " \
+        "cores" % trace_out in err
+    assert "--cores" not in err
+    assert not (tmp_path / "far.svg").exists()
+
+
+def test_a_trace_on_core_63_needs_no_flag(tmp_path, capsys):
+    trace_out = tmp_path / "edge.trace"
+    trace_out.write_text("cycle=0 core=63 qt=1 kind=InstrRetired addr=0x0000\n")
+    assert cli.main(["stats", _p(trace_out)]) == 0
+    assert "totalCycles=" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

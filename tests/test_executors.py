@@ -19,6 +19,7 @@ from empa import assembler, coremodel, engine, fixtures, isa, trace as tr
 from empa.coremodel import EsvContext, State, bind
 from empa.errors import AddressOutOfRange, RuntimeFault, SimulationError
 from empa.supervisor import KIND_MASS_TRUE, MODE_SUMUP, MassControl
+from helpers import format_instruction
 from step_ref import bind_ref
 
 # The rows a core can be in; the cloning row is applied only by QTerm.
@@ -107,7 +108,7 @@ def _agree(instr, addr, core, memory, execute=None):
     twin, twin_memory = _clone(core, memory)
     got = _outcome(execute or bind(instr, addr), core, memory)
     want = _outcome(bind_ref(instr, addr), twin, twin_memory)
-    assert got == want, (isa.format_instruction(instr), addr)
+    assert got == want, (format_instruction(instr), addr)
     return got
 
 
@@ -168,7 +169,7 @@ I = isa.Instruction
     I(isa.CALL, imm=0x40), I(isa.RET),
     I(isa.PUSHL, EAX), I(isa.POPL, EAX),
     I(isa.RRMOVL, EAX, ECC), I(isa.IRMOVL, rb=ECC, imm=1),
-], ids=isa.format_instruction)
+], ids=format_instruction)
 def test_pc_advances_before_the_fault(instr):
     regs = [(ESP, 0x1000)] if instr.opcode in (isa.CALL, isa.RET, isa.PUSHL,
                                                isa.POPL) else []

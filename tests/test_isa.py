@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from empa import isa
+from helpers import format_instruction, valid_instruction_space
 
 
 def test_nop_encoding():
@@ -81,44 +82,14 @@ def test_meta_group_disjoint_from_base():
 
 
 def test_lengths_by_form():
-    assert isa.instruction_length(isa.QCREATE) == 6
-    assert isa.instruction_length(isa.QTERM) == 1
-    assert isa.instruction_length(isa.QWAIT) == 5
-    assert isa.instruction_length(isa.QALLOC) == 6
-    assert isa.instruction_length(isa.CALL) == 5
-    assert isa.instruction_length(isa.RRMOVL) == 2
+    assert isa.OPCODES[isa.QCREATE].length == 6
+    assert isa.OPCODES[isa.QTERM].length == 1
+    assert isa.OPCODES[isa.QWAIT].length == 5
+    assert isa.OPCODES[isa.QALLOC].length == 6
+    assert isa.OPCODES[isa.CALL].length == 5
+    assert isa.OPCODES[isa.RRMOVL].length == 2
     for op, spec in isa.OPCODES.items():
         assert 1 <= spec.length <= 6
-
-
-def valid_instruction_space():
-    """Strategy over every syntactically valid instruction."""
-    regs = st.sampled_from(sorted(isa.VALID_REG_CODES))
-    imm = st.integers(min_value=0, max_value=0xFFFFFFFF)
-
-    def for_opcode(op):
-        form = isa.OPCODES[op].form
-        if form == "n":
-            return st.just(isa.Instruction(op))
-        if form == "rr":
-            return st.builds(isa.Instruction, st.just(op), regs, regs)
-        if form == "r":
-            return st.builds(isa.Instruction, st.just(op), regs)
-        if form == "ir":
-            return st.builds(lambda o, r, i: isa.Instruction(o, rb=r, imm=i),
-                             st.just(op), regs, imm)
-        if form == "rm":
-            base = st.sampled_from(sorted(isa.VALID_REG_CODES) + [isa.RNONE])
-            return st.builds(isa.Instruction, st.just(op), regs, base, imm)
-        if form == "d":
-            return st.builds(lambda o, i: isa.Instruction(o, imm=i),
-                             st.just(op), imm)
-        if form == "qr":
-            return st.builds(lambda o, r, i: isa.Instruction(o, ra=r, imm=i),
-                             st.just(op), regs, imm)
-        raise AssertionError(form)
-
-    return st.sampled_from(sorted(isa.OPCODES)).flatmap(for_opcode)
 
 
 @given(valid_instruction_space())
@@ -157,5 +128,5 @@ def test_format_instruction_roundtrips_through_mnemonics():
         isa.Instruction(isa.MRMOVL, isa.REG_EAX, isa.REG_ESV, imm=0),
     ]
     for instr in samples:
-        text = isa.format_instruction(instr)
+        text = format_instruction(instr)
         assert text.split()[0] == instr.mnemonic
