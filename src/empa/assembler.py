@@ -3,10 +3,11 @@
 Pass 1 assigns addresses and collects labels; pass 2 encodes bytes and
 builds the listing.  A line is read with one compiled pattern and
 encoded by the encoder of its instruction form; a line outside the
-pattern, or with an operand the plain lookups do not read, goes through
-the per-line code, which gives every error.  Y86 textbook dialect plus
-the Q mnemonics; a value is a signed or unsigned 32-bit word, so `-1`
-is accepted wherever an address is expected and encodes as 0xFFFFFFFF.
+pattern is split by the per-line code.  The operand resolver tries a
+plain lookup first and gives the error of a token it cannot read.
+Y86 textbook dialect plus the Q mnemonics; a value is a signed or
+unsigned 32-bit word, so `-1` is accepted wherever an address is
+expected and encodes as 0xFFFFFFFF.
 The assembler is a pure encoder: pseudo-registers are accepted anywhere
 a register token fits, semantic legality is the simulator's business.
 """
@@ -124,35 +125,43 @@ def _split_statement(text, line):
 
 
 class _Resolver:
-    """Resolves operand tokens during pass 2, raising the error of a
-    token it cannot read."""
+    """Resolves operand tokens during pass 2.  Each method first tries a
+    plain lookup on the token as it stands, which reads every token of
+    _LINE_RE; only a miss strips the token and raises its error."""
 
     def __init__(self, symbols):
         self.symbols = symbols
 
     def value(self, token, line):
+        tok = token[1:] if token[:1] == "$" else token
+        value = self.symbols.get(tok)
+        if value is None:
+            try:
+                value = int(tok, 0)      # a token int() reads is no label
+            except ValueError:
+                value = self._label_or_error(token, line)
+        return _word(value, token, line)
+
+    def _label_or_error(self, token, line):
         tok = token.strip()
         if tok.startswith("$"):
             tok = tok[1:].strip()
         if _NAME_RE.match(tok):
             if tok not in self.symbols:
                 raise UndefinedLabel("undefined label %r" % tok, line)
-            return _word(self.symbols[tok], token, line)
-        try:
-            value = int(tok, 0)
-        except ValueError:
-            raise AssemblySyntaxError("bad value %r" % token, line) from None
-        return _word(value, token, line)
+            return self.symbols[tok]
+        raise AssemblySyntaxError("bad value %r" % token, line)
 
     def number(self, token, line):
         """A literal number (a QAlloc mode), never a label."""
         return _word(_parse_int(token, line), token, line)
 
     def register(self, token, line):
-        tok = token.strip()
-        code = isa.REGISTER_CODES.get(tok)
+        code = isa.REGISTER_CODES.get(token)
         if code is None:
-            raise AssemblySyntaxError("unknown register %r" % token, line)
+            code = isa.REGISTER_CODES.get(token.strip())
+            if code is None:
+                raise AssemblySyntaxError("unknown register %r" % token, line)
         return code
 
     def memory_operand(self, token, line):
@@ -167,57 +176,6 @@ class _Resolver:
             tok = tok[:lparen].strip()
         disp = self.value(tok, line) if tok else 0
         return disp, base
-
-
-class _Miss(Exception):
-    """A token _Lookup does not read; _Resolver gives its error."""
-
-
-def _fits(value):
-    """`value` as a word; _Miss if it is out of range."""
-    if _LOWEST <= value <= isa.WORD_MASK:
-        return value & isa.WORD_MASK
-    raise _Miss
-
-
-class _Lookup:
-    """_Resolver for the tokens of _LINE_RE, which hold no whitespace:
-    plain table lookups, and _Miss wherever _Resolver might raise.  A
-    token int() reads is no label, so it reads as _Resolver reads it."""
-
-    def __init__(self, symbols):
-        self.symbols = symbols
-
-    def value(self, token, line):
-        if token[0] == "$":
-            token = token[1:]
-        value = self.symbols.get(token)
-        if value is None:
-            try:
-                value = int(token, 0)
-            except ValueError:
-                raise _Miss from None
-        return _fits(value)
-
-    def number(self, token, line):
-        try:
-            return _fits(int(token[1:] if token[0] == "$" else token, 0))
-        except ValueError:
-            raise _Miss from None
-
-    def register(self, token, line):
-        try:
-            return isa.REGISTER_CODES[token]
-        except KeyError:
-            raise _Miss from None
-
-    def memory_operand(self, token, line):
-        if token[-1] != ")":
-            return self.value(token, line), isa.RNONE
-        disp, lparen, base = token[:-1].rpartition("(")
-        if not lparen:
-            raise _Miss
-        return (self.value(disp, line) if disp else 0), self.register(base, line)
 
 
 def _operand_count(mnemonic, operands, expected, line):
@@ -297,22 +255,20 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
     """
     image = ObjectImage(size)
     symbols = image.symbols
-    lookup, resolver = _Lookup(symbols), _Resolver(symbols)
+    resolver = _Resolver(symbols)
 
     # Pass 1: each line's address, and the labels.  A line in _LINE_RE
     # is read from its groups, any other by _split_line.
-    parsed = []   # (lineno, raw, addr, op or None, operands, resolver)
+    parsed = []   # (lineno, raw, addr, op or None, operands)
     addr = 0
     fullmatch, ops_of = _LINE_RE.fullmatch, _OPS.get
     for lineno, raw in enumerate(source.splitlines(), start=1):
         m = fullmatch(raw)
         if m is None or m[1] in symbols:
             label, mnemonic, operands = _split_line(raw, lineno, symbols)
-            res = resolver
         else:
             label, mnemonic, a, b = m.groups()
             operands = () if a is None else (a,) if b is None else (a, b)
-            res = lookup
         op = None
         length = 0
         if mnemonic is not None:
@@ -325,7 +281,7 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
                 length = op.length
         if label is not None:
             symbols[label] = addr
-        parsed.append((lineno, raw, addr, op, operands, res))
+        parsed.append((lineno, raw, addr, op, operands))
         addr += length
 
     # Pass 2: emit bytes at the pass-1 addresses.  Writes are checked
@@ -336,17 +292,14 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
     instr_at = {}                 # address -> (opcode, ra, imm, line number)
     high = 0                      # end of the highest write so far
     owner = None                  # address -> line number that wrote it
-    for lineno, raw, addr, op, operands, res in parsed:
+    for lineno, raw, addr, op, operands in parsed:
         if op is None:            # blank, .pos or .align: no bytes
             listing.append((addr, b"", raw))
             continue
         opcode, form, _, count, encode = op
         if len(operands) != count:
             _operand_count(isa.OPCODES[opcode].mnemonic, operands, count, lineno)
-        try:
-            ra, rb, imm = encode(opcode, operands, res, lineno)
-        except _Miss:
-            ra, rb, imm = encode(opcode, operands, resolver, lineno)
+        ra, rb, imm = encode(opcode, operands, resolver, lineno)
         if op is _LONG:
             data = imm.to_bytes(4, "little")
         else:

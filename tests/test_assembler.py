@@ -295,6 +295,7 @@ def test_a_backward_pos_that_does_not_overlap_is_accepted():
     ("\tirmovl\t$5,\t%eax\t# tabs", "irmovl $5,%eax"),
     ("L :\tnop", "L: nop"),
     ("irmovl $ 5,%eax", "irmovl $5,%eax"),
+    ("L: irmovl $ L,%eax", "L: irmovl L,%eax"),
     ("mrmovl 0 (%ebp),%eax", "mrmovl 0(%ebp),%eax"),
     ("mrmovl $8( %ebp ),%eax", "mrmovl 8(%ebp),%eax"),
     ("rmmovl %eax , (%ebx)", "rmmovl %eax,0(%ebx)"),
@@ -441,30 +442,29 @@ def test_pinned_errors_are_the_same_per_line(source, cls, line, message):
 
 
 def _bench_sources():
-    """The seed-0 sources of every benchmark workload."""
+    """The seed-0 sources of every benchmark workload, by workload."""
     path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    for name in sorted(workloads.PARAMS):
-        for program in workloads.generate(name, 0):
-            yield program.source, program.mem_bytes
+    return {name: [(program.source, program.mem_bytes)
+                   for program in workloads.generate(name, 0)]
+            for name in sorted(workloads.PARAMS)}
 
 
 def test_fixture_and_bench_sources_take_the_compiled_pass(monkeypatch):
     """No line a fixture builder or the benchmark writes is split per
-    line or resolved by _Resolver, and both paths agree on each."""
+    line, and both paths agree on each fixture."""
     sources = [(builder(), assembler.DEFAULT_IMAGE_SIZE)
                for _, builder in sorted(fixtures.FIXTURES.items())]
-    sources += _bench_sources()
-    assert len(sources) == 5 + 242
+    by_workload = _bench_sources()
+    assert by_workload and all(by_workload.values())
+    for programs in by_workload.values():
+        sources += programs
     expected = [_per_line_outcome(source) for source, _ in sources[:5]]
     calls = []
     monkeypatch.setattr(assembler, "_split_statement",
                         lambda *args: calls.append(args))
-    for name in ("value", "number", "register", "memory_operand"):
-        monkeypatch.setattr(assembler._Resolver, name,
-                            lambda *args: calls.append(args))
     for source, size in sources:
         assembler.assemble(source, size)
     assert calls == []
