@@ -1,5 +1,10 @@
 """Shared helpers for the test suite."""
 
+import functools
+import hashlib
+import importlib.util
+from pathlib import Path
+
 from hypothesis import strategies as st
 
 from empa import assembler, engine, fixtures, isa, trace as tr
@@ -111,6 +116,49 @@ def fixture_trace(name, cores):
     except Deadlock:
         pass
     return machine.events
+
+
+@functools.lru_cache(maxsize=None)
+def bench_workloads():
+    """The benchmark's workload generator module, `bench/workloads.py`."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_traces():
+    """{name: ((cores, events), ...)}: the engine traces of every seed-0
+    program of each benchmark workload, and of each fixture on 64 cores
+    (named "fixture:<builder>")."""
+    workloads = bench_workloads()
+    traces = {}
+    for name in sorted(workloads.PARAMS):
+        runs = []
+        for program in workloads.generate(name, 0):
+            image = assembler.assemble(program.source, program.mem_bytes)
+            machine = engine.Machine(image, engine.MachineConfig(
+                cores=program.cores, mem_bytes=program.mem_bytes))
+            events, _ = machine.run_to_halt()
+            runs.append((program.cores, events))
+        traces[name] = tuple(runs)
+    for name in sorted(fixtures.FIXTURES):
+        traces["fixture:" + name] = ((64, fixture_trace(name, 64)),)
+    return traces
+
+
+def rendered_sha256(render):
+    """{name: sha256 of `render(events, cores)` over each run of
+    `pinned_traces()[name]`, concatenated}."""
+    digests = {}
+    for name, runs in pinned_traces().items():
+        digest = hashlib.sha256()
+        for cores, events in runs:
+            digest.update(render(events, cores).encode())
+        digests[name] = digest.hexdigest()
+    return digests
 
 
 # QT ids for generated traces: the id grammar's shapes, plus ids that a

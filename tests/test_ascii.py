@@ -11,9 +11,23 @@ arbitrary event lists.
 from hypothesis import given, settings
 
 from empa import diagram, fixtures, trace as tr
-from helpers import event_lists, fixture_trace
+from helpers import event_lists, fixture_trace, rendered_sha256
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
+
+# sha256 of the text, over every seed-0 program of each benchmark
+# workload and over each fixture on 64 cores, as the per-cycle renderer
+# of the previous release wrote it.
+PINNED = {
+    "for_stream": "2f9c1ff0f5fecb81b57755e5d9100a44d0d69f7dfcf8614be177fc826e4d6848",
+    "serial_wide": "7a1af3ac5412139d3207a615a7c72953156eb4355971c3b279a5e203c6195100",
+    "walkthrough_batch": "77540d98cc9064c0d3ce5bf1a4e268a366299b7335f399b921858e62ef609ea6",
+    "fixture:adaptive": "ad7dd86589ed166cd94393c5cf5d663dbbdc2244d148d15a30b731b0807c5998",
+    "fixture:dynpar": "804978e161ef90681e9703666cede0c068c5c197ecc11a70fbd7fe754904abdc",
+    "fixture:for_mode": "4e23a605574640ccc5ebfface29615a697ef260242277dc0fbcc76a62e2b235f",
+    "fixture:no_mode": "4c901695e07e4ed84d098c4b4cf5058e245c0a9be3313f65b1f8b9d3e9a9f86d",
+    "fixture:sumup_mode": "ad7dd86589ed166cd94393c5cf5d663dbbdc2244d148d15a30b731b0807c5998",
+}
 
 
 def _oracle_ascii(events, cores):
@@ -62,6 +76,10 @@ def _oracle_ascii(events, cores):
             row.append(glyph.center(5))
         lines.append(label + "".join(row))
     return "\n".join(lines) + "\n"
+
+
+def test_bench_and_fixture_traces_match_their_pinned_hashes():
+    assert rendered_sha256(diagram.render_ascii) == PINNED
 
 
 def test_fixtures_match_the_oracle():

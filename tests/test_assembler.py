@@ -1,16 +1,15 @@
 """Assembler tests: spec examples, directives, listing round-trip,
 error reporting, bracket checking."""
 
-import importlib.util
 import re
-from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from empa import assembler, fixtures, isa
-from helpers import format_instruction, listing_source, valid_instruction_space
+from helpers import (bench_workloads, format_instruction, listing_source,
+                     valid_instruction_space)
 
 
 def test_qpwait_wildcard_example():
@@ -443,10 +442,7 @@ def test_pinned_errors_are_the_same_per_line(source, cls, line, message):
 
 def _bench_sources():
     """The seed-0 sources of every benchmark workload, by workload."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     return {name: [(program.source, program.mem_bytes)
                    for program in workloads.generate(name, 0)]
             for name in sorted(workloads.PARAMS)}

@@ -13,9 +13,23 @@ import xml.etree.ElementTree as ET
 from hypothesis import given, settings
 
 from empa import diagram, fixtures, trace as tr
-from helpers import assemble_run, event_lists, fixture_trace
+from helpers import assemble_run, event_lists, fixture_trace, rendered_sha256
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
+
+# sha256 of the document, over every seed-0 program of each benchmark
+# workload and over each fixture on 64 cores, as the renderer of the
+# previous release wrote it.
+PINNED = {
+    "for_stream": "eeb032531aaacf9cca42f397b7e2ef5added5bb532a797f64dfe5e58d4494350",
+    "serial_wide": "80abfcac08d8978a401977472d056ae70303989ec2629b01dd2a2f41aa084089",
+    "walkthrough_batch": "76d659ee66554f0db15d1c9c691b88500fb660db6e1a0554357305f3eb5bedba",
+    "fixture:adaptive": "ffb04aaa30663141c560714eb77eb615a5298424c07412a5de6e145601554b35",
+    "fixture:dynpar": "43d985653417522c49e00ebb1dccbf3b2ad2d12fab4251c3b90113db8390b596",
+    "fixture:for_mode": "de9f8a2b2d2f0bb8375a1c658f164e6f758110d0d58c9c996b9bcc4da8c1be3d",
+    "fixture:no_mode": "10d39c6d1b525130b0b4c4613312ce485586da1f4495d5e6ed7cfbd467403fd0",
+    "fixture:sumup_mode": "245057754e0987be472beb3ba5a14a149301f9c4b5ef9bed75a1bce4ae0a2e7c",
+}
 
 _QT_W = diagram._QT_W
 _x, _y = diagram._x, diagram._y
@@ -143,6 +157,10 @@ def _oracle_svg(events, cores):
                                   "stroke": "#999999"})
 
     return ET.tostring(svg, encoding="unicode") + "\n"
+
+
+def test_bench_and_fixture_traces_match_their_pinned_hashes():
+    assert rendered_sha256(diagram.render_diagram) == PINNED
 
 
 def test_fixtures_match_the_oracle():
