@@ -234,9 +234,14 @@ def cmd_run(args, parser):
 def _read_trace(path, parser):
     text = _read_text(path, parser)
     try:
-        return tr.parse_trace(text)
+        events = tr.parse_trace(text)
     except tr.TraceFormatError as exc:
         parser.error(str(exc))
+    try:
+        tr.check_durations(events)
+    except ValueError as exc:
+        parser.error("%s: %s" % (path, exc))
+    return events
 
 
 def cmd_stats(args, parser):

@@ -86,10 +86,13 @@ _QT_LABEL = '<text class="qt-label" font-size="9" x="%d" y="%d"'
 _META = ('<rect class="meta-box" fill="#ffffff" stroke="#555555" x="%d" '
          'y="%d" width="30" height="10" /><text class="meta-addr" '
          'font-size="8" x="%d" y="%d">%x</text>')
-_INSTR = ('<circle class="instr-ball" fill="#e8e8ff" stroke="#333333" '
-          'cx="%d" cy="%d" r="5" /><text class="instr-addr" font-size="8" '
-          'text-anchor="middle" x="%d" y="%d">%x</text>')
-_TAIL = '<circle class="instr-ball-tail" fill="#888888" cx="%d" cy="%d" r="2" />'
+# An instruction's ball and tails, with x and the address filled in
+# first: the result is a template of the y values alone.
+_INSTR_XA = ('<circle class="instr-ball" fill="#e8e8ff" stroke="#333333" '
+             'cx="%d" cy="%%d" r="5" /><text class="instr-addr" font-size="8" '
+             'text-anchor="middle" x="%d" y="%%d">%x</text>')
+_TAIL_X = ('<circle class="instr-ball-tail" fill="#888888" cx="%d" cy="%%d" '
+           'r="2" />')
 _WAIT_DOT = ('<circle class="wait-dot" fill="none" stroke="#999999" '
              'cx="%d" cy="%d" r="4" />')
 _WAIT_ADDR = ('<text class="wait-addr" font-size="8" text-anchor="end" '
@@ -121,9 +124,9 @@ def render_diagram(events, cores=None):
     add = out.append
     for core in range(cores):
         add(_CORE_LABEL % (_x(core), _TOP - 10, core))
-    for cycle in range(0, total + 1, 5):
-        y = _y(cycle)
-        add(_GRID % (_LEFT - 26, y, width - 10, y, _LEFT - 30, y + 3, cycle))
+    out += [_GRID % (_LEFT - 26, y, width - 10, y, _LEFT - 30, y + 3, cycle)
+            for cycle, y in zip(range(0, total + 1, 5),
+                                range(_TOP, _y(total) + 1, 5 * _ROW_H))]
 
     for span, depth in zip(spans, _nesting_depths(spans)):
         w = max(_QT_W - 8 * depth, 12)
@@ -139,18 +142,26 @@ def render_diagram(events, cores=None):
 
     x_mid = _LEFT + _COL_W // 2      # _x(core) is x_mid + core * _COL_W
     half = _QT_W // 2
+    balls = {}          # (core, addr, duration) -> ball and tails, y open
     waits = {}
     for cycle, core, qt, kind, addr, payload in events:
         x = x_mid + core * _COL_W
-        if kind == tr.INSTR_RETIRED or kind == tr.META_RETIRED:
+        if kind == tr.INSTR_RETIRED:
             duration = payload or 1
             y = _TOP + (cycle - duration + 1) * _ROW_H
-            if kind == tr.META_RETIRED:
-                add(_META % (x + half + 4, y - 5, x + half + 6, y + 3, addr))
+            key = (core, addr, duration)
+            ball = balls.get(key)
+            if ball is None:
+                ball = balls[key] = (_INSTR_XA % (x, x, addr)
+                                     + _TAIL_X % x * (duration - 1))
+            if duration == 1:   # most: no range of tail ys to unpack
+                add(ball % (y, y - 6))
             else:
-                add(_INSTR % (x, y, x, y - 6, addr))
-                for extra in range(1, duration):
-                    add(_TAIL % (x, y + extra * _ROW_H))
+                add(ball % (y, y - 6, *range(y + _ROW_H, y + duration * _ROW_H,
+                                             _ROW_H)))
+        elif kind == tr.META_RETIRED:
+            y = _TOP + (cycle - (payload or 1) + 1) * _ROW_H
+            add(_META % (x + half + 4, y - 5, x + half + 6, y + 3, addr))
         elif kind == tr.WAIT_BEGIN:
             waits[(core, qt)] = (cycle, addr)
         elif kind == tr.WAIT_END:
@@ -185,15 +196,22 @@ _GLYPHS = {tr.SUM_FEED: "+", tr.META_RETIRED: "Q", tr.INSTR_RETIRED: "o",
 
 _CELLS = {kind: glyph.center(5) for kind, glyph in _GLYPHS.items()}
 _WAIT, _ALIVE, _IDLE = (glyph.center(5) for glyph in "w|.")
+_BLANK = " " * 6                # the label of a row whose cycle is unnumbered
 
 
 def render_ascii(events, cores=None):
     """Character-cell counterpart of the SVG diagram.  A core's cell
     shows its highest-priority event glyph, else 'w' while it waits,
-    '|' inside a QT span and '.' otherwise.  The background changes
-    only at span and wait boundaries, so it is joined into one row
-    there.  A row with events patches their cells into a copy of it,
-    once for each set of events on each background."""
+    '|' inside a QT span and '.' otherwise.
+
+    The work grows with the background runs, the marked cells and the
+    distinct rows, not with cycles times cores.  The background of all
+    cores changes only at span and wait boundaries, so it is joined into
+    one row (blank label included) per run and the run's cycles all
+    share that string.  Each marked cell's glyph is resolved first; a
+    marked cycle then gets its row by patching one cell at a time, and
+    each distinct (row, core, glyph) patch is made once.  Every fifth
+    row gets its number, and the text is one join of the rows."""
     cores, spans, total = _cores_and_spans(events, cores)
 
     steps = defaultdict(list)   # cycle -> [(core, span step, wait step)]
@@ -205,16 +223,16 @@ def render_ascii(events, cores=None):
 
     for span in spans:
         cover(span.core, span.start, span.end, 1, 0)
-    cells = defaultdict(dict)   # cycle -> {core: event kind shown}
+    marks = {}                  # (cycle, core) -> event kind shown
     open_waits = {}
     for cycle, core, qt, kind, _addr, _payload in events:
         prio = _GLYPH_PRIORITY.get(kind)
         if prio is None:
             continue
-        row = cells[cycle]
-        shown = row.get(core)
+        cell = (cycle, core)
+        shown = marks.get(cell)
         if shown is None or _GLYPH_PRIORITY[shown] < prio:
-            row[core] = kind
+            marks[cell] = kind
         if kind == tr.WAIT_BEGIN:
             open_waits[(core, qt)] = cycle
         elif kind == tr.WAIT_END:
@@ -224,35 +242,36 @@ def render_ascii(events, cores=None):
     for (core, _qt), begin in open_waits.items():
         cover(core, begin, total, 0, 1)
 
-    header = "cycle " + "".join(("C%d" % c).center(5) for c in range(cores))
-    lines = [header]
+    rows = [None] * (total + 1)
     in_span, waiting = [0] * cores, [0] * cores
     background = [_IDLE] * cores
-    joined = "".join(background)
-    row_cache = {}              # background row -> {marks: row}
-    rows = row_cache[joined] = {}
-    for cycle in range(0, total + 1):
-        changes = steps.get(cycle)
-        if changes:
-            for core, span, wait in changes:
-                in_span[core] += span
-                waiting[core] += wait
-                background[core] = (_WAIT if waiting[core] else
-                                    _ALIVE if in_span[core] else _IDLE)
-            joined = "".join(background)
-            rows = row_cache.get(joined)
-            if rows is None:
-                rows = row_cache[joined] = {}
-        row = joined
-        marks = cells.get(cycle)
-        if marks:
-            key = tuple(marks.items())
-            row = rows.get(key)
-            if row is None:
-                row = background[:]
-                for core, kind in marks.items():
-                    row[core] = _CELLS[kind]
-                row = rows[key] = "".join(row)
-        label = "%5d " % cycle if cycle % 5 == 0 else "      "
-        lines.append(label + row)
-    return "\n".join(lines) + "\n"
+    start, row = 0, _BLANK + "".join(background)
+    for cycle in sorted(steps):
+        if cycle > total:       # ends after the last cycle
+            break
+        rows[start:cycle] = [row] * (cycle - start)
+        for core, span, wait in steps[cycle]:
+            in_span[core] += span
+            waiting[core] += wait
+            background[core] = (_WAIT if waiting[core] else
+                                _ALIVE if in_span[core] else _IDLE)
+        start, row = cycle, _BLANK + "".join(background)
+    rows[start:] = [row] * (total + 1 - start)
+
+    patched = {}                # (row, core, kind) -> row with the glyph
+    for (cycle, core), kind in marks.items():
+        row = rows[cycle]
+        key = (row, core, kind)
+        new = patched.get(key)
+        if new is None:
+            at = len(_BLANK) + 5 * core
+            new = patched[key] = row[:at] + _CELLS[kind] + row[at + 5:]
+        rows[cycle] = new
+    del marks, patched          # freed before the text is joined
+
+    for cycle in range(0, total + 1, 5):
+        rows[cycle] = "%5d" % cycle + rows[cycle][5:]
+    rows.insert(0, "cycle " + "".join(("C%d" % c).center(5)
+                                      for c in range(cores)))
+    rows.append("")             # the text ends with a newline
+    return "\n".join(rows)

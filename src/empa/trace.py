@@ -117,6 +117,17 @@ def check_cores(events, cores):
                          % (highest, cores))
 
 
+def check_durations(events):
+    """ValueError unless every retirement's duration (its payload, 1 if
+    none) starts at cycle 0 or later: a payload of at most cycle + 1."""
+    for cycle, core, _qt, kind, _addr, payload in events:
+        if (payload and payload > cycle + 1
+                and (kind == INSTR_RETIRED or kind == META_RETIRED)):
+            raise ValueError("the %s at cycle=%d core=%d has payload=0x%08x, "
+                             "a duration of %d cycles that starts before "
+                             "cycle 0" % (kind, cycle, core, payload, payload))
+
+
 class TraceFormatError(Exception):
     pass
 

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import importlib.util
+from operator import itemgetter
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -180,3 +181,46 @@ def event_lists(draw):
                       addr=st.integers(0, 3),
                       payload=st.sampled_from((None, 1, 2, 3)))
     return cores, draw(st.lists(event, max_size=40))
+
+
+@st.composite
+def wide_event_lists(draw):
+    """(cores, events): up to 300 events on 1..64 cores over cycles
+    0..300.  Besides arbitrary events there are QT spans and waits (a
+    begin and an end of one core and QT) that last many cycles, so rows
+    share long background runs, and instructions retired at several
+    cycles.  The events fall on at most 8 of the cores and within a
+    drawn last cycle, so rows often hold several marked cells and
+    instructions repeat a (core, addr, duration).  The list is in cycle
+    order or as drawn."""
+    cores = draw(st.integers(1, 64))
+    core = st.sampled_from(draw(st.lists(st.integers(0, cores - 1),
+                                         min_size=1, max_size=8)))
+    cycle = st.integers(0, draw(st.integers(0, 300)))
+    qt = st.sampled_from(QT_IDS)
+    addr = st.integers(0, 3)
+    payload = st.sampled_from((None, 0, 1, 2, 3, 4, 5))
+    event = st.builds(tr.Event, cycle=cycle, core=core, qt=qt,
+                      kind=st.sampled_from(sorted(tr.KINDS)), addr=addr,
+                      payload=payload)
+
+    def pair(begin, end):
+        return st.builds(
+            lambda c, q, a, b, at: (tr.Event(min(a, b), c, q, begin, at, None),
+                                    tr.Event(max(a, b), c, q, end, at, None)),
+            core, qt, cycle, cycle, addr)
+
+    # one instruction (core, addr, payload) retired at several cycles
+    repeats = st.builds(
+        lambda c, at, p, cycles: [tr.Event(x, c, tr.ROOT_QT_ID,
+                                           tr.INSTR_RETIRED, at, p)
+                                  for x in cycles],
+        core, addr, payload, st.lists(cycle, min_size=2, max_size=10))
+    groups = st.lists(st.one_of(pair(tr.QT_CREATED, tr.QT_TERMINATED),
+                                pair(tr.WAIT_BEGIN, tr.WAIT_END), repeats),
+                      max_size=20)
+    events = [ev for group in draw(groups) for ev in group]
+    events += draw(st.lists(event, max_size=300 - len(events)))
+    if draw(st.booleans()):
+        events.sort(key=itemgetter(0))
+    return cores, events

@@ -8,10 +8,13 @@ byte on engine traces, on traces cut off while cores wait, and on
 arbitrary event lists.
 """
 
+import tracemalloc
+
 from hypothesis import given, settings
 
 from empa import diagram, fixtures, trace as tr
-from helpers import event_lists, fixture_trace, rendered_sha256
+from helpers import (event_lists, fixture_trace, pinned_traces,
+                     rendered_sha256, wide_event_lists)
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
 
@@ -82,6 +85,19 @@ def test_bench_and_fixture_traces_match_their_pinned_hashes():
     assert rendered_sha256(diagram.render_ascii) == PINNED
 
 
+def test_memory_peak_is_below_twice_the_text():
+    """The rows share their strings, so the text itself is most of what
+    render_ascii allocates on a long run of one busy core in 64."""
+    (cores, events), = pinned_traces()["serial_wide"]
+    tracemalloc.start()
+    try:
+        text = diagram.render_ascii(events, cores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), (peak, len(text))
+
+
 def test_fixtures_match_the_oracle():
     for name in sorted(fixtures.FIXTURES):
         for cores in CORE_COUNTS:
@@ -104,5 +120,12 @@ def test_traces_cut_while_waiting_match_the_oracle():
 @settings(max_examples=400, deadline=None)
 @given(event_lists())
 def test_event_lists_match_the_oracle(trace):
+    cores, events = trace
+    assert diagram.render_ascii(events, cores) == _oracle_ascii(events, cores)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_event_lists())
+def test_wide_event_lists_match_the_oracle(trace):
     cores, events = trace
     assert diagram.render_ascii(events, cores) == _oracle_ascii(events, cores)

@@ -197,6 +197,25 @@ def test_diagram_subcommand(fixture_dir, capsys):
     assert "C4" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_run_diagrams_equal_those_of_its_saved_trace(fixture_dir, capsys,
+                                                     name):
+    trace_out = fixture_dir / "r.trace"
+    svg_run, svg_saved = fixture_dir / "run.svg", fixture_dir / "saved.svg"
+    cli.main(["run", _p(fixture_dir / ("%s.eyo" % name)), "--cores", "5",
+              "--trace", _p(trace_out), "--ascii", "--diagram", _p(svg_run)])
+    ran = capsys.readouterr().out
+    assert cli.main(["diagram", _p(trace_out), "--cores", "5",
+                     "--ascii"]) == 0
+    ascii_text = capsys.readouterr().out
+    assert ascii_text.startswith("cycle ")
+    assert ran.startswith(ascii_text)
+    assert ran[len(ascii_text):].startswith("totalCycles=")
+    assert cli.main(["diagram", _p(trace_out), "--cores", "5",
+                     "--output", _p(svg_saved)]) == 0
+    assert svg_saved.read_bytes() == svg_run.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],
                                   ["diagram"]])
 def test_saved_trace_with_too_few_cores_is_a_user_error(fixture_dir, capsys,
@@ -236,6 +255,42 @@ def test_a_trace_on_core_63_needs_no_flag(tmp_path, capsys):
     trace_out.write_text("cycle=0 core=63 qt=1 kind=InstrRetired addr=0x0000\n")
     assert cli.main(["stats", _p(trace_out)]) == 0
     assert "totalCycles=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],
+                                  ["diagram"]])
+@pytest.mark.parametrize("line, cycle, payload", [
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 payload=0x00040000",
+     1, 0x40000),
+    ("cycle=2 core=0 qt=1 kind=InstrRetired addr=0x0000 payload=0xffffffff",
+     2, 0xFFFFFFFF),
+    ("cycle=2 core=0 qt=1 kind=MetaRetired addr=0x0000 payload=0x00000004",
+     2, 4),
+])
+def test_a_duration_that_starts_before_cycle_0_is_a_user_error(
+        tmp_path, capsys, argv, line, cycle, payload):
+    trace_out = tmp_path / "early.trace"
+    trace_out.write_text("cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+                         + line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv[:1] + [_p(trace_out)] + argv[1:])
+    assert exc.value.code == 1
+    kind = line.split("kind=")[1].split()[0]
+    assert "%s: the %s at cycle=%d core=0 has payload=0x%08x" % (
+        trace_out, kind, cycle, payload) in capsys.readouterr().err
+    assert not (tmp_path / "early.svg").exists()
+
+
+@pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],
+                                  ["diagram"]])
+def test_a_duration_that_starts_at_cycle_0_is_accepted(tmp_path, capsys, argv):
+    trace_out = tmp_path / "edge.trace"
+    trace_out.write_text(
+        "cycle=2 core=0 qt=1 kind=InstrRetired addr=0x0000 payload=0x00000003\n"
+        "cycle=3 core=0 qt=1 kind=MetaRetired addr=0x0004 payload=0x00000000\n"
+        "cycle=3 core=0 qt=1 kind=QtCreated addr=0x0004 payload=0x00000009\n")
+    assert cli.main(argv[:1] + [_p(trace_out)] + argv[1:]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

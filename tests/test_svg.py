@@ -13,7 +13,8 @@ import xml.etree.ElementTree as ET
 from hypothesis import given, settings
 
 from empa import diagram, fixtures, trace as tr
-from helpers import assemble_run, event_lists, fixture_trace, rendered_sha256
+from helpers import (assemble_run, event_lists, fixture_trace,
+                     rendered_sha256, wide_event_lists)
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
 
@@ -192,6 +193,13 @@ def test_traces_cut_while_waiting_match_the_oracle():
 @settings(max_examples=400, deadline=None)
 @given(event_lists())
 def test_event_lists_match_the_oracle(trace):
+    cores, events = trace
+    assert diagram.render_diagram(events, cores) == _oracle_svg(events, cores)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_event_lists())
+def test_wide_event_lists_match_the_oracle(trace):
     cores, events = trace
     assert diagram.render_diagram(events, cores) == _oracle_svg(events, cores)
 
