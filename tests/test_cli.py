@@ -259,23 +259,21 @@ def test_a_trace_on_core_63_needs_no_flag(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],
                                   ["diagram"]])
-@pytest.mark.parametrize("line, cycle, payload", [
-    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 payload=0x00040000",
-     1, 0x40000),
-    ("cycle=2 core=0 qt=1 kind=InstrRetired addr=0x0000 payload=0xffffffff",
-     2, 0xFFFFFFFF),
-    ("cycle=2 core=0 qt=1 kind=MetaRetired addr=0x0000 payload=0x00000004",
-     2, 4),
+@pytest.mark.parametrize("kind, cycle, payload", [
+    (tr.INSTR_RETIRED, 1, 0x40000),
+    (tr.INSTR_RETIRED, 2, 0xFFFFFFFF),
+    (tr.META_RETIRED, 2, 4),
 ])
 def test_a_duration_that_starts_before_cycle_0_is_a_user_error(
-        tmp_path, capsys, argv, line, cycle, payload):
+        tmp_path, capsys, argv, kind, cycle, payload):
     trace_out = tmp_path / "early.trace"
-    trace_out.write_text("cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
-                         + line + "\n")
+    trace_out.write_text(
+        "cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+        "cycle=%d core=0 qt=1 kind=%s addr=0x0000 payload=0x%08x\n"
+        % (cycle, kind, payload))
     with pytest.raises(SystemExit) as exc:
         cli.main(argv[:1] + [_p(trace_out)] + argv[1:])
     assert exc.value.code == 1
-    kind = line.split("kind=")[1].split()[0]
     assert "%s: the %s at cycle=%d core=0 has payload=0x%08x" % (
         trace_out, kind, cycle, payload) in capsys.readouterr().err
     assert not (tmp_path / "early.svg").exists()
