@@ -615,3 +615,113 @@ def test_python_dash_m_empa_runs_the_cli_from_a_checkout():
         capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "totalCycles=21\n" in done.stdout
+
+
+# ---- the whole stderr of each user error ----------------------------------
+
+_USER_ERROR = ("usage: empa [-h] {asm,run,step,stats,diagram} ...\n"
+               "empa: error: %s\n")
+_TRACE_LINES = {
+    "far": "cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+           "cycle=1 core=6400 qt=1 kind=InstrRetired addr=0x0000\n",
+    "early1": "cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+              "cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 "
+              "payload=0x00040000\n",
+    "early2": "cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+              "cycle=2 core=0 qt=1 kind=InstrRetired addr=0x0000 "
+              "payload=0xffffffff\n",
+    "early3": "cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"
+              "cycle=2 core=0 qt=1 kind=MetaRetired addr=0x0000 "
+              "payload=0x00000004\n",
+    "dup": "cycle=1 cycle=7 core=0 qt=1 kind=InstrRetired addr=0x0000\n",
+    "key": "cycle=1 core=0 qt=1 kind=InstrRetired addr=0x0000 paylod=0x5\n",
+    "neg": "cycle=-3 core=0 qt=1 kind=InstrRetired addr=0x0000\n",
+    "hex": "cycle=1 core=0 qt=1 kind=InstrRetired addr=0XA\n",
+}
+_TRACE_READERS = (["stats"], ["diagram", "--ascii"], ["diagram"])
+_EARLY = ("{dir}/early%d.trace: the %s at cycle=%d core=0 has payload=0x%08x, "
+          "a duration of %d cycles that starts before cycle 0")
+_MALFORMED = {"dup": "duplicate key 'cycle' on line 1",
+              "key": "unknown key 'paylod' on line 1",
+              "neg": "negative cycle on line 1",
+              "hex": "bad addr '0XA' on line 1"}
+_BASELINES = {"0": "baseline cycle count must be positive, not 0",
+              "-3": "baseline cycle count must be positive, not -3",
+              "{dir}/zero.kv": "baseline cycle count must be positive, not 0",
+              "{dir}/abc.kv":
+                  "totalCycles in baseline file is not an integer: 'abc'"}
+# (argv, EMPA_CORES or None, message); {dir} is the inputs' directory.
+_USER_ERRORS = (
+    [([cmd, "{dir}/adaptive.eyo"], value,
+      "EMPA_CORES=%s: must be a whole number between 1 and 64" % value)
+     for cmd in ("run", "step") for value in ("abc", "0", "65")]
+    + [([cmd, "{dir}/adaptive.eyo", "--cores", n], None,
+        "--cores must be between 1 and 64")
+       for cmd in ("run", "step") for n in ("0", "65")]
+    + [(argv[:1] + ["{dir}/dynpar.trace", "--cores", n] + argv[1:], None,
+        "--cores must be between 1 and 64")
+       for argv in _TRACE_READERS for n in ("0", "65")]
+    + [(["run", "{dir}/no_mode.eyo", "--watchdog", "0"], None,
+        "watchdog window must be at least 1 cycle")]
+    + [([cmd, "{dir}/big.img", "--cores", "1"], None,
+        "image of 9000 bytes exceeds 4096-byte memory")
+       for cmd in ("run", "step")]
+    + [(argv[:1] + ["{dir}/%s.trace" % name] + argv[1:], None, message)
+       for argv in _TRACE_READERS for name, message in _MALFORMED.items()]
+    + [(argv[:1] + ["{dir}/dynpar.trace", "--cores", "2"] + argv[1:], None,
+        "the trace uses 7 cores, more than --cores")
+       for argv in _TRACE_READERS]
+    + [(argv[:1] + ["{dir}/far.trace"] + flag + argv[1:], None,
+        "{dir}/far.trace: the trace names core 6400, but a machine has at "
+        "most 64 cores")
+       for argv in _TRACE_READERS for flag in ([], ["--cores", "8"])]
+    + [(argv[:1] + ["{dir}/early%d.trace" % n] + argv[1:], None,
+        _EARLY % (n, kind, cycle, payload, payload))
+       for argv in _TRACE_READERS
+       for n, kind, cycle, payload in ((1, "InstrRetired", 1, 0x40000),
+                                       (2, "InstrRetired", 2, 0xFFFFFFFF),
+                                       (3, "MetaRetired", 2, 4))]
+    + [([cmd, target, "--baseline", baseline], None, message)
+       for cmd, target in (("run", "{dir}/adaptive.eyo"),
+                           ("stats", "{dir}/adaptive.trace"))
+       for baseline, message in _BASELINES.items()]
+)
+
+
+@pytest.fixture(scope="module")
+def error_inputs(tmp_path_factory):
+    """A directory of the inputs that _USER_ERRORS name."""
+    directory = tmp_path_factory.mktemp("inputs")
+    fixtures.write_fixture_files(directory)
+    (directory / "big.img").write_bytes(bytes(9000))
+    for name, text in _TRACE_LINES.items():
+        (directory / ("%s.trace" % name)).write_text(text)
+    (directory / "zero.kv").write_text("totalCycles=0\ncores=1\n")
+    (directory / "abc.kv").write_text("totalCycles=abc\n")
+    for name, cores in (("dynpar", "8"), ("adaptive", "5")):
+        assert cli.main(["run", _p(directory / (name + ".eyo")), "--cores",
+                         cores, "--trace",
+                         _p(directory / (name + ".trace"))]) == 0
+    return directory
+
+
+@pytest.mark.parametrize("argv, empa_cores, message", _USER_ERRORS, ids=[
+    ("EMPA_CORES=%s " % env if env else "")
+    + " ".join(argv).replace("{dir}/", "") for argv, env, _ in _USER_ERRORS])
+def test_each_user_error_prints_its_pinned_stderr(
+        error_inputs, capsys, monkeypatch, argv, empa_cores, message):
+    """The whole stderr of each rejected input: a usage line and one
+    error line, exit 1, and nothing on stdout or on disk."""
+    monkeypatch.setenv("COLUMNS", "80")
+    if empa_cores is None:
+        monkeypatch.delenv("EMPA_CORES", raising=False)
+    else:
+        monkeypatch.setenv("EMPA_CORES", empa_cores)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(dir=error_inputs) for arg in argv])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.err == _USER_ERROR % message.format(dir=error_inputs)
+    assert captured.out == ""
+    assert not list(error_inputs.glob("*.svg"))
