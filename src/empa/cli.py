@@ -2,7 +2,11 @@
 interactive step REPL.
 
 Exit codes: 0 ok, 1 user error, 2 runtime deadlock/watchdog/fault.
-EMPA_CORES provides a default core count; explicit flags win.
+The library raises ValueError for bad input (a config, a baseline, a
+trace) and ImageTooLarge for an image beyond memory, each with its
+message; main() is the one place that turns them into a usage error
+with exit 1.  EMPA_CORES provides a default core count; explicit flags
+win.
 """
 
 import argparse
@@ -23,39 +27,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USER, "%s: error: %s\n" % (self.prog, message))
 
 
-def _cores_default(parser):
-    """The core count from EMPA_CORES, 8 if it is unset or empty."""
+def _cores_default():
+    """The core count from EMPA_CORES, the engine's default if it is
+    unset or empty."""
     value = os.environ.get("EMPA_CORES")
     if not value:
-        return 8
+        return engine.MachineConfig.cores
     try:
         cores = int(value)
     except ValueError:
         cores = None
-    if cores is None or not 1 <= cores <= 64:
-        parser.error("EMPA_CORES=%s: must be a whole number between 1 and 64"
-                     % value)
+    if cores is None or not 1 <= cores <= engine.MAX_CORES:
+        raise ValueError("EMPA_CORES=%s: must be a whole number between 1 "
+                         "and %d" % (value, engine.MAX_CORES))
     return cores
 
 
-def _positive_cores(parser, n):
-    if not 1 <= n <= 64:
-        parser.error("--cores must be between 1 and 64")
-    return n
-
-
-def _trace_cores(parser, path, events, cores):
-    """--cores for a saved trace: inferred by default, never too few."""
-    if cores is not None:
-        _positive_cores(parser, cores)
-    needed = diagram.infer_cores(events)
-    if needed > 64:
-        parser.error("%s: the trace names core %d, but a machine has at most "
-                     "64 cores" % (path, needed - 1))
-    if cores is None:
-        return needed
-    if cores < needed:
-        parser.error("the trace uses %d cores, more than --cores" % needed)
+def _cores_flag(cores):
+    if not 1 <= cores <= engine.MAX_CORES:
+        raise ValueError("--cores must be between 1 and %d" % engine.MAX_CORES)
     return cores
 
 
@@ -82,7 +72,8 @@ def build_parser():
     p_run.add_argument("--stats-out", help="write statistics key-value file")
     p_run.add_argument("--baseline", help="stats file or cycle count to "
                        "compute speedup against")
-    p_run.add_argument("--watchdog", type=int, default=10000)
+    p_run.add_argument("--watchdog", type=int,
+                       default=engine.MachineConfig.watchdog)
 
     p_step = sub.add_parser("step", help="interactive step session")
     p_step.add_argument("image")
@@ -141,10 +132,7 @@ def _load_image(path, parser):
 
 
 def _machine_config(args, parser):
-    if args.cores is None:
-        cores = _cores_default(parser)
-    else:
-        cores = _positive_cores(parser, args.cores)
+    cores = _cores_default() if args.cores is None else _cores_flag(args.cores)
     timing = engine.TimingConfig()
     if getattr(args, "timing", None):
         try:
@@ -152,19 +140,8 @@ def _machine_config(args, parser):
                 timing = engine.TimingConfig.from_text(fh.read())
         except (OSError, ValueError) as exc:
             parser.error("bad timing file: %s" % exc)
-    watchdog = getattr(args, "watchdog", 10000)
-    try:
-        return engine.MachineConfig(cores=cores, timing=timing,
-                                    watchdog=watchdog)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _machine(image, cfg, parser):
-    try:
-        return engine.Machine(image, cfg)
-    except ImageTooLarge as exc:
-        parser.error(str(exc))
+    watchdog = getattr(args, "watchdog", engine.MachineConfig.watchdog)
+    return engine.MachineConfig(cores=cores, timing=timing, watchdog=watchdog)
 
 
 def cmd_asm(args, parser):
@@ -192,17 +169,18 @@ def _read_baseline(arg, parser):
     if arg is None:
         return None
     text = _read_text(arg, parser) if os.path.exists(arg) else arg
-    try:
-        return statsmod.parse_baseline(text)
-    except ValueError as exc:
-        parser.error(str(exc))
+    return statsmod.parse_baseline(text)
+
+
+# The stats lines that `empa run` prints without --stats.
+_SUMMARY_KEYS = ("totalCycles=", "speedup=", "alphaEff=")
 
 
 def cmd_run(args, parser):
     image = _load_image(args.image, parser)
     cfg = _machine_config(args, parser)
     baseline = _read_baseline(args.baseline, parser)
-    machine = _machine(image, cfg, parser)
+    machine = engine.Machine(image, cfg)
     try:
         events, machine = machine.run_to_halt()
     except SimulationError as exc:
@@ -216,37 +194,41 @@ def cmd_run(args, parser):
         _write_text(args.diagram, diagram.render_diagram(events, cfg.cores))
     if args.ascii:
         print(diagram.render_ascii(events, cfg.cores), end="")
-    st = statsmod.compute_stats(events, cfg.cores, baseline)
-    if args.stats or args.stats_out:
-        text = statsmod.format_stats(st)
-        if args.stats:
-            print(text, end="")
-        if args.stats_out:
-            _write_text(args.stats_out, text)
+    text = statsmod.format_stats(
+        statsmod.compute_stats(events, cfg.cores, baseline))
+    if args.stats:
+        print(text, end="")
+    if args.stats_out:
+        _write_text(args.stats_out, text)
     if not args.stats:
-        print("totalCycles=%d" % st.total_cycles)
-        if st.speedup is not None:
-            print("speedup=%.6f" % st.speedup)
-            print("alphaEff=%.6f" % st.alpha_eff)
+        print("".join(line for line in text.splitlines(True)
+                      if line.startswith(_SUMMARY_KEYS)), end="")
     return EXIT_OK
 
 
-def _read_trace(path, parser):
-    text = _read_text(path, parser)
-    try:
-        events = tr.parse_trace(text)
-    except tr.TraceFormatError as exc:
-        parser.error(str(exc))
+def _read_trace(path, cores, parser):
+    """A saved trace's events and the core count of its machine:
+    --cores, never too few, or by default the fewest that it needs."""
+    events = tr.parse_trace(_read_text(path, parser))
     try:
         tr.check_durations(events)
     except ValueError as exc:
         parser.error("%s: %s" % (path, exc))
-    return events
+    if cores is not None:
+        _cores_flag(cores)
+    needed = tr.cores_needed(events)
+    if needed > engine.MAX_CORES:
+        raise ValueError("%s: the trace names core %d, but a machine has at "
+                         "most %d cores" % (path, needed - 1, engine.MAX_CORES))
+    if cores is None:
+        return events, needed
+    if cores < needed:
+        raise ValueError("the trace uses %d cores, more than --cores" % needed)
+    return events, cores
 
 
 def cmd_stats(args, parser):
-    events = _read_trace(args.trace, parser)
-    cores = _trace_cores(parser, args.trace, events, args.cores)
+    events, cores = _read_trace(args.trace, args.cores, parser)
     baseline = _read_baseline(args.baseline, parser)
     st = statsmod.compute_stats(events, cores, baseline)
     text = statsmod.format_stats(st)
@@ -257,8 +239,7 @@ def cmd_stats(args, parser):
 
 
 def cmd_diagram(args, parser):
-    events = _read_trace(args.trace, parser)
-    cores = _trace_cores(parser, args.trace, events, args.cores)
+    events, cores = _read_trace(args.trace, args.cores, parser)
     if args.ascii:
         print(diagram.render_ascii(events, cores), end="")
         return EXIT_OK
@@ -425,9 +406,7 @@ class StepSession:
 
 def cmd_step(args, parser):
     image = _load_image(args.image, parser)
-    cfg = _machine_config(args, parser)
-    machine = _machine(image, cfg, parser)
-    session = StepSession(machine)
+    session = StepSession(engine.Machine(image, _machine_config(args, parser)))
 
     def _lines():
         while True:
@@ -443,13 +422,15 @@ def cmd_step(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    handler = {"asm": cmd_asm, "run": cmd_run, "step": cmd_step,
+               "stats": cmd_stats, "diagram": cmd_diagram}[args.command]
     try:
-        handler = {"asm": cmd_asm, "run": cmd_run, "step": cmd_step,
-                   "stats": cmd_stats, "diagram": cmd_diagram}[args.command]
         return handler(args, parser)
     except (assembler.AssemblerError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_USER
+    except (ValueError, ImageTooLarge) as exc:
+        parser.error(str(exc))
     except SimulationError as exc:
         print("simulation failed: %s" % exc, file=sys.stderr)
         return EXIT_RUNTIME

@@ -10,7 +10,6 @@ The ASCII renderer is the terminal counterpart.
 """
 
 from collections import defaultdict
-from operator import itemgetter
 
 from . import trace as tr
 
@@ -49,21 +48,6 @@ def _x(core):
 
 def _y(cycle):
     return _TOP + cycle * _ROW_H
-
-
-def infer_cores(events):
-    return max(map(itemgetter(1), events), default=0) + 1
-
-
-def _cores_and_spans(events, cores):
-    """The core count (inferred if None), the QT spans and the last
-    cycle of a trace; ValueError if `cores` is too few for it."""
-    if cores is None:
-        cores = infer_cores(events)
-    else:
-        tr.check_cores(events, cores)
-    spans = tr.qt_spans(events)
-    return cores, spans, spans[0].end if spans else 0
 
 
 # One %-template per SVG element kind.  The document is ElementTree's
@@ -114,9 +98,10 @@ def _attr(value):
     return _text(value).replace('"', "&quot;")
 
 
-def render_diagram(events, cores=None):
-    """Render a trace as a standalone SVG document (text)."""
-    cores, spans, total = _cores_and_spans(events, cores)
+def render_diagram(events, cores):
+    """Render a trace written on a `cores`-core machine as a standalone
+    SVG document (text)."""
+    spans, total = tr.spans_on(events, cores)
     width = _LEFT + cores * _COL_W + 20
     height = _y(total) + 2 * _ROW_H
 
@@ -199,7 +184,7 @@ _WAIT, _ALIVE, _IDLE = (glyph.center(5) for glyph in "w|.")
 _BLANK = " " * 6                # the label of a row whose cycle is unnumbered
 
 
-def render_ascii(events, cores=None):
+def render_ascii(events, cores):
     """Character-cell counterpart of the SVG diagram.  A core's cell
     shows its highest-priority event glyph, else 'w' while it waits,
     '|' inside a QT span and '.' otherwise.
@@ -212,7 +197,7 @@ def render_ascii(events, cores=None):
     marked cycle then gets its row by patching one cell at a time, and
     each distinct (row, core, glyph) patch is made once.  Every fifth
     row gets its number, and the text is one join of the rows."""
-    cores, spans, total = _cores_and_spans(events, cores)
+    spans, total = tr.spans_on(events, cores)
 
     steps = defaultdict(list)   # cycle -> [(core, span step, wait step)]
 

@@ -69,6 +69,8 @@ _GROUP_CLASS = {
 }
 TIMING_CLASS = {op: _GROUP_CLASS[op & 0xF0] for op in isa.OPCODES}
 
+MAX_CORES = 64          # the most cores a machine has
+
 
 class TimingConfig:
     """Cycles per instruction class; a total function, everything >= 1."""
@@ -110,8 +112,8 @@ class MachineConfig:
     watchdog: int = 10000
 
     def __post_init__(self):
-        if not 1 <= self.cores <= 64:
-            raise ValueError("core count must be between 1 and 64")
+        if not 1 <= self.cores <= MAX_CORES:
+            raise ValueError("core count must be between 1 and %d" % MAX_CORES)
         if self.mem_bytes < 4:
             raise ValueError("memory must hold at least one 4-byte word")
         if self.watchdog < 1:

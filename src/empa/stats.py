@@ -61,9 +61,7 @@ def _core_runs(spans):
 
 def compute_stats(events, cores, baseline_cycles=None):
     """Statistics for a complete trace produced on a `cores`-core run."""
-    tr.check_cores(events, cores)
-    spans = tr.qt_spans(events)
-    total_cycles = spans[0].end if spans else 0     # the root ends last
+    spans, total_cycles = tr.spans_on(events, cores)
     runs = _core_runs(spans)
     busy = [0] * cores
     for core, start, end in runs:
@@ -83,7 +81,8 @@ def compute_stats(events, cores, baseline_cycles=None):
     )
     if baseline_cycles is not None:
         if total_cycles == 0:
-            raise ValueError("empty trace has no cycle count")
+            raise ValueError("the trace ends at cycle 0, so it has no cycle "
+                             "count to set against the baseline")
         if baseline_cycles <= 0:
             raise ValueError("baseline cycle count must be positive")
         stats.speedup = baseline_cycles / total_cycles

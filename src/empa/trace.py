@@ -108,13 +108,22 @@ def qt_spans(events):
     return spans
 
 
-def check_cores(events, cores):
-    """ValueError unless a `cores`-core machine has every core that
-    `events` names."""
-    highest = max(map(itemgetter(1), events), default=-1)
-    if cores <= highest:
+def cores_needed(events):
+    """The fewest cores of a machine that could write `events`: one more
+    than the highest core they name, and at least 1."""
+    return max(map(itemgetter(1), events), default=0) + 1
+
+
+def spans_on(events, cores):
+    """The QT spans and the last cycle (0 if none) of `events` written
+    on a `cores`-core machine; ValueError unless it has every core that
+    they name."""
+    needed = cores_needed(events)
+    if cores < needed:
         raise ValueError("the trace uses core %d, but cores=%d"
-                         % (highest, cores))
+                         % (needed - 1, cores))
+    spans = qt_spans(events)
+    return spans, spans[0].end if spans else 0
 
 
 def check_durations(events):
@@ -128,8 +137,8 @@ def check_durations(events):
                              "cycle 0" % (kind, cycle, core, payload, payload))
 
 
-class TraceFormatError(Exception):
-    pass
+class TraceFormatError(ValueError):
+    """A trace line outside the grammar."""
 
 
 _LINE = "cycle=%d core=%d qt=%s kind=%s addr=0x%04x\n"

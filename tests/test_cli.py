@@ -605,6 +605,27 @@ def test_a_baseline_that_is_not_a_positive_count_is_a_user_error(
     assert done.stdout == ""
 
 
+@pytest.mark.parametrize("text", [
+    "", "cycle=0 core=0 qt=1 kind=InstrRetired addr=0x0000\n"],
+    ids=["empty", "cycle-0"])
+def test_a_trace_with_no_cycles_given_a_baseline_is_a_user_error(tmp_path,
+                                                                  text):
+    trace = tmp_path / "none.trace"
+    trace.write_text(text)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(empa.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "empa.cli", "stats", _p(trace),
+         "--baseline", "10"],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[1:] == [
+        "empa: error: the trace ends at cycle 0, so it has no cycle count "
+        "to set against the baseline"]
+    assert done.stdout == ""
+
+
 def test_python_dash_m_empa_runs_the_cli_from_a_checkout():
     """`python -m empa` is the `empa` command, with only src/ on the path."""
     src = os.path.dirname(os.path.dirname(empa.__file__))

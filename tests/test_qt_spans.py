@@ -53,11 +53,8 @@ def test_one_pass_spans_match_the_four_pass_oracle(case):
     (tr.qt_spans, 1),
     (lambda events: stats.compute_stats(events, 5), 2),
     (lambda events: diagram.render_ascii(events, 5), 3),
-    (diagram.render_ascii, 3),
     (lambda events: diagram.render_diagram(events, 5), 3),
-    (diagram.render_diagram, 3),
-], ids=["qt_spans", "compute_stats", "render_ascii", "render_ascii-infer",
-        "render_diagram", "render_diagram-infer"])
+], ids=["qt_spans", "compute_stats", "render_ascii", "render_diagram"])
 def test_consumers_read_the_events_in_few_passes(consume, bound):
     events = CountingList(fixture_trace("adaptive", 5))
     consume(events)

@@ -100,6 +100,13 @@ def test_empty_trace_stats():
     assert st.cores_used == 0
 
 
+@pytest.mark.parametrize("events", [
+    [], [tr.Event(0, 0, "1", tr.INSTR_RETIRED, 0)]], ids=["empty", "cycle-0"])
+def test_a_trace_that_ends_at_cycle_0_has_no_speedup(events):
+    with pytest.raises(ValueError, match="ends at cycle 0"):
+        stats.compute_stats(events, 1, baseline_cycles=10)
+
+
 def test_too_few_cores_rejected():
     _, _, events = assemble_run(dynpar_source(), cores=8)
     with pytest.raises(ValueError, match="core 6"):

@@ -265,3 +265,19 @@ def test_qt_spans_root_first_and_open_spans_end_at_last_cycle():
         tr.QtSpan("12", "1", 2, 3, 9),
     ]
     assert tr.qt_spans([]) == []
+
+
+def test_a_trace_needs_one_core_more_than_the_highest_it_names():
+    events = [tr.Event(1, 0, "1", tr.INSTR_RETIRED, 0),
+              tr.Event(2, 3, "11", tr.QT_CREATED, 0)]
+    assert tr.cores_needed(events) == 4
+    assert tr.cores_needed([]) == 1
+    assert tr.spans_on(events, 4) == (tr.qt_spans(events), 2)
+    assert tr.spans_on([], 1) == ([], 0)
+    with pytest.raises(ValueError, match="the trace uses core 3, but cores=3"):
+        tr.spans_on(events, 3)
+
+
+def test_a_malformed_line_is_a_bad_value():
+    with pytest.raises(ValueError, match="unknown kind 'Nap' on line 1"):
+        tr.parse_trace("cycle=1 core=0 qt=1 kind=Nap addr=0x0\n")
