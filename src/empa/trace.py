@@ -80,9 +80,10 @@ def parent_qt_id(qt_id):
 
 def qt_spans(events):
     """Every QT's lifetime, root first, then in creation order.  A QT
-    alive at the end lasts to the last cycle; the root spans the whole
-    trace on the core of its first event (else 0).  One pass over
-    `events`, a sequence in any cycle order."""
+    alive at the end lasts to the last cycle.  The root lives from
+    cycle 1, where every run starts (or from 0 if an event is there),
+    to the last cycle, on the core of its first event (else 0).  One
+    pass over `events`, a sequence in any cycle order."""
     if not events:
         return []
     first = last = events[0][0]
@@ -101,7 +102,7 @@ def qt_spans(events):
             created.append([qt, core, cycle, None])
         elif kind == QT_TERMINATED and qt in open_at:
             created[open_at.pop(qt)][3] = cycle
-    spans = [QtSpan(ROOT_QT_ID, None, root_core or 0, first, last)]
+    spans = [QtSpan(ROOT_QT_ID, None, root_core or 0, min(first, 1), last)]
     spans += [QtSpan(qt, parent_qt_id(qt), core, start,
                      last if end is None else end)
               for qt, core, start, end in created]

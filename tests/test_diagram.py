@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from empa import diagram, trace as tr
+from empa import diagram, stats, trace as tr
 from empa.fixtures import dynpar_source, for_mode_source, sumup_mode_source
 from helpers import assemble_run
 
@@ -140,3 +140,18 @@ def test_too_few_cores_rejected(render):
     with pytest.raises(ValueError, match="core 6"):
         render(events, 2)
     render(events, 7)
+
+
+def test_the_root_is_alive_from_cycle_1():
+    """A first instruction of three cycles: the root's span covers its
+    first two cycles too, in the stats and in both diagrams."""
+    _, machine, events = assemble_run("mrmovl 0(%eax),%ecx\nhalt\n", cores=1)
+    assert min(ev.cycle for ev in events) == 3
+    st = stats.compute_stats(events, 1)
+    assert st.per_core_busy == [st.total_cycles] == [machine.clock] == [4]
+    rows = diagram.render_ascii(events, 1).splitlines()[1:]
+    assert [row.strip() for row in rows[1:3]] == ["|", "|"]
+    root = ET.fromstring(diagram.render_diagram(events, 1))
+    rect, = _by_class(root, "qt-rect")
+    ball = _by_class(root, "instr-ball")[0]
+    assert rect.get("y") == ball.get("cy") == str(diagram._y(1))

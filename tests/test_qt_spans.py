@@ -21,13 +21,14 @@ from helpers import CountingList, event_lists, fixture_trace
 
 def _four_pass_qt_spans(events):
     """qt_spans as it was first written: the last cycle, the root's core
-    and the first cycle each in a pass of their own, then the spans."""
+    and the first cycle each in a pass of their own, then the spans.
+    The root starts at cycle 1, or at 0 if an event is there."""
     if not events:
         return []
     last = max(ev.cycle for ev in events)
     root_core = next((ev.core for ev in events if ev.qt == tr.ROOT_QT_ID), 0)
     spans = [tr.QtSpan(tr.ROOT_QT_ID, None, root_core,
-                       min(ev.cycle for ev in events), last)]
+                       min(min(ev.cycle for ev in events), 1), last)]
     open_at = {}
     for ev in events:
         if ev.kind == tr.QT_CREATED:
@@ -71,7 +72,7 @@ def _oracle_spans(events, total):
         if ev.qt == "1":
             root_core = ev.core
     first = min((ev.cycle for ev in events), default=0)
-    spans.append(["1", root_core, first, total])
+    spans.append(["1", root_core, min(first, 1), total])
     for ev in events:
         if ev.kind == tr.QT_CREATED:
             span = [ev.qt, ev.core, ev.cycle, None]
@@ -101,7 +102,7 @@ def _oracle_busy(events, cores, total):
             spans[ev.qt][2] = ev.cycle
     root_cores = {ev.core for ev in events if ev.qt == "1"}
     if events and "1" not in spans:
-        first = min(ev.cycle for ev in events)
+        first = min(min(ev.cycle for ev in events), 1)
         spans["1"] = [min(root_cores) if root_cores else 0, first, None]
     cycles = [set() for _ in range(cores)]
     for core, start, end in spans.values():
