@@ -1,15 +1,13 @@
 """Trace serialization round-trip and format checks."""
 
-import importlib.util
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 
-from empa import assembler, engine, trace as tr
+from empa import trace as tr
 from empa.fixtures import FIXTURES, sumup_mode_source
-from helpers import assemble_run, event_lists, fixture_trace
+from helpers import assemble_run, event_lists, fixture_trace, pinned_traces
 
 
 def test_format_event_with_and_without_payload():
@@ -200,29 +198,13 @@ def test_compiled_pass_and_per_line_path_agree(case):
     assert fast is None or fast == events
 
 
-def _bench_programs():
-    """The seed-0 programs of every benchmark workload."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    for name in sorted(workloads.PARAMS):
-        yield from workloads.generate(name, 0)
-
-
-def _bench_trace(program):
-    image = assembler.assemble(program.source, program.mem_bytes)
-    machine = engine.Machine(image, engine.MachineConfig(
-        cores=program.cores, mem_bytes=program.mem_bytes))
-    return machine.run_to_halt()[0]
-
-
 def test_canonical_traces_take_the_compiled_pass(monkeypatch):
     """What format_trace writes never goes line by line: the fixtures on
     1, 2, 5 and 64 cores and the benchmark's seed-0 programs."""
     traces = [fixture_trace(name, cores) for name in sorted(FIXTURES)
               for cores in (1, 2, 5, 64)]
-    traces += map(_bench_trace, _bench_programs())
+    traces += [events for name, runs in pinned_traces().items()
+               if not name.startswith("fixture:") for _, events in runs]
     calls = _count_slow_entries(monkeypatch)
     for events in traces:
         assert tr.parse_trace(tr.format_trace(events)) == events
