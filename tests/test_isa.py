@@ -4,6 +4,7 @@ whole opcode/operand space, length accounting, group separation."""
 import pytest
 from hypothesis import given, strategies as st
 
+import decode_ref
 from empa import isa
 from helpers import format_instruction, valid_instruction_space
 
@@ -130,3 +131,31 @@ def test_format_instruction_roundtrips_through_mnemonics():
     for instr in samples:
         text = format_instruction(instr)
         assert text.split()[0] == instr.mnemonic
+
+
+def _outcome(decode, buf, offset):
+    """(fields, length) of a decode, or (exception class, message)."""
+    try:
+        instr, length = decode(buf, offset)
+    except isa.EncodingError as exc:
+        return type(exc), str(exc)
+    return (instr.opcode, instr.ra, instr.rb, instr.imm), length
+
+
+def test_decode_matches_the_reference_on_every_byte_pair():
+    """Every opcode byte with every register byte, and every opcode cut
+    short at every length and decoded at every offset of what is left:
+    the same fields and length as tests/decode_ref.py, or the same
+    exception class and message."""
+    for opcode in range(256):
+        for regbyte in range(256):
+            buf = bytes((opcode, regbyte, 0x78, 0x56, 0x34, 0x92))
+            want = _outcome(decode_ref.decode, buf, 0)
+            assert _outcome(isa.decode, buf, 0) == want, buf.hex()
+        full = bytearray((opcode, 0x12, 0x78, 0x56, 0x34, 0x92, 0xE1))
+        for cut in range(len(full) + 1):
+            buf = full[:cut]
+            for offset in range(cut + 2):
+                want = _outcome(decode_ref.decode, buf, offset)
+                assert _outcome(isa.decode, buf, offset) == want, \
+                    (buf.hex(), offset)

@@ -149,6 +149,47 @@ L:      mrmovl 0(%eax),%ecx
     assert outcome["events"][-1] == (6, 0, "1", tr.INSTR_RETIRED, 0x1A, 1)
 
 
+HALT_IN_CHILD = """
+        QCreate CT,%eno
+        nop                   # core 1: the child QT
+        nop
+        halt                  # core 1: faults at retire, cycle 4
+CT:     QTerm
+        nop
+L:      nop
+        jmp L
+"""
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: m.run_to_halt(), lambda m: _tick_loop(m, None)],
+    ids=["run_to_halt", "tick"])
+def test_halt_in_a_child_qt_faults_and_parks_its_core(run):
+    """A halt retired outside the root QT faults, in a full tick and in
+    a quiet stretch alike (run_to_halt is in one from cycle 3)."""
+    machine = _machine(HALT_IN_CHILD, 2)
+    with pytest.raises(RuntimeFault) as exc:
+        run(machine)
+    fault = exc.value
+    assert str(fault) == "halt outside the root QT | core 1 | QT 11 | at 0x0008"
+    assert (fault.core, fault.qt, fault.addr) == (1, "11", 0x08)
+    assert machine.clock == 4 and not machine.halted
+    assert [core.state for core in machine.cores] == [State.RUNNING,
+                                                      State.PARKED]
+    # the halt's own retirement is the last event, after core 0's
+    assert tr.format_trace(machine.events) == (
+        "cycle=1 core=0 qt=1 kind=MetaRetired addr=0x0000 payload=0x00000001\n"
+        "cycle=2 core=1 qt=11 kind=QtCreated addr=0x0000\n"
+        "cycle=2 core=0 qt=1 kind=InstrRetired addr=0x000a payload=0x00000001\n"
+        "cycle=2 core=1 qt=11 kind=InstrRetired addr=0x0006 payload=0x00000001\n"
+        "cycle=3 core=0 qt=1 kind=InstrRetired addr=0x000b payload=0x00000001\n"
+        "cycle=3 core=1 qt=11 kind=InstrRetired addr=0x0007 payload=0x00000001\n"
+        "cycle=4 core=0 qt=1 kind=InstrRetired addr=0x000c payload=0x00000001\n"
+        "cycle=4 core=1 qt=11 kind=InstrRetired addr=0x0008 payload=0x00000001\n")
+    assert _assert_same_run(HALT_IN_CHILD, 2)["error"][:2] == (
+        RuntimeFault, str(fault))
+
+
 def test_fetch_fault_at_the_same_clock_parks_the_core():
     outcome = _assert_same_run(".pos 0\n.long 0xCCCCCCCC\n", 1)
     assert outcome["error"][0] is RuntimeFault and outcome["clock"] == 1
