@@ -82,7 +82,7 @@ class CoreState:
 
     # execution bookkeeping (engine-owned)
     inflight = None          # decode_at entry executing: (Instruction,
-                             # cycles, executor)
+                             # cycles, executor, event kind, halts)
     inflight_addr: int = 0
     remaining: int = 0
     for_parent_dirty: bool = False

@@ -31,12 +31,14 @@ cores, in one pass.  A runtime fault parks the core that raised it.
 
 Each code address is decoded once.  Machine.decode_at keeps, per pc,
 the raw bytes and the entry decoded from them: the instruction, its
-cycle count and its executor (coremodel.bind), and reuses the entry
-only while memory still holds those bytes.  A retiring core runs the
-executor; there is no dispatch on the opcode.  Decoding and binding
-are pure functions of the bytes and the pc (and the fixed memory
-size), so self-modifying code and writes by other cores need no
-invalidation.
+cycle count, its executor (coremodel.bind), the kind of event its
+retirement emits and whether it is a halt, and reuses the entry only
+while memory still holds those bytes.  A retiring core runs the
+executor and appends the event of the entry's kind to the trace
+itself; there is no dispatch on the opcode and no call to emit, which
+records the SV's and the latches' events.  Decoding and binding are
+pure functions of the bytes and the pc (and the fixed memory size), so
+self-modifying code and writes by other cores need no invalidation.
 """
 import math
 from dataclasses import dataclass, field
@@ -48,7 +50,7 @@ from .coremodel import (FOR_PARENT, FREE, MASSLOOP, PARKED, RUNNING, WAITING,
 from .errors import (AddressOutOfRange, Deadlock, ImageTooLarge,
                      InvariantViolation, RuntimeFault, WatchdogExpired)
 from .supervisor import KIND_PLAIN, QTDescriptor, Supervisor
-from .trace import Event
+from .trace import INSTR_RETIRED, META_RETIRED, Event
 
 _new = tuple.__new__
 
@@ -190,7 +192,8 @@ class Machine:
     # ---- event sink ------------------------------------------------------
 
     def emit(self, core, qt_id, kind, addr, payload=None):
-        """Record an event at the current clock."""
+        """Record an event at the current clock.  A retirement's event
+        is appended by _run_cores itself."""
         clock = self._last_event_clock = self.clock
         self.events.append(_new(Event, (clock, core, qt_id, kind, addr,
                                         payload)))
@@ -242,7 +245,7 @@ class Machine:
         memory = self.memory
         data = memory.data
         cached = self._decoded.get
-        emit = self.emit
+        append = self.events.append
         submit = self.sv.submit
         clock = self.clock
         try:
@@ -270,25 +273,23 @@ class Machine:
                     core.remaining = remaining
                     if remaining:
                         continue
-                    # the retire
-                    instr, duration, execute = entry
+                    # the retire: its event, straight from the entry
+                    instr, duration, execute, kind, halts = entry
                     addr = core.inflight_addr
                     execute(core, memory, self)
                     core.inflight = None
-                    if instr.is_meta:
-                        emit(core.index, core.qt.id, tr.META_RETIRED, addr,
-                             duration)
+                    append(_new(Event, (clock, core.index, core.qt.id, kind,
+                                        addr, duration)))
+                    self._last_event_clock = clock
+                    if kind is META_RETIRED:
                         submit(core, instr, addr)
-                    else:
-                        emit(core.index, core.qt.id, tr.INSTR_RETIRED, addr,
-                             duration)
-                        if instr.opcode == isa.HALT:
-                            if core.qt.parent is not None:
-                                raise RuntimeFault(
-                                    "halt outside the root QT",
-                                    core=core.index, qt=core.qt.id, addr=addr)
-                            self.halted = True
-                            return
+                    elif halts:
+                        if core.qt.parent is not None:
+                            raise RuntimeFault(
+                                "halt outside the root QT",
+                                core=core.index, qt=core.qt.id, addr=addr)
+                        self.halted = True
+                        return
                 if budget is None:
                     return
                 if clock - self._last_event_clock >= watchdog:
@@ -301,17 +302,20 @@ class Machine:
             raise
 
     def decode_at(self, pc):
-        """(Instruction, cycles, executor) for the code at pc;
-        EncodingError if it does not decode.  A cached entry is used
-        only while memory still holds its bytes; a failed decode is not
-        cached."""
+        """(Instruction, cycles, executor, event kind, halts) for the
+        code at pc: the retirement emits an event of that kind, and a
+        halt stops the machine.  EncodingError if it does not decode.
+        A cached entry is used only while memory still holds its bytes;
+        a failed decode is not cached."""
         data = self.memory.data
         hit = self._decoded.get(pc)
         if hit is not None and data.startswith(hit[0], pc):
             return hit[1]
         instr, length = isa.decode(data, pc)
-        entry = (instr, self.cfg.timing.cycles_for(instr.opcode),
-                 bind(instr, pc))
+        opcode = instr.opcode
+        entry = (instr, self.cfg.timing.cycles_for(opcode), bind(instr, pc),
+                 META_RETIRED if isa.OPCODE_TABLE[opcode].is_meta
+                 else INSTR_RETIRED, opcode == isa.HALT)
         self._decoded[pc] = (bytes(data[pc:pc + length]), entry)
         return entry
 

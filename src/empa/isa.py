@@ -4,11 +4,21 @@ Bit-exact encode/decode for the 32-bit little-endian dialect: one opcode
 byte (group nibble high, member nibble low), an optional register byte,
 an optional 32-bit immediate word.  Total length 1-6 bytes, a pure
 function of the opcode.  All functions here are pure and thread-safe.
+
+Every per-opcode fact sits in one table, built at import: OPCODE_TABLE
+holds, for each opcode byte, its OpcodeSpec (mnemonic, form, length,
+whether a register byte and an immediate follow, the register bytes its
+form takes, whether it is a meta-instruction), or None.  The operand
+rules are stated once, in _check_fields; encode checks fields with it,
+and the table's register-byte sets are worked out from it.  decode
+reads one table row, tests the register byte against its set, and
+builds the Instruction tuple directly; only a rejected register byte
+goes back to _check_fields for the message.
 """
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 
 WORD_MASK = 0xFFFFFFFF
 
@@ -69,7 +79,7 @@ META_GROUP = 0xE
 # Condition-function suffixes shared by cmovXX (0x2n) and jXX (0x7n).
 CONDITIONS = ("", "le", "l", "e", "ne", "ge", "g")
 
-# Instruction forms decide both length and which operand fields are live:
+# Instruction forms decide the length and which fields follow the opcode:
 #   n    1 byte   no operands
 #   rr   2 bytes  regbyte, both registers required
 #   r    2 bytes  regbyte, rA required, rB must be none (push/pop)
@@ -78,53 +88,11 @@ CONDITIONS = ("", "le", "l", "e", "ne", "ge", "g")
 #   d    5 bytes  immediate only (jumps, call, QWait/QPWait/QCall)
 #   qr   6 bytes  regbyte (rA required, rB none) + immediate (Q-create family,
 #                 QAlloc)
-FORM_LENGTHS = {"n": 1, "rr": 2, "r": 2, "ir": 6, "rm": 6, "d": 5, "qr": 6}
-
-
-@dataclass(frozen=True)
-class OpcodeSpec:
-    mnemonic: str
-    form: str
-
-    @property
-    def length(self):
-        return FORM_LENGTHS[self.form]
-
-
-def _build_opcode_table():
-    table = {
-        HALT: OpcodeSpec("halt", "n"),
-        NOP: OpcodeSpec("nop", "n"),
-        IRMOVL: OpcodeSpec("irmovl", "ir"),
-        RMMOVL: OpcodeSpec("rmmovl", "rm"),
-        MRMOVL: OpcodeSpec("mrmovl", "rm"),
-        ADDL: OpcodeSpec("addl", "rr"),
-        SUBL: OpcodeSpec("subl", "rr"),
-        ANDL: OpcodeSpec("andl", "rr"),
-        XORL: OpcodeSpec("xorl", "rr"),
-        CALL: OpcodeSpec("call", "d"),
-        RET: OpcodeSpec("ret", "n"),
-        PUSHL: OpcodeSpec("pushl", "r"),
-        POPL: OpcodeSpec("popl", "r"),
-        QCREATE: OpcodeSpec("QCreate", "qr"),
-        QTERM: OpcodeSpec("QTerm", "n"),
-        QWAIT: OpcodeSpec("QWait", "d"),
-        QPWAIT: OpcodeSpec("QPWait", "d"),
-        QCALL: OpcodeSpec("QCall", "d"),
-        QALLOC: OpcodeSpec("QAlloc", "qr"),
-        QTCREATE: OpcodeSpec("QTCreate", "qr"),
-        QFCREATE: OpcodeSpec("QFCreate", "qr"),
-    }
-    for fn, cond in enumerate(CONDITIONS):
-        table[RRMOVL | fn] = OpcodeSpec("rrmovl" if fn == 0 else "cmov" + cond, "rr")
-        table[JMP | fn] = OpcodeSpec("jmp" if fn == 0 else "j" + cond, "d")
-    return table
-
-
-OPCODES = _build_opcode_table()
-
-META_OPCODES = frozenset(op for op in OPCODES if op >> 4 == META_GROUP)
-QCREATE_FAMILY = frozenset((QCREATE, QTCREATE, QFCREATE))
+# form -> (length, a register byte follows the opcode, an immediate word
+# ends the instruction)
+FORMS = {"n": (1, False, False), "rr": (2, True, False), "r": (2, True, False),
+         "ir": (6, True, True), "rm": (6, True, True), "d": (5, False, True),
+         "qr": (6, True, True)}
 
 
 class EncodingError(Exception):
@@ -143,38 +111,6 @@ class TruncatedInstruction(EncodingError):
     """Buffer ends in the middle of an instruction."""
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """A decoded instruction.  Fields not used by the opcode's form stay
-    at their canonical values (RNONE / 0) so decode(encode(i)) == i.
-    `length` and `is_meta` are worked out once per instance (they are
-    read on every retire) and take no part in equality."""
-
-    opcode: int
-    ra: int = RNONE
-    rb: int = RNONE
-    imm: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "imm", self.imm & WORD_MASK)
-
-    @property
-    def spec(self):
-        return OPCODES[self.opcode]
-
-    @cached_property
-    def length(self):
-        return self.spec.length
-
-    @property
-    def mnemonic(self):
-        return self.spec.mnemonic
-
-    @cached_property
-    def is_meta(self):
-        return self.opcode >> 4 == META_GROUP
-
-
 def _check_reg(code, *, allow_none, what):
     if code == RNONE:
         if not allow_none:
@@ -184,35 +120,123 @@ def _check_reg(code, *, allow_none, what):
         raise InvalidOperand("%s: invalid register code 0x%x" % (what, code))
 
 
+def _check_fields(form, name, ra, rb, imm):
+    """InvalidOperand unless ra, rb and imm fit `form`; `name` is the
+    mnemonic the message names.  The one statement of the operand rules:
+    the register bytes of the opcode table are worked out from it."""
+    if form in ("n", "d"):
+        if ra != RNONE or rb != RNONE:
+            raise InvalidOperand("%s takes no register operands" % name)
+    elif form == "rr":
+        _check_reg(ra, allow_none=False, what=name + " rA")
+        _check_reg(rb, allow_none=False, what=name + " rB")
+    elif form == "r":
+        _check_reg(ra, allow_none=False, what=name + " rA")
+        if rb != RNONE:
+            raise InvalidOperand("%s takes a single register" % name)
+    elif form == "ir":
+        if ra != RNONE:
+            raise InvalidOperand("%s: rA must be empty" % name)
+        _check_reg(rb, allow_none=False, what=name + " rB")
+    elif form == "rm":
+        _check_reg(ra, allow_none=False, what=name + " rA")
+        _check_reg(rb, allow_none=True, what=name + " base")
+    elif form == "qr":
+        _check_reg(ra, allow_none=False, what=name + " rA")
+        if rb != RNONE:
+            raise InvalidOperand("%s: rB must be empty" % name)
+    if not FORMS[form][2] and imm != 0:
+        raise InvalidOperand("%s carries no immediate" % name)
+
+
+def _valid_regbytes(form):
+    valid = []
+    for regbyte in range(256):
+        try:
+            _check_fields(form, form, regbyte >> 4, regbyte & 0xF, 0)
+        except InvalidOperand:
+            continue
+        valid.append(regbyte)
+    return frozenset(valid)
+
+
+_REGBYTES = {form: _valid_regbytes(form) for form in FORMS}
+
+
+@dataclass(frozen=True, slots=True)
+class OpcodeSpec:
+    """Everything decoding needs to know of one opcode, worked out once:
+    the mnemonic and form, the length, whether a register byte and an
+    immediate word follow the opcode, the register bytes the form takes
+    and whether it is a meta-instruction."""
+
+    mnemonic: str
+    form: str
+    length: int
+    has_reg: bool
+    has_imm: bool
+    regbytes: frozenset
+    is_meta: bool
+
+
+def _build_opcode_table():
+    forms = {
+        HALT: ("halt", "n"), NOP: ("nop", "n"), IRMOVL: ("irmovl", "ir"),
+        RMMOVL: ("rmmovl", "rm"), MRMOVL: ("mrmovl", "rm"),
+        ADDL: ("addl", "rr"), SUBL: ("subl", "rr"), ANDL: ("andl", "rr"),
+        XORL: ("xorl", "rr"), CALL: ("call", "d"), RET: ("ret", "n"),
+        PUSHL: ("pushl", "r"), POPL: ("popl", "r"),
+        QCREATE: ("QCreate", "qr"), QTERM: ("QTerm", "n"),
+        QWAIT: ("QWait", "d"), QPWAIT: ("QPWait", "d"), QCALL: ("QCall", "d"),
+        QALLOC: ("QAlloc", "qr"), QTCREATE: ("QTCreate", "qr"),
+        QFCREATE: ("QFCreate", "qr"),
+    }
+    for fn, cond in enumerate(CONDITIONS):
+        forms[RRMOVL | fn] = ("rrmovl" if fn == 0 else "cmov" + cond, "rr")
+        forms[JMP | fn] = ("jmp" if fn == 0 else "j" + cond, "d")
+    return {op: OpcodeSpec(mnemonic, form, *FORMS[form], _REGBYTES[form],
+                           op >> 4 == META_GROUP)
+            for op, (mnemonic, form) in forms.items()}
+
+
+OPCODES = _build_opcode_table()
+# The same specs indexed by opcode byte, None where no opcode is defined.
+OPCODE_TABLE = tuple(OPCODES.get(byte) for byte in range(256))
+
+META_OPCODES = frozenset(op for op, spec in OPCODES.items() if spec.is_meta)
+QCREATE_FAMILY = frozenset((QCREATE, QTCREATE, QFCREATE))
+
+_new = tuple.__new__
+
+
+class Instruction(namedtuple("Instruction", "opcode ra rb imm")):
+    """A decoded instruction, as a tuple of its fields.  Fields not used
+    by the opcode's form stay at their canonical values (RNONE / 0) so
+    decode(encode(i)) == i; imm is kept as a 32-bit word."""
+
+    __slots__ = ()
+
+    def __new__(cls, opcode, ra=RNONE, rb=RNONE, imm=0):
+        return _new(cls, (opcode, ra, rb, imm & WORD_MASK))
+
+    @property
+    def spec(self):
+        return OPCODES[self.opcode]
+
+    @property
+    def length(self):
+        return OPCODES[self.opcode].length
+
+    @property
+    def mnemonic(self):
+        return OPCODES[self.opcode].mnemonic
+
+
 def _validate(instr):
     spec = OPCODES.get(instr.opcode)
     if spec is None:
         raise IllegalOpcode("unknown opcode 0x%02x" % instr.opcode)
-    form = spec.form
-    name = spec.mnemonic
-    if form in ("n", "d"):
-        if instr.ra != RNONE or instr.rb != RNONE:
-            raise InvalidOperand("%s takes no register operands" % name)
-    elif form == "rr":
-        _check_reg(instr.ra, allow_none=False, what=name + " rA")
-        _check_reg(instr.rb, allow_none=False, what=name + " rB")
-    elif form == "r":
-        _check_reg(instr.ra, allow_none=False, what=name + " rA")
-        if instr.rb != RNONE:
-            raise InvalidOperand("%s takes a single register" % name)
-    elif form == "ir":
-        if instr.ra != RNONE:
-            raise InvalidOperand("%s: rA must be empty" % name)
-        _check_reg(instr.rb, allow_none=False, what=name + " rB")
-    elif form == "rm":
-        _check_reg(instr.ra, allow_none=False, what=name + " rA")
-        _check_reg(instr.rb, allow_none=True, what=name + " base")
-    elif form == "qr":
-        _check_reg(instr.ra, allow_none=False, what=name + " rA")
-        if instr.rb != RNONE:
-            raise InvalidOperand("%s: rB must be empty" % name)
-    if form in ("n", "rr", "r") and instr.imm != 0:
-        raise InvalidOperand("%s carries no immediate" % name)
+    _check_fields(spec.form, spec.mnemonic, instr.ra, instr.rb, instr.imm)
     return spec
 
 
@@ -225,6 +249,7 @@ def encode(instr):
 
 _OP_REG_WORD = struct.Struct("<BBI")
 _OP_WORD = struct.Struct("<BI")
+_unpack_word = struct.Struct("<I").unpack_from
 
 
 def pack(form, opcode, ra, rb, imm):
@@ -249,29 +274,29 @@ def decode(buf, offset=0):
     if offset >= len(buf):
         raise TruncatedInstruction("no byte at offset 0x%x" % offset)
     opcode = buf[offset]
-    spec = OPCODES.get(opcode)
+    spec = OPCODE_TABLE[opcode]
     if spec is None:
         raise IllegalOpcode("illegal opcode 0x%02x at 0x%x" % (opcode, offset))
     length = spec.length
-    if offset + length > len(buf):
+    end = offset + length
+    if end > len(buf):
         raise TruncatedInstruction(
             "%s at 0x%x truncated (need %d bytes)" % (spec.mnemonic, offset, length))
-    ra = rb = RNONE
-    imm = 0
-    pos = offset + 1
-    if spec.form in ("rr", "r", "ir", "rm", "qr"):
-        regbyte = buf[pos]
-        ra, rb = regbyte >> 4, regbyte & 0xF
-        pos += 1
-    if spec.form in ("ir", "rm", "d", "qr"):
-        imm = int.from_bytes(buf[pos:pos + 4], "little")
-    instr = Instruction(opcode, ra, rb, imm)
-    try:
-        _validate(instr)
-    except InvalidOperand as exc:
-        raise IllegalOpcode(
-            "malformed %s at 0x%x: %s" % (spec.mnemonic, offset, exc)) from None
-    return instr, length
+    if spec.has_reg:
+        regbyte = buf[offset + 1]
+        ra = regbyte >> 4
+        rb = regbyte & 0xF
+        if regbyte not in spec.regbytes:
+            try:
+                _check_fields(spec.form, spec.mnemonic, ra, rb, 0)
+            except InvalidOperand as exc:
+                raise IllegalOpcode("malformed %s at 0x%x: %s"
+                                    % (spec.mnemonic, offset, exc)) from None
+    else:
+        ra = rb = RNONE
+    # the immediate word, if any, is the instruction's last four bytes
+    imm = _unpack_word(buf, end - 4)[0] if spec.has_imm else 0
+    return _new(Instruction, (opcode, ra, rb, imm)), length
 
 
 def to_signed(value):

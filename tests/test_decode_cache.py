@@ -285,11 +285,11 @@ def test_a_change_to_any_byte_of_a_cached_instruction_is_seen(opcode):
             with pytest.raises(isa.IllegalOpcode, match=re.escape(str(exc))):
                 machine.decode_at(0)
         else:
-            instr, _, execute = machine.decode_at(0)
+            instr, _, execute = machine.decode_at(0)[:3]
             assert instr == want != sample
             assert_acts_as_reference(execute, want, 0, seed=i)
         memory[i] ^= 0x01
-        instr, _, execute = machine.decode_at(0)
+        instr, _, execute = machine.decode_at(0)[:3]
         assert instr == sample
         assert_acts_as_reference(execute, sample, 0, seed=i)
 
@@ -305,7 +305,8 @@ _BYTE = st.one_of(st.sampled_from(sorted(isa.OPCODES)), st.integers(0, 255))
                 max_size=40))
 def test_decode_at_equals_a_fresh_decode_after_any_writes(data, steps):
     """Between arbitrary byte writes, decode_at gives what isa.decode
-    gives on the memory of the moment, errors included."""
+    gives on the memory of the moment, errors included, with the cycles,
+    event kind and halt flag of that instruction."""
     machine = engine.Machine(engine.image_from_bytes(b"\0"),
                              engine.MachineConfig(cores=1, mem_bytes=_MEMORY))
     memory = machine.memory.data
@@ -321,5 +322,9 @@ def test_decode_at_equals_a_fresh_decode_after_any_writes(data, steps):
             with pytest.raises(type(exc), match=re.escape(str(exc))):
                 machine.decode_at(pc)
             continue
-        assert machine.decode_at(pc)[:2] == (want,
-                                             timing.cycles_for(want.opcode))
+        instr, cycles, _, kind, halts = machine.decode_at(pc)
+        assert (instr, cycles) == (want, timing.cycles_for(want.opcode))
+        # what its retirement emits, and whether it stops the machine
+        assert kind == (tr.META_RETIRED if want.opcode >> 4 == isa.META_GROUP
+                        else tr.INSTR_RETIRED)
+        assert halts == (want.opcode == isa.HALT)

@@ -330,16 +330,19 @@ def test_sv_phases_follow_meta_retirements_and_qt_ends(name, cores):
 def test_the_checker_still_guards_a_quiet_stretch():
     machine = _machine(fixtures.no_mode_source(), 8)
     counts = _count_calls(machine)
-    emit = machine.emit
     seen = []
 
-    def tampering_emit(*args, **kwargs):
-        emit(*args, **kwargs)
-        if len(machine.events) == 20:     # well inside a quiet stretch
-            machine.sv.running.add(5)     # core 5 is free
-            seen.append(counts["phase"])
+    class TamperingEvents(list):
+        """The machine's event list; it breaks the state sets as the
+        20th event is recorded."""
 
-    machine.emit = tampering_emit
+        def append(self, event):
+            super().append(event)
+            if len(self) == 20:               # well inside a quiet stretch
+                machine.sv.running.add(5)     # core 5 is free
+                seen.append(counts["phase"])
+
+    machine.events = TamperingEvents()
     with pytest.raises(InvariantViolation, match="partition"):
         machine.run_to_halt()
     assert seen and counts["phase"] == seen[0]   # no SV phase since
