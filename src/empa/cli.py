@@ -166,10 +166,18 @@ def _swap_ext(path, ext):
 
 
 def _read_baseline(arg, parser):
+    """The cycles of --baseline: a stats file if the path exists, else
+    the argument itself must be a cycle count."""
     if arg is None:
         return None
-    text = _read_text(arg, parser) if os.path.exists(arg) else arg
-    return statsmod.parse_baseline(text)
+    if os.path.exists(arg):
+        return statsmod.parse_baseline(_read_text(arg, parser))
+    try:
+        int(arg, 0)
+    except ValueError:
+        raise ValueError("--baseline %s: no such file, and not a cycle count"
+                         % arg) from None
+    return statsmod.parse_baseline(arg)
 
 
 # The stats lines that `empa run` prints without --stats.

@@ -111,6 +111,16 @@ def test_run_with_baseline_prints_speedup(fixture_dir, capsys):
     assert any(ln.startswith("alphaEff=") for ln in out.splitlines())
 
 
+@pytest.mark.parametrize("baseline", ["53", "0x35"])
+def test_a_baseline_that_names_no_file_is_a_cycle_count(fixture_dir, capsys,
+                                                        baseline):
+    rc = cli.main(["run", _p(fixture_dir / "adaptive.eyo"), "--cores", "5",
+                   "--baseline", baseline])
+    assert rc == 0
+    assert capsys.readouterr().out == ("totalCycles=21\nspeedup=2.523810\n"
+                                       "alphaEff=0.754717\n")
+
+
 def test_run_cores_zero_usage_error(fixture_dir):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", _p(fixture_dir / "no_mode.eyo"), "--cores", "0"])
@@ -670,7 +680,10 @@ _BASELINES = {"0": "baseline cycle count must be positive, not 0",
               "-3": "baseline cycle count must be positive, not -3",
               "{dir}/zero.kv": "baseline cycle count must be positive, not 0",
               "{dir}/abc.kv":
-                  "totalCycles in baseline file is not an integer: 'abc'"}
+                  "totalCycles in baseline file is not an integer: 'abc'",
+              "{dir}/missing.kv":
+                  "--baseline {dir}/missing.kv: no such file, and not a "
+                  "cycle count"}
 # (argv, EMPA_CORES or None, message); {dir} is the inputs' directory.
 _USER_ERRORS = (
     [([cmd, "{dir}/adaptive.eyo"], value,
