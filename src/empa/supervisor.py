@@ -58,6 +58,10 @@ class QTDescriptor:
     changes: it is read-only, so a parent chain checked once stays
     checked."""
 
+    __slots__ = ("id", "_parent", "depth", "core", "create_addr",
+                 "term_addr", "link", "kind", "ecc_index", "alive", "alloc",
+                 "children")
+
     def __init__(self, qt_id, parent, core, create_addr, term_addr, link,
                  kind, ecc_index=0):
         self.id = qt_id
