@@ -55,6 +55,6 @@ def test_the_traced_bench_sees_every_layer_call():
                | {core.inflight_addr for core in machine.cores
                   if core.inflight is not None})
     assert len(decoded) > 10 and machine.clock > len(ticks) > 1
-    assert calls["isa.decode"] == len(decoded)
-    assert calls["supervisor.phase"] == len(ticks)
-    assert calls["engine.check_invariants"] >= 1
+    assert calls.get("isa.decode", 0) == len(decoded)
+    assert calls.get("supervisor.phase", 0) == len(ticks)
+    assert calls.get("engine.check_invariants", 0) >= 1
