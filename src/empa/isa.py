@@ -150,6 +150,7 @@ def _check_fields(form, name, ra, rb, imm):
 
 
 def _valid_regbytes(form):
+    """The register bytes that _check_fields lets `form` take."""
     valid = []
     for regbyte in range(256):
         try:
