@@ -1,7 +1,11 @@
 """Two-pass assembler for EMPA/Y86 source (.eyo).
 
 Pass 1 assigns addresses and collects labels; pass 2 encodes bytes and
-builds the listing.  A line is read with one compiled pattern and
+builds the listing.  A run of unlabelled `.long` lines of plain
+literals is found by one compiled pattern, kept as one entry and
+written in one step; a run with a word wider than 32 bits, a run past
+the image end and a run after a backward `.pos` go line by line
+instead.  Any other line is read with one compiled pattern and
 encoded by the encoder of its instruction form; a line outside the
 pattern is split by the per-line code.  The operand resolver tries a
 plain lookup first and gives the error of a token it cannot read.
@@ -13,6 +17,7 @@ a register token fits, semantic legality is the simulator's business.
 """
 
 import re
+from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
 from . import isa
@@ -71,6 +76,15 @@ _LINE_RE = re.compile(
     r"[ \t]*(?:([A-Za-z_][A-Za-z0-9_]*)[ \t]*:[ \t]*)?"
     r"(?:(\.?[A-Za-z_][A-Za-z0-9_]*)(?:[ \t]+%s(?:[ \t]*,[ \t]*%s)?)?[ \t]*)?"
     r"(?:#.*)?" % (_TOKEN, _TOKEN), re.ASCII)
+# A run of data lines, each an unlabelled `.long` of one plain literal
+# (0x hex, or decimal without leading zeros) with an optional comment
+# of printable ASCII or tabs, and a final "\n".  Such a line holds no
+# other line break, so the lines of a run are the ones str.splitlines
+# gives, and its literal is the token _LINE_RE reads.  With the
+# comments cut, the run splits on whitespace into `.long` and literal.
+_RUN_RE = re.compile(r"^(?:[ \t]*\.long[ \t]+(?:0x[0-9A-Fa-f]+|[1-9][0-9]*|0)"
+                     r"[ \t]*(?:#[\t -~]*)?\n)+", re.M)
+_COMMENT_RE = re.compile(r"#.*")
 _LABEL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -246,6 +260,7 @@ _LONG = _Op(None, None, 4, 1, _encode_d)
 _OPS = {spec.mnemonic: _Op(opcode, spec.form, spec.length, *_ENCODERS[spec.form])
         for opcode, spec in isa.OPCODES.items()}
 _OPS[".long"] = _LONG
+_RUN = object()                 # the op of a pass-1 entry for a data run
 
 
 def assemble(source, size=DEFAULT_IMAGE_SIZE):
@@ -257,32 +272,59 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
     symbols = image.symbols
     resolver = _Resolver(symbols)
 
-    # Pass 1: each line's address, and the labels.  A line in _LINE_RE
-    # is read from its groups, any other by _split_line.
-    parsed = []   # (lineno, raw, addr, op or None, operands)
-    addr = 0
+    # Pass 1: each line's address, and the labels.  A run of data lines
+    # is one entry; any other line in _LINE_RE is read from its groups,
+    # and the rest by _split_line.
+    parsed = []   # (lineno, raw, addr, op or None, operands), and for
+                  # a run (first lineno, its lines, addr, _RUN, words)
+    addr = lineno = pos = 0
+    backward = False              # a .pos has moved the address back
     fullmatch, ops_of = _LINE_RE.fullmatch, _OPS.get
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        m = fullmatch(raw)
-        if m is None or m[1] in symbols:
-            label, mnemonic, operands = _split_line(raw, lineno, symbols)
-        else:
-            label, mnemonic, a, b = m.groups()
-            operands = () if a is None else (a,) if b is None else (a, b)
-        op = None
-        length = 0
-        if mnemonic is not None:
-            op = ops_of(mnemonic)
-            if op is None:
-                addr = _directive(mnemonic, operands, addr, lineno)
+    for run in chain(_RUN_RE.finditer(source), (None,)):
+        start = len(source) if run is None else run.start()
+        for lineno, raw in enumerate(source[pos:start].splitlines(),
+                                     start=lineno + 1):
+            m = fullmatch(raw)
+            if m is None or m[1] in symbols:
+                label, mnemonic, operands = _split_line(raw, lineno, symbols)
             else:
-                if op is _LONG and len(operands) != 1:
-                    _operand_count(".long", operands, 1, lineno)
-                length = op.length
-        if label is not None:
-            symbols[label] = addr
-        parsed.append((lineno, raw, addr, op, operands))
-        addr += length
+                label, mnemonic, a, b = m.groups()
+                operands = () if a is None else (a,) if b is None else (a, b)
+            op = None
+            length = 0
+            if mnemonic is not None:
+                op = ops_of(mnemonic)
+                if op is None:
+                    to = _directive(mnemonic, operands, addr, lineno)
+                    backward = backward or to < addr
+                    addr = to
+                else:
+                    if op is _LONG and len(operands) != 1:
+                        _operand_count(".long", operands, 1, lineno)
+                    length = op.length
+            if label is not None:
+                symbols[label] = addr
+            parsed.append((lineno, raw, addr, op, operands))
+            addr += length
+        if run is None:
+            break
+        # A run is written in one step unless a word is wider than 32
+        # bits, the run passes the image end, or a backward .pos came
+        # before it (a write may then start below the highest earlier
+        # one and need the owner map).  Such a run becomes one .long
+        # entry per line, which reports the error of the first bad line.
+        pos = run.end()
+        raws = run[0].splitlines()
+        tokens = _COMMENT_RE.sub("", run[0]).split()[1::2]
+        words = list(map(int, tokens, repeat(0)))
+        end = addr + 4 * len(words)
+        if backward or end > size or max(words) > isa.WORD_MASK:
+            parsed += zip(range(lineno + 1, lineno + 1 + len(words)), raws,
+                          range(addr, end, 4), repeat(_LONG), zip(tokens))
+        else:
+            parsed.append((lineno + 1, raws, addr, _RUN, words))
+        lineno += len(words)
+        addr = end
 
     # Pass 2: emit bytes at the pass-1 addresses.  Writes are checked
     # for overlap against a byte-owner map, built only once a write
@@ -295,6 +337,13 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
     for lineno, raw, addr, op, operands in parsed:
         if op is None:            # blank, .pos or .align: no bytes
             listing.append((addr, b"", raw))
+            continue
+        if op is _RUN:
+            data = list(map(int.to_bytes, operands, repeat(4),
+                            repeat("little")))
+            high = addr + 4 * len(data)
+            memory[addr:high] = b"".join(data)
+            listing += zip(range(addr, high, 4), data, raw)
             continue
         opcode, form, _, count, encode = op
         if len(operands) != count:

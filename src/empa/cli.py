@@ -5,7 +5,8 @@ Exit codes: 0 ok, 1 user error, 2 runtime deadlock/watchdog/fault.
 The library raises ValueError for bad input (a config, a baseline, a
 trace) and ImageTooLarge for an image beyond memory, each with its
 message; main() is the one place that turns them into a usage error
-with exit 1.  EMPA_CORES provides a default core count; explicit flags
+with exit 1; it prints an assembler error, with no usage line, under
+the name of the file it came from.  EMPA_CORES provides a default core count; explicit flags
 win.
 """
 
@@ -113,9 +114,19 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _built(path, build, text):
+    """build(text); an assembler error it raises is reported under the
+    name of the file `text` was read from."""
+    try:
+        return build(text)
+    except assembler.AssemblerError as exc:
+        exc.source = path
+        raise
+
+
 def _load_image(path, parser):
     if path.endswith(".eyo"):
-        return assembler.assemble(_read_text(path, parser))
+        return _built(path, assembler.assemble, _read_text(path, parser))
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -127,7 +138,7 @@ def _load_image(path, parser):
         except UnicodeDecodeError:
             text = None
         if text is not None and " | " in text:
-            return assembler.load_listing(text)
+            return _built(path, assembler.load_listing, text)
     return engine.image_from_bytes(raw)
 
 
@@ -145,12 +156,8 @@ def _machine_config(args, parser):
 
 
 def cmd_asm(args, parser):
-    source = _read_text(args.source, parser)
-    try:
-        image = assembler.assemble(source)
-    except assembler.AssemblerError as exc:
-        print("%s: %s" % (args.source, exc), file=sys.stderr)
-        return EXIT_USER
+    image = _built(args.source, assembler.assemble,
+                   _read_text(args.source, parser))
     listing_path = args.output or _swap_ext(args.source, ".yo")
     image_path = _swap_ext(listing_path, ".img")
     _write_text(listing_path, assembler.write_listing(image))
@@ -435,7 +442,8 @@ def main(argv=None):
     try:
         return handler(args, parser)
     except (assembler.AssemblerError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("%s: %s" % (getattr(exc, "source", "error"), exc),
+              file=sys.stderr)
         return EXIT_USER
     except (ValueError, ImageTooLarge) as exc:
         parser.error(str(exc))

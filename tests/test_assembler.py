@@ -270,6 +270,16 @@ ERRORS = [
      "line 1: unknown register '%bad'"),
     ("jmp Nowhere\nfrobnicate\n", assembler.AssemblySyntaxError, 2,
      "line 2: unknown mnemonic 'frobnicate'"),
+    # A run of data lines fails on the line of its first bad word.
+    ("nop\n.long 1\n.long 0x100000000\n.long 2\n",
+     assembler.AssemblySyntaxError, 3,
+     "line 3: value '0x100000000' does not fit in 32 bits"),
+    (".pos 0xff4\n.long 1\n.long 2\n.long 3 # the last\n.long 4\n.long 5\n",
+     assembler.AssemblerError, 5,
+     "line 5: program exceeds the 4096-byte image at 0x1000"),
+    (".pos 0x10\nnop\n.pos 0x8\n.long 1\n.long 2\n.long 3\n",
+     assembler.AssemblerError, 6,
+     "line 6: byte 0x10 written by both line 2 and line 6"),
 ]
 
 
@@ -367,7 +377,10 @@ def _outcome(source):
 
 
 def _per_line_outcome(source):
-    with mock.patch.object(assembler, "_LINE_RE", _NO_LINE):
+    """_outcome with every line read by the per-line code: no line
+    matches _LINE_RE and no data run matches _RUN_RE."""
+    with mock.patch.object(assembler, "_LINE_RE", _NO_LINE), \
+            mock.patch.object(assembler, "_RUN_RE", _NO_LINE):
         return _outcome(source)
 
 
@@ -435,6 +448,65 @@ def test_compiled_pass_equals_the_per_line_path(data):
         assert memory[addr:addr + len(encoded)] == encoded
 
 
+# Literals of a .long: in the run grammar, or just outside it but read
+# per line (labels defined before and after their use among them).
+_LITERALS = st.one_of(
+    st.integers(0, isa.WORD_MASK).map(str),
+    st.integers(0, isa.WORD_MASK).map(hex),
+    st.sampled_from(["0", "0xABC", "0xffffffff", "4294967295", "0X1", "00",
+                     "0b1", "1_0", "$5", "-1", "Start", "End", "$End"]))
+# Literals that are an error, at most one to a program.
+_BAD_LITERALS = st.sampled_from(["007", "0x100000000", "4294967296", "0x",
+                                 "Nowhere"])
+_POS = st.sampled_from([0, 4, 0x10, 0x40, 0xFF0, 0xFF8, 0xFFC])
+# What ends a line: mostly "\n", else another break str.splitlines
+# knows (the pattern of a run takes none of them).
+_BREAKS = st.sampled_from(["\n"] * 8 + ["\r\n", "\r", "\x0b", "\x0c",
+                                        "\x1c", "\x85", "\u2028"])
+
+
+@st.composite
+def _data_line(draw, index):
+    """A .long line, sometimes labelled, with a comment or not."""
+    text = "%s.long%s%s%s%s" % (
+        draw(_BLANKS), draw(st.sampled_from([" ", "\t", " \t"])),
+        draw(_LITERALS), draw(st.sampled_from(["", " ", "\t"])),
+        draw(st.sampled_from(["", "# w", "#.long 9", "\t# a, b: c", "#~!"])))
+    if draw(st.integers(0, 9)) == 0:
+        text = "D%d: %s" % (index, text.lstrip())
+    return text
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_data_runs_equal_the_per_line_path(data):
+    """Generated blocks of .long lines among statements, .pos lines
+    (backward ones over a run, or to the image end) and blank lines,
+    with any line break, give the same image, symbols, listing, listing
+    text or error on both paths."""
+    lines = ["Start:"]
+    for index in range(data.draw(st.integers(1, 10))):
+        kind = data.draw(st.sampled_from(["data"] * 4 + ["code", "pos", ""]))
+        if kind == "data":
+            lines += [data.draw(_data_line(len(lines) + i))
+                      for i in range(data.draw(st.integers(1, 6)))]
+        elif kind == "code":
+            lines.append(data.draw(_statement(index))[0])
+        elif kind == "pos":
+            lines.append(".pos 0x%x" % data.draw(_POS))
+        else:
+            lines.append(data.draw(st.sampled_from(["", " ", "# only"])))
+    if data.draw(st.integers(0, 3)) == 0:
+        at = data.draw(st.integers(1, len(lines) - 1))
+        lines[at] = "\t.long %s" % data.draw(_BAD_LITERALS)
+    lines.append("End: QTerm")
+    source = "".join(line + data.draw(_BREAKS) for line in lines)
+    source = data.draw(st.sampled_from([source[:-1] if source.endswith("\n")
+                                        else source, source,
+                                        source + "\n\n", source + " \n\n"]))
+    assert _outcome(source) == _per_line_outcome(source)
+
+
 @pytest.mark.parametrize("source, cls, line, message", ERRORS)
 def test_pinned_errors_are_the_same_per_line(source, cls, line, message):
     assert _per_line_outcome(source) == (cls, line, message)
@@ -448,20 +520,37 @@ def _bench_sources():
             for name in sorted(workloads.PARAMS)}
 
 
+# An unlabelled .long of a literal number, which a run writes.
+_LITERAL_WORD = re.compile(r"\s*\.long\s+(0x[0-9a-fA-F]+|[0-9]+)\s*(#.*)?")
+
+
 def test_fixture_and_bench_sources_take_the_compiled_pass(monkeypatch):
     """No line a fixture builder or the benchmark writes is split per
-    line, and both paths agree on each fixture."""
+    line, no literal data word they write is resolved per line, and
+    both paths agree on each fixture."""
     sources = [(builder(), assembler.DEFAULT_IMAGE_SIZE)
                for _, builder in sorted(fixtures.FIXTURES.items())]
     by_workload = _bench_sources()
     assert by_workload and all(by_workload.values())
-    for programs in by_workload.values():
+    for name, programs in by_workload.items():
+        words = sum(bool(_LITERAL_WORD.fullmatch(line))
+                    for source, _ in programs for line in source.splitlines())
+        assert words >= 3000, name
         sources += programs
     expected = [_per_line_outcome(source) for source, _ in sources[:5]]
-    calls = []
+    calls, resolved = [], []
     monkeypatch.setattr(assembler, "_split_statement",
                         lambda *args: calls.append(args))
+    value = assembler._Resolver.value
+    monkeypatch.setattr(assembler._Resolver, "value",
+                        lambda self, token, line: resolved.append(line)
+                        or value(self, token, line))
     for source, size in sources:
+        del resolved[:]
         assembler.assemble(source, size)
+        assert resolved        # the labelled words and the instructions
+        words = {lineno for lineno, line in enumerate(source.splitlines(), 1)
+                 if _LITERAL_WORD.fullmatch(line)}
+        assert not words.intersection(resolved)
     assert calls == []
     assert [_outcome(source) for source, _ in sources[:5]] == expected

@@ -53,6 +53,31 @@ def test_asm_undefined_label_exit_1(tmp_path, capsys):
     assert "Missing" in err and "line 1" in err
 
 
+@pytest.mark.parametrize("argv", [["asm"], ["run"], ["step"],
+                                  ["run", "--cores", "4", "--stats"]])
+def test_each_command_names_the_source_of_an_assembler_error(
+        tmp_path, capsys, monkeypatch, argv):
+    """asm, run and step print the same stderr for a bad source: its
+    path, the line and the message, with exit 1 and no usage line."""
+    monkeypatch.setattr("builtins.input", lambda prompt: pytest.fail(prompt))
+    bad = tmp_path / "bad.eyo"
+    bad.write_text("nop\nbogus %eax\n")
+    assert cli.main(argv[:1] + [_p(bad)] + argv[1:]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "%s: line 2: unknown mnemonic 'bogus'\n" % bad
+    assert captured.out == ""
+    assert not (tmp_path / "bad.yo").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "step"])
+def test_a_bad_listing_names_its_file(tmp_path, capsys, command):
+    bad = tmp_path / "bad.yo"
+    bad.write_text("0x0000: 10 | nop\n0x0001: zz | nop\n")
+    assert cli.main([command, _p(bad)]) == 1
+    assert capsys.readouterr().err == (
+        "%s: line 2: unparseable listing line\n" % bad)
+
+
 @pytest.mark.parametrize("source", [".long 0x1ffffffff",
                                     "irmovl $99999999999,%eax",
                                     "QAlloc $0x1ffffffff,%ecx"])
