@@ -223,7 +223,9 @@ def cmd_run(args, parser):
 
 def _read_trace(path, cores, parser):
     """A saved trace's events and the core count of its machine:
-    --cores, never too few, or by default the fewest that it needs."""
+    --cores, never too few, or by default the fewest that it needs.
+    The cores it needs are read from the Trace's view, which the
+    statistics and the renderers then share."""
     events = tr.parse_trace(_read_text(path, parser))
     try:
         tr.check_durations(events)
@@ -231,7 +233,7 @@ def _read_trace(path, cores, parser):
         parser.error("%s: %s" % (path, exc))
     if cores is not None:
         _cores_flag(cores)
-    needed = tr.cores_needed(events)
+    needed = events.view.cores_needed
     if needed > engine.MAX_CORES:
         raise ValueError("%s: the trace names core %d, but a machine has at "
                          "most %d cores" % (path, needed - 1, engine.MAX_CORES))

@@ -320,7 +320,9 @@ class Machine:
         return entry
 
     def run_to_halt(self, max_cycles=None):
-        """Tick until the root QT halts.  Returns (events, self).
+        """Tick until the root QT halts.  Returns (events, self), the
+        events as a read-only trace.Trace copy of self.events, which
+        stays the plain list that the machine appends to.
 
         After a tick that leaves the SV idle comes a quiet stretch: the
         running cores step with no SV phase and no checker until a core
@@ -338,7 +340,7 @@ class Machine:
                 self.clock += 1
                 self._run_cores(budget)
             self._check_invariants()
-        return self.events, self
+        return tr.Trace(self.events), self
 
     # ---- health ------------------------------------------------------------
 

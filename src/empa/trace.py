@@ -7,7 +7,9 @@ One self-describing key-value record per line, append-only:
 
 The root QT is `1`; a QT's n-th child appends `1`..`9`, `a`..`z` for
 n = 1..35 and `(n)` from then on.  The trace is the sole input to
-diagrams and statistics, and both read it through `qt_spans`.
+diagrams and statistics.  Both read it through its view: the cores it
+needs, its QT spans (`qt_spans`) and its last cycle, which a `Trace`
+computes once and keeps.
 """
 
 import re
@@ -115,16 +117,63 @@ def cores_needed(events):
     return max(map(itemgetter(1), events), default=0) + 1
 
 
+# What the statistics and both renderers read of a trace.
+TraceView = namedtuple("TraceView", "cores_needed spans last")
+
+
+def _build_view(events):
+    """The TraceView of `events`: the cores they need, their QT spans
+    and their last cycle (0 if none)."""
+    spans = qt_spans(events)
+    return TraceView(cores_needed(events), spans,
+                     spans[0].end if spans else 0)
+
+
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a Trace is read-only")
+
+
+class Trace(list):
+    """The events of one run or one trace text, read-only, with their
+    view kept.  Each of the statistics and the renderers reads the view,
+    so one Trace pays for one view however many of them read it.  A
+    view kept on a list that can change would go stale, so every list
+    method that changes the list in place raises TypeError; slicing,
+    `+` and `*` give plain lists.  Only the base class's own methods,
+    called as list.append(trace, event), get round this, as they get
+    round any subclass."""
+    __slots__ = ("_view",)
+
+    def __init__(self, events=()):
+        super().__init__(events)
+        self._view = None
+
+    append = extend = insert = pop = remove = clear = sort = reverse = \
+        __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+
+    def __reduce__(self):
+        return Trace, (list(self),)
+
+    @property
+    def view(self):
+        """The TraceView of these events, computed on first use."""
+        if self._view is None:
+            self._view = _build_view(self)
+        return self._view
+
+
 def spans_on(events, cores):
     """The QT spans and the last cycle (0 if none) of `events` written
     on a `cores`-core machine; ValueError unless it has every core that
-    they name."""
-    needed = cores_needed(events)
+    they name.  This is where the statistics and the renderers read the
+    view: a Trace's own, kept, or for any other sequence one computed
+    for this call."""
+    needed, spans, last = (events.view if isinstance(events, Trace)
+                           else _build_view(events))
     if cores < needed:
         raise ValueError("the trace uses core %d, but cores=%d"
                          % (needed - 1, cores))
-    spans = qt_spans(events)
-    return spans, spans[0].end if spans else 0
+    return spans, last
 
 
 def check_durations(events):
@@ -200,11 +249,11 @@ def _events(rows, ints):
 
 
 def parse_trace(text):
-    """The events of a trace text.  Text in which every line is in
-    _LINE_RE, as format_trace writes it, is read in one compiled pass;
-    otherwise each line goes through parse_event."""
+    """The events of a trace text, as a Trace.  Text in which every line
+    is in _LINE_RE, as format_trace writes it, is read in one compiled
+    pass; otherwise each line goes through parse_event."""
     events = _parse_canonical(text)
-    return _parse_lines(text) if events is None else events
+    return Trace(_parse_lines(text) if events is None else events)
 
 
 def _parse_canonical(text):

@@ -109,6 +109,27 @@ class CountingList(list):
         return super().__iter__()
 
 
+class CountingTrace(tr.Trace):
+    """A Trace that counts how often it is iterated from the start."""
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def count_calls(monkeypatch, *names):
+    """The calls of each function trace.`name` from now on, as a list of
+    their names in call order."""
+    calls = []
+    for name in names:
+        def counted(events, _name=name, _real=getattr(tr, name)):
+            calls.append(_name)
+            return _real(events)
+        monkeypatch.setattr(tr, name, counted)
+    return calls
+
+
 def fixture_trace(name, cores):
     """The fixture's events on `cores` cores, up to a deadlock if any."""
     _, machine = make_machine(fixtures.FIXTURES[name](), cores=cores)

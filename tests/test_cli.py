@@ -12,7 +12,7 @@ import empa
 from empa import assembler, cli, engine, fixtures, trace as tr
 from empa.cli import StepSession
 
-from helpers import CountingList
+from helpers import CountingList, count_calls
 
 
 @pytest.fixture
@@ -249,6 +249,26 @@ def test_run_diagrams_equal_those_of_its_saved_trace(fixture_dir, capsys,
     assert cli.main(["diagram", _p(trace_out), "--cores", "5",
                      "--output", _p(svg_saved)]) == 0
     assert svg_saved.read_bytes() == svg_run.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats"], ["stats", "--cores", "8", "--baseline", "53"],
+    ["diagram", "--ascii"], ["diagram", "--cores", "6"],
+    ["run", "--stats", "--ascii", "--diagram", "{dir}/r.svg"],
+], ids=["stats", "stats-cores", "diagram-ascii", "diagram-svg", "run"])
+def test_each_command_reads_its_trace_in_one_view(fixture_dir, capsys,
+                                                  monkeypatch, argv):
+    """One qt_spans pass and one cores_needed pass per command: the core
+    count and every consumer read the one view of the Trace."""
+    trace_out = fixture_dir / "v.trace"
+    cli.main(["run", _p(fixture_dir / "adaptive.eyo"), "--cores", "5",
+              "--trace", _p(trace_out)])
+    capsys.readouterr()
+    calls = count_calls(monkeypatch, "qt_spans", "cores_needed")
+    command, *flags = [arg.format(dir=fixture_dir) for arg in argv]
+    source = fixture_dir / "adaptive.eyo" if command == "run" else trace_out
+    assert cli.main([command, _p(source)] + flags) == 0
+    assert sorted(calls) == ["cores_needed", "qt_spans"]
 
 
 @pytest.mark.parametrize("argv", [["stats"], ["diagram", "--ascii"],

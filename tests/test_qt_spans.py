@@ -1,5 +1,7 @@
 """Property tests of the QT-span model against the definitions it
-replaced, and a count of the passes its consumers make over a trace.
+replaced, and a count of the passes its consumers make over a trace:
+each on its own over a plain list, and all three over one Trace, whose
+view they share.
 
 qt_spans is checked against its earlier four-pass form on arbitrary
 events.  The second oracle keeps the earlier per-renderer rebuilds:
@@ -14,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from empa import diagram, stats, trace as tr
-from helpers import CountingList, event_lists, fixture_trace
+from empa.fixtures import FIXTURES
+from helpers import (CountingList, CountingTrace, count_calls, event_lists,
+                     fixture_trace, make_machine)
 
 
 # ---- oracle: qt_spans as four passes -----------------------------------------
@@ -60,6 +64,33 @@ def test_consumers_read_the_events_in_few_passes(consume, bound):
     events = CountingList(fixture_trace("adaptive", 5))
     consume(events)
     assert events.scans <= bound, events.scans
+
+
+def _trace_from(source, cores):
+    """The Trace that `source` ("parse" or "run") gives for the adaptive
+    fixture on `cores` cores."""
+    if source == "parse":
+        return tr.parse_trace(tr.format_trace(fixture_trace("adaptive", cores)))
+    _, machine = make_machine(FIXTURES["adaptive"](), cores=cores)
+    return machine.run_to_halt()[0]
+
+
+@pytest.mark.parametrize("cores", (1, 5))
+@pytest.mark.parametrize("source", ("parse", "run"))
+def test_stats_and_both_renderers_share_one_spans_pass(source, cores,
+                                                       monkeypatch):
+    """Statistics, ASCII and SVG of one Trace: one view in all (a
+    cores_needed pass and a qt_spans pass) and one pass per renderer,
+    4 scans of the events where computing the view in each made 8."""
+    monkeypatch.setattr(tr, "Trace", CountingTrace)
+    events = _trace_from(source, cores)
+    assert type(events) is CountingTrace
+    calls = count_calls(monkeypatch, "qt_spans")
+    stats.compute_stats(events, cores)
+    diagram.render_ascii(events, cores)
+    diagram.render_diagram(events, cores)
+    assert calls == ["qt_spans"]
+    assert events.scans <= 4, events.scans
 
 
 # ---- oracle: the definitions before qt_spans ------------------------------

@@ -1,5 +1,8 @@
-"""Trace serialization round-trip and format checks."""
+"""Trace serialization round-trip and format checks, and the contract
+of the read-only Trace and its view."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -263,3 +266,115 @@ def test_a_trace_needs_one_core_more_than_the_highest_it_names():
 def test_a_malformed_line_is_a_bad_value():
     with pytest.raises(ValueError, match="unknown kind 'Nap' on line 1"):
         tr.parse_trace("cycle=1 core=0 qt=1 kind=Nap addr=0x0\n")
+
+
+# ---- the read-only Trace and its view ----------------------------------------
+
+def _iadd(trace):
+    trace += trace[:1]
+
+
+def _imul(trace):
+    trace *= 2
+
+
+def _set_item(trace):
+    trace[0] = trace[1]
+
+
+def _set_slice(trace):
+    trace[:1] = []
+
+
+def _del_item(trace):
+    del trace[0]
+
+
+def _del_slice(trace):
+    del trace[:]
+
+
+# Every in-place change that the list type offers.
+_MUTATIONS = {
+    "append": lambda trace: trace.append(trace[0]),
+    "extend": lambda trace: trace.extend(trace[:1]),
+    "insert": lambda trace: trace.insert(0, trace[0]),
+    "pop": lambda trace: trace.pop(),
+    "remove": lambda trace: trace.remove(trace[0]),
+    "clear": lambda trace: trace.clear(),
+    "sort": lambda trace: trace.sort(key=lambda ev: -ev.cycle, reverse=True),
+    "reverse": lambda trace: trace.reverse(),
+    "setitem": _set_item,
+    "setitem slice": _set_slice,
+    "delitem": _del_item,
+    "delitem slice": _del_slice,
+    "iadd": _iadd,
+    "imul": _imul,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_a_trace_is_read_only(mutation):
+    events = fixture_trace("adaptive", 5)
+    trace = tr.Trace(events)
+    view = trace.view
+    with pytest.raises(TypeError, match="a Trace is read-only"):
+        _MUTATIONS[mutation](trace)
+    assert trace == events and len(trace) == len(events)
+    assert trace.view is view
+
+
+def test_a_trace_is_a_list_of_its_events():
+    events = fixture_trace("adaptive", 5)
+    trace = tr.Trace(events)
+    assert isinstance(trace, list)
+    assert trace == events and events == trace
+    assert trace is not events
+    for other in (trace[1:4], trace[:], trace + [], [] + trace, trace * 2,
+                  trace.copy()):
+        assert type(other) is list
+    assert trace[1:4] == events[1:4] and trace + events == events * 2
+    assert tr.Trace() == [] and tr.Trace().view == (1, [], 0)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda trace: pickle.loads(pickle.dumps(trace)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_a_trace_copies_to_an_equal_trace(clone):
+    trace = tr.parse_trace(tr.format_trace(fixture_trace("dynpar", 8)))
+    view = trace.view
+    twin = clone(trace)
+    assert type(twin) is tr.Trace and twin is not trace
+    assert twin == trace and twin.view == view
+
+
+def test_producers_return_traces_and_the_machine_keeps_its_list():
+    _, machine, events = assemble_run(sumup_mode_source(), cores=5)
+    assert type(events) is tr.Trace and type(machine.events) is list
+    assert events == machine.events and events is not machine.events
+    parsed = tr.parse_trace(tr.format_trace(events))
+    assert type(parsed) is tr.Trace and parsed == events
+    assert type(tr.parse_trace(tr.format_trace(events).replace(" ", "\t"))) \
+        is tr.Trace
+
+
+@given(event_lists())
+def test_the_kept_view_is_the_view_of_the_plain_list(case):
+    cores, events = case
+    trace = tr.Trace(events)
+    spans = tr.qt_spans(events)
+    last = max((ev.cycle for ev in events), default=0)
+    assert trace.view == (tr.cores_needed(events), spans, last)
+    assert trace.view is trace.view
+    for machine_cores in range(1, cores + 2):
+        try:
+            want = tr.spans_on(events, machine_cores)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                tr.spans_on(trace, machine_cores)
+            assert str(got.value) == str(exc)
+            assert machine_cores < trace.view.cores_needed
+        else:
+            assert tr.spans_on(trace, machine_cores) == want == (spans, last)
