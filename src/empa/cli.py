@@ -168,8 +168,7 @@ def cmd_asm(args, parser):
 
 
 def _swap_ext(path, ext):
-    stem, _, _old = path.rpartition(".")
-    return (stem or path) + ext
+    return os.path.splitext(path)[0] + ext
 
 
 def _read_baseline(arg, parser):
@@ -376,8 +375,7 @@ class StepSession:
         for depth, qt in self.machine.live_qts():
             self._p("%s%s  core=%d kind=%s link=%s created@0x%04x" % (
                 "  " * depth, qt.id, qt.core, qt.kind,
-                isa.REGISTER_NAMES.get(qt.link, "-"),
-                qt.create_addr if qt.create_addr is not None else 0))
+                isa.REGISTER_NAMES.get(qt.link, "-"), qt.create_addr))
 
     def do_break(self, argv):
         if not argv:

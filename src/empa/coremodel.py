@@ -87,7 +87,7 @@ class CoreState:
     remaining: int = 0
     for_parent_dirty: bool = False
     request = None           # (Instruction, addr) while SV or POSTPONED
-    wait_cond = None         # (instr_addr, frozenset of QTDescriptor) while WAITING
+    wait_cond = None         # (instr_addr, QTs, their parent's live) while WAITING
 
     # The machine that owns the core; None for a lone core.
     owner = None

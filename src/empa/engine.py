@@ -421,9 +421,8 @@ class Machine:
         stack = [self.root_qt]
         while stack:
             qt = stack.pop()
-            if qt.alive:
-                out.append((qt.depth, qt))
-            stack += reversed(qt.children)
+            out.append((qt.depth, qt))
+            stack += reversed(qt.live)
         return out
 
 

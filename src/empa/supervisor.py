@@ -10,11 +10,13 @@ same cycle its child's termination is processed.
 
 The phase is driven by events.  A wait can only end when some QT ends,
 so waiters are re-evaluated only in the phase after a QT ended
-(qt_ended).  idle() tells when a phase would change nothing: no request
-is pending, no waiter has a QT end to see, and every mass loop is a FOR
-whose current child is alive.  Only the SV phase and a core's state
-write can change that, so the engine runs the cores without the phase
-until some core is touched.
+(qt_ended).  A QT is alive while it is in its parent's live children
+(QTDescriptor.live), so a wait, and the implied wait of a QTerm, costs
+the live children in scope, not every child ever created.  idle() tells
+when a phase would change nothing: no request is pending, no waiter has
+a QT end to see, and every mass loop is a FOR whose current child is
+alive.  Only the SV phase and a core's state write can change that, so
+the engine runs the cores without the phase until some core is touched.
 
 Each core is in exactly one State.  The supervisor holds one set of
 core indices per state, which Machine.state_written keeps in step with
@@ -56,11 +58,14 @@ class QTDescriptor:
     role and the outcome of its last QAlloc (`alloc`: None before the
     first, DENIED, or the MassControl of its grant).  The parent never
     changes: it is read-only, so a parent chain checked once stays
-    checked."""
+    checked.  Of its children it keeps only what the SV reads: the live
+    ones (`live`, in creation order), how many it ever created
+    (`created`) and the create addresses it ever used (`create_addrs`);
+    an ended child leaves `live`, and nothing here refers to it again."""
 
     __slots__ = ("id", "_parent", "depth", "core", "create_addr",
-                 "term_addr", "link", "kind", "ecc_index", "alive", "alloc",
-                 "children")
+                 "term_addr", "link", "kind", "ecc_index", "alloc", "live",
+                 "created", "create_addrs")
 
     def __init__(self, qt_id, parent, core, create_addr, term_addr, link,
                  kind, ecc_index=0):
@@ -73,9 +78,10 @@ class QTDescriptor:
         self.link = link
         self.kind = kind
         self.ecc_index = ecc_index
-        self.alive = True
         self.alloc = None
-        self.children = []            # every child ever created, in order
+        self.live = {}                # live child -> None, in creation order
+        self.created = 0
+        self.create_addrs = set()
 
     @property
     def parent(self):
@@ -83,12 +89,12 @@ class QTDescriptor:
 
     def add_child(self, core, create_addr, term_addr, link, kind,
                   ecc_index=0):
-        """A new child QT, named by its birth order: children are never
-        removed, so the next one is number len(children) + 1."""
-        qt = QTDescriptor(tr.child_qt_id(self.id, len(self.children) + 1),
-                          self, core, create_addr, term_addr, link, kind,
-                          ecc_index)
-        self.children.append(qt)
+        """A new live child QT, named by its birth order."""
+        self.created += 1
+        self.create_addrs.add(create_addr)
+        qt = QTDescriptor(tr.child_qt_id(self.id, self.created), self, core,
+                          create_addr, term_addr, link, kind, ecc_index)
+        self.live[qt] = None
         return qt
 
 
@@ -160,17 +166,17 @@ class Supervisor:
                 or (self.qt_ended and self.waiting)):
             return False
         for index in self.massloop:
-            mc = self.m.cores[index].qt.alloc
-            if (mc.mode != MODE_FOR or mc.current_child is None
-                    or not mc.current_child.alive):
+            qt = self.m.cores[index].qt
+            mc = qt.alloc
+            if mc.mode != MODE_FOR or mc.current_child not in qt.live:
                 return False
         return True
 
     def _reevaluate_waits(self):
         for index in sorted(self.waiting):
             core = self.m.cores[index]
-            addr, scope = core.wait_cond
-            if all(not q.alive for q in scope):
+            addr, scope, live = core.wait_cond
+            if scope.isdisjoint(live):
                 core.wait_cond = None
                 core.state = RUNNING
                 self.m.emit(core.index, core.qt.id, tr.WAIT_END, addr)
@@ -249,13 +255,13 @@ class Supervisor:
         elif qt.parent is None:
             raise RuntimeFault("QTerm executed by the root QT",
                                core=core.index, qt=qt.id, addr=addr)
-        if qt.children and any(c.alive for c in qt.children):
+        if qt.live:
             # an implied QWait -1 (also before a fallback bracket closes)
             core.state = POSTPONED
             return
         self._drop_grant(qt)
         if fallback:
-            qt.alive = False
+            del qt.parent.live[qt]
             self.qt_ended = True
             core.qt = qt.parent
             core.state = RUNNING
@@ -279,7 +285,7 @@ class Supervisor:
         if in_for and core.for_parent_dirty:
             # the break channel
             parent_core.latches[FROM_CHILD] = core.latches[FOR_PARENT]
-        qt.alive = False
+        del qt.parent.live[qt]
         self.qt_ended = True
         core.qt = None
         core.state = (PREALLOCATED if in_for and parent_core.state is MASSLOOP
@@ -304,20 +310,16 @@ class Supervisor:
                             % (target, core.index, self.m.clock))
             core.state = RUNNING
             return
-        candidates = [c for c in scope_qt.children if c is not qt]
-        if target == WILDCARD:
-            scope = frozenset(c for c in candidates if c.alive)
-        else:
-            matching = [c for c in candidates if c.create_addr == target]
-            if all(c.create_addr != target for c in scope_qt.children):
-                self.m.warn("wait target 0x%04x never matched a created QT "
-                            "(core %d, cycle %d)"
-                            % (target, core.index, self.m.clock))
-            scope = frozenset(c for c in matching if c.alive)
+        if target != WILDCARD and target not in scope_qt.create_addrs:
+            self.m.warn("wait target 0x%04x never matched a created QT "
+                        "(core %d, cycle %d)"
+                        % (target, core.index, self.m.clock))
+        scope = frozenset(c for c in scope_qt.live if c is not qt and (
+            target == WILDCARD or c.create_addr == target))
         if not scope:
             core.state = RUNNING
             return
-        core.wait_cond = (addr, scope)
+        core.wait_cond = (addr, scope, scope_qt.live)
         core.state = WAITING
         self.m.emit(core.index, qt.id, tr.WAIT_BEGIN, addr, payload=target)
 
@@ -410,7 +412,7 @@ class Supervisor:
                 self._step_sumup(mc, parent)
 
     def _step_for(self, mc, parent):
-        if mc.current_child is not None and mc.current_child.alive:
+        if mc.current_child in parent.qt.live:
             return
         # break-check after the child's QTerm transfer, before creation
         if parent.latches[FROM_CHILD] == 0:

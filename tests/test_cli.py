@@ -44,6 +44,30 @@ def test_asm_default_output_swaps_extension(fixture_dir):
     assert (fixture_dir / "for_mode.img").exists()
 
 
+def test_default_output_paths_swap_only_the_file_name_s_extension(
+        tmp_path, monkeypatch, capsys):
+    """A dot in a directory name is no extension, and a file name with
+    none gets the new one appended."""
+    dotted = tmp_path / "build.v1"
+    work = tmp_path / "work"
+    dotted.mkdir()
+    work.mkdir()
+    source = fixtures.FIXTURES["no_mode"]()
+    (dotted / "prog").write_text(source)
+    (tmp_path / "prog").write_text(source)
+    monkeypatch.chdir(work)
+    assert cli.main(["asm", "../build.v1/prog"]) == 0
+    assert cli.main(["asm", "../prog"]) == 0
+    assert cli.main(["run", "../prog.yo", "--trace", "../build.v1/run"]) == 0
+    assert cli.main(["diagram", "../build.v1/run"]) == 0
+    capsys.readouterr()
+    assert sorted(os.listdir(dotted)) == ["prog", "prog.img", "prog.yo",
+                                          "run", "run.svg"]
+    assert sorted(os.listdir(tmp_path)) == ["build.v1", "prog", "prog.img",
+                                            "prog.yo", "work"]
+    assert os.listdir(work) == []
+
+
 def test_asm_undefined_label_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.eyo"
     bad.write_text("jmp Missing\n")

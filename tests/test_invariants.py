@@ -371,20 +371,42 @@ def test_live_qts_walks_a_deep_chain():
                for (_, parent), (_, qt) in zip(forest, forest[1:]))
 
 
-def _preorder(qt, depth=0):
-    """The recursive walk live_qts replaced: live QTs, parents first."""
-    out = [(depth, qt)] if qt.alive else []
-    for child in qt.children:
-        out += _preorder(child, depth + 1)
-    return out
+class _TraceForest:
+    """The QT tree replayed from the trace: every QT ever created, under
+    its parent by trace.parent_qt_id, and which of them are alive."""
+
+    def __init__(self):
+        self.children = collections.defaultdict(list)
+        self.alive = {tr.ROOT_QT_ID}
+        self.seen = 0
+
+    def replay(self, events):
+        for ev in events[self.seen:]:
+            if ev.kind == tr.QT_CREATED:
+                self.children[tr.parent_qt_id(ev.qt)].append(ev.qt)
+                self.alive.add(ev.qt)
+            elif ev.kind == tr.QT_TERMINATED:
+                self.alive.remove(ev.qt)
+        self.seen = len(events)
+
+    def preorder(self, qt_id=tr.ROOT_QT_ID, depth=0):
+        """The live QTs as (depth, id), parents first.  Ended QTs are
+        walked too, so a live QT under an ended one would show."""
+        out = [(depth, qt_id)] if qt_id in self.alive else []
+        for child in self.children[qt_id]:
+            out += self.preorder(child, depth + 1)
+        return out
 
 
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_live_qts_is_the_preorder_of_the_live_forest(name):
     _, machine = make_machine(fixtures.FIXTURES[name](), cores=8)
+    forest = _TraceForest()
     while not machine.halted:
         machine.tick()
-        assert machine.live_qts() == _preorder(machine.root_qt)
+        forest.replay(machine.events)
+        assert ([(depth, qt.id) for depth, qt in machine.live_qts()]
+                == forest.preorder())
 
 
 def test_qt_off_the_root_chain_is_caught():

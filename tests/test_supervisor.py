@@ -1,13 +1,16 @@
 """Supervisor behavior: QT lifecycle, waits, mass processing, the adder,
 pool discipline.  Exercised through small assembled programs."""
 
+import gc
+import weakref
+
 import pytest
 
-from empa import isa, trace as tr
+from empa import engine, fixtures, isa, supervisor, trace as tr
 from empa.coremodel import FOR_CHILD, FROM_CHILD
 from empa.errors import Deadlock, RuntimeFault
 from empa.supervisor import (DENIED, KIND_MASS_FALSE, KIND_MASS_TRUE,
-                             MassControl)
+                             MassControl, QTDescriptor)
 
 from helpers import assemble_run, make_machine, word
 
@@ -246,6 +249,193 @@ T:      QTerm
     assert machine.warnings == []
     assert [ev.qt for ev in kinds(events, tr.QT_CREATED)] == ["11", "12"]
     assert [ev.qt for ev in kinds(events, tr.WAIT_BEGIN)] == ["1", "1"]
+
+
+# ---- a QT keeps only its live children ----------------------------------------
+
+
+def _create_wait_loop(n, target, nested=False):
+    """`Loop: QCreate CT,%eno; nop; CT: QTerm; QWait target`, n times, in
+    the root; nested, in a child QT that QTerms after the loop."""
+    loop = """
+        irmovl $1,%%edi
+        irmovl $%d,%%ecx
+Loop:   QCreate CT,%%eno
+        nop
+CT:     QTerm
+        QWait %s
+        subl %%edi,%%ecx
+        jne Loop
+""" % (n, target)
+    if nested:
+        return "        QCreate Outer,%eno\n" + loop + """
+Outer:  QTerm
+        QWait -1
+        halt
+"""
+    return loop + "        halt\n"
+
+
+class _NotingQT(QTDescriptor):
+    """A QTDescriptor that notes itself in READ on every attribute read."""
+
+    READ = set()
+
+    def __getattribute__(self, name):
+        _NotingQT.READ.add(self)
+        return object.__getattribute__(self, name)
+
+
+@pytest.fixture
+def noting_qts(monkeypatch):
+    """Machines built now use _NotingQT for every QT; returns the number
+    of QTs read by each served QWait, QPWait and QTerm."""
+    monkeypatch.setattr(engine, "QTDescriptor", _NotingQT)
+    monkeypatch.setattr(supervisor, "QTDescriptor", _NotingQT)
+    counts = []
+
+    def noting(handler):
+        def serve(sv, core, instr, addr):
+            _NotingQT.READ.clear()
+            try:
+                handler(sv, core, instr, addr)
+            finally:
+                counts.append(len(_NotingQT.READ))
+                _NotingQT.READ.clear()
+        return serve
+    for op in (isa.QWAIT, isa.QPWAIT, isa.QTERM):
+        monkeypatch.setitem(supervisor._HANDLERS, op,
+                            noting(supervisor._HANDLERS[op]))
+    return counts
+
+
+@pytest.mark.parametrize("nested", [False, True])
+@pytest.mark.parametrize("target", ["Loop", "-1", "CT"])
+def test_a_wait_reads_the_live_children_not_the_history(noting_qts, target,
+                                                        nested):
+    """A QWait and a QTerm read the waiting QT, its parent and the live
+    children in scope (at most one per other core), however many
+    children the QT has created: the loop reads as many QTs per request
+    after 2,000 children as after 200."""
+    cores = 2 + nested
+    most = []
+    for n in (200, 2000):
+        noting_qts.clear()
+        _, machine, events = assemble_run(_create_wait_loop(n, target, nested),
+                                          cores=cores)
+        assert machine.halted
+        assert len(kinds(events, tr.QT_CREATED)) == n + nested
+        most.append(max(noting_qts))
+    assert most[0] == most[1] <= cores + 1
+
+
+class _WeakQT(QTDescriptor):
+    """A QTDescriptor that takes a weakref: it has no __slots__."""
+
+
+@pytest.fixture
+def weak_qts(monkeypatch):
+    """Machines built now use _WeakQT for every QT."""
+    monkeypatch.setattr(engine, "QTDescriptor", _WeakQT)
+    monkeypatch.setattr(supervisor, "QTDescriptor", _WeakQT)
+
+
+def _held_qt_ids(machine):
+    """The QTs that a core runs, a wait waits on or a FOR grant runs."""
+    held = set()
+    for core in machine.cores:
+        if core.qt is not None:
+            held.add(core.qt.id)
+        if core.wait_cond is not None:
+            held.update(qt.id for qt in core.wait_cond[1])
+    held.update(qt.alloc.current_child.id for _, qt in machine.live_qts()
+                if isinstance(qt.alloc, MassControl)
+                and qt.alloc.current_child is not None)
+    return held
+
+
+def _run_with_ended_qts_freed(machine):
+    """Tick to halt with the collector off.  After every tick, an ended
+    QT's descriptor is freed unless a core, a wait or a grant holds it.
+    Returns the ids of the QTs that ended."""
+    refs, ended, seen = {}, [], 0
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while not machine.halted:
+            machine.tick()
+            for ev in machine.events[seen:]:
+                if ev.kind == tr.QT_CREATED:
+                    assert machine.cores[ev.core].qt.id == ev.qt
+                    refs[ev.qt] = weakref.ref(machine.cores[ev.core].qt)
+                elif ev.kind == tr.QT_TERMINATED:
+                    ended.append(ev.qt)
+            seen = len(machine.events)
+            held = _held_qt_ids(machine)
+            kept = [i for i in ended if i not in held and refs[i]() is not None]
+            assert kept == [], machine.clock
+    finally:
+        if enabled:
+            gc.enable()
+    return ended
+
+
+@pytest.mark.parametrize("target", ["Loop", "-1"])
+def test_an_ended_child_is_freed_without_the_collector(weak_qts, target):
+    _, machine = make_machine(_create_wait_loop(50, target), cores=2)
+    assert len(_run_with_ended_qts_freed(machine)) == 50
+
+
+def test_ended_for_children_are_freed_without_the_collector(weak_qts):
+    _, machine = make_machine(fixtures.FIXTURES["for_mode"](), cores=4)
+    ended = _run_with_ended_qts_freed(machine)
+    assert machine.halted and len(ended) == 4
+    assert _held_qt_ids(machine) == {tr.ROOT_QT_ID}
+
+
+def test_a_wait_on_no_create_address_warns_once_per_wait():
+    """CT is a QTerm, not a create address: each of the three waits on
+    it warns."""
+    _, machine, _ = assemble_run(_create_wait_loop(3, "CT"), cores=2)
+    assert machine.warnings == [
+        "wait target 0x0013 never matched a created QT (core 0, cycle 5)",
+        "wait target 0x0013 never matched a created QT (core 0, cycle 9)",
+        "wait target 0x0013 never matched a created QT (core 0, cycle 13)"]
+
+
+def test_a_wait_on_the_address_of_ended_children_warns_nothing():
+    """Every child created at Loop has ended, and Loop still names them."""
+    source = _create_wait_loop(3, "-1").replace(
+        "        halt\n", "        QWait Loop\n        halt\n")
+    _, machine, events = assemble_run(source, cores=2)
+    assert machine.halted
+    assert len(kinds(events, tr.QT_TERMINATED)) == 3
+    assert machine.warnings == []
+
+
+def test_qpwait_on_a_cousins_create_address_warns():
+    """12 waits on the address where its sister 11 created 111: no
+    sister of 12 was created there.  Its wait on the address of 11 (an
+    ended sister) does not warn."""
+    source = """
+Sister: QCreate A,%eno         # root: 11
+Cousin: QCreate G,%eno         # 11: 111
+        nop
+G:      QTerm
+        QWait -1
+A:      QTerm
+        QWait -1
+        QCreate B,%eno         # root: 12
+        QPWait Cousin
+        QPWait Sister
+B:      QTerm
+        QWait -1
+        halt
+"""
+    _, machine, _ = assemble_run(source, cores=3)
+    assert machine.halted
+    assert machine.warnings == [
+        "wait target 0x0006 never matched a created QT (core 1, cycle 10)"]
 
 
 # ---- QCall --------------------------------------------------------------------
