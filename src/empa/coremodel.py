@@ -9,9 +9,11 @@ never a storage cell: every access resolves at the moment of access
 through the latch table row that the core's phase names.
 
 A core's state and qt are properties.  A write that changes one tells
-the owning machine (Machine.state_written, Machine.qt_written), which
-keeps its bookkeeping in step; a lone core (owner None) takes both
-writes with no machine.
+the owner, the machine's supervisor (Supervisor.state_written,
+Supervisor.qt_written), which keeps the core bookkeeping in step; a
+lone core (owner None) takes both writes with no supervisor.  The
+supervisor keeps core indices only, so a core and its owner form no
+reference cycle.
 """
 
 import enum
@@ -89,7 +91,7 @@ class CoreState:
     request = None           # (Instruction, addr) while SV or POSTPONED
     wait_cond = None         # (instr_addr, QTs, their parent's live) while WAITING
 
-    # The machine that owns the core; None for a lone core.
+    # The supervisor that keeps the core's bookkeeping; None for a lone core.
     owner = None
     _state = FREE
     _qt = None               # QTDescriptor the core runs, or None

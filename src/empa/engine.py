@@ -21,13 +21,22 @@ core.
 
 A tick costs the running cores plus the state changes it makes, not
 the configured core count.  Every write to a core's state or qt goes
-through a CoreState property, which calls Machine.state_written or
-Machine.qt_written.  A state write moves the core's index to the
-supervisor's set for its new state, the one place where that set move
-happens, and marks the list of running cores stale (it is rebuilt from
-the running set at the next cycle).  Either write touches the core: it
-queues the core for the invariant checker, which rechecks only touched
-cores, in one pass.  A runtime fault parks the core that raised it.
+through a CoreState property, which calls Supervisor.state_written or
+Supervisor.qt_written: the supervisor owns the core bookkeeping.  A
+state write moves the core's index to the supervisor's set for its new
+state, the one place where that set move happens, and marks the
+machine's list of running cores stale (Supervisor.stale; the list is
+rebuilt from the running set at the next cycle).  Either write touches
+the core: it queues the core's index (Supervisor.touched) for the
+invariant checker, which rechecks only touched cores, in one pass.  A
+runtime fault parks the core that raised it.
+
+A machine sits in no reference cycle, so dropping the last reference
+to it frees it, events and all, with no collection.  The supervisor
+keeps core indices only and holds no machine: the engine passes the
+machine to the SV entries that need it (phase, idle, sumup_feed,
+create_qt).  A core's owner is the supervisor, and a live QT holds its
+parent through a weak reference.
 
 Each code address is decoded once.  Machine.decode_at keeps, per pc,
 the raw bytes and the entry decoded from them: the instruction, its
@@ -152,16 +161,13 @@ class Machine:
                                 % (image.size, cfg.mem_bytes))
         self.cfg = cfg
         self.memory = Memory(bytes(image.memory).ljust(cfg.mem_bytes, b"\0"))
+        self.sv = sv = Supervisor(cfg.cores)
         self.cores = [CoreState(i) for i in range(cfg.cores)]
         for core in self.cores:
-            core.owner = self
-        # Indices of cores whose state or qt changed since the last
-        # invariant check; all of them before the first.
-        self._touched = set(range(cfg.cores))
-        self._active = None       # the running cores; None: stale
+            core.owner = sv
+        self._active = None       # the running cores while sv.stale is false
         self._decoded = {}        # pc -> (raw bytes, decode_at entry)
-        self.sv = Supervisor(self)
-        self._state_sets = tuple(self.sv.in_state.values())
+        self._state_sets = tuple(sv.in_state.values())
         self.clock = 0
         self.events = []
         self.warnings = []
@@ -174,20 +180,6 @@ class Machine:
         root.state = RUNNING
         root.pc = image.entry
         root.qt = self.root_qt
-
-    def state_written(self, index, old, new):
-        """Core `index` went from state `old` to `new` (see CoreState):
-        move it between the supervisor's per-state sets, touch it and
-        mark the list of running cores stale."""
-        in_state = self.sv.in_state
-        in_state[old].discard(index)
-        in_state[new].add(index)
-        self._touched.add(index)
-        self._active = None
-
-    def qt_written(self, index):
-        """Core `index` got a new qt (see CoreState): touch it."""
-        self._touched.add(index)
 
     # ---- event sink ------------------------------------------------------
 
@@ -210,7 +202,7 @@ class Machine:
         self.emit(core.index, core.qt.id, tr.LATCH_WRITE, addr, payload=value)
         if latch == FOR_PARENT:
             core.for_parent_dirty = True
-            self.sv.sumup_feed(core, value, addr)
+            self.sv.sumup_feed(self, core, value, addr)
 
     # ---- stepping -----------------------------------------------------------
 
@@ -220,7 +212,7 @@ class Machine:
         if self.halted:
             raise RuntimeFault("tick on a halted machine")
         self.clock += 1
-        self.sv.phase(self.clock)
+        self.sv.phase(self)
         self._run_cores()
         self._check_invariants()
         if self.clock - self._last_event_clock >= self.cfg.watchdog:
@@ -236,17 +228,19 @@ class Machine:
         # of the running cores serves a cycle; ascending order keeps
         # same-cycle memory visibility and the halt break.  A stretch goes
         # on only while no core is touched, so the snapshot serves it all.
-        active = self._active
-        if active is None:
+        sv = self.sv
+        if sv.stale:
             cores = self.cores
-            active = self._active = [cores[i] for i in sorted(self.sv.running)]
-        touched = self._touched
+            self._active = [cores[i] for i in sorted(sv.running)]
+            sv.stale = False
+        active = self._active
+        touched = sv.touched
         watchdog = self.cfg.watchdog
         memory = self.memory
         data = memory.data
         cached = self._decoded.get
         append = self.events.append
-        submit = self.sv.submit
+        submit = sv.submit
         clock = self.clock
         try:
             while True:
@@ -334,7 +328,7 @@ class Machine:
             if self.clock >= budget:
                 raise WatchdogExpired("cycle budget of %d exhausted" % max_cycles)
             self.tick()
-            if self.halted or not self.sv.idle():
+            if self.halted or not self.sv.idle(self):
                 continue
             if self.clock < budget:
                 self.clock += 1
@@ -376,7 +370,7 @@ class Machine:
         a, b, c, d, e, f, g, h = self._state_sets
         sizes_ok = (len(a) + len(b) + len(c) + len(d) + len(e) + len(f)
                     + len(g) + len(h) == self.cfg.cores)
-        touched = self._touched
+        touched = self.sv.touched
         if sizes_ok and not touched:
             return
         in_state = self.sv.in_state

@@ -18,10 +18,14 @@ a QT end to see, and every mass loop is a FOR whose current child is
 alive.  Only the SV phase and a core's state write can change that, so
 the engine runs the cores without the phase until some core is touched.
 
-Each core is in exactly one State.  The supervisor holds one set of
-core indices per state, which Machine.state_written keeps in step with
-every state write, so each step of the phase visits only the cores in
-the state it serves.  A meta request lives on its core (core.request) from
+Each core is in exactly one State.  The supervisor owns the core
+bookkeeping: one set of core indices per state, which state_written
+keeps in step with every state write, so each step of the phase visits
+only the cores in the state it serves, and the indices of the cores
+touched since the last invariant check.  It keeps indices, never a
+core or the machine, so the machine and its cores form no reference
+cycle through it; the machine is an argument of every entry that needs
+it.  A meta request lives on its core (core.request) from
 submission until it is served; a request that cannot be served yet
 leaves its core POSTPONED and is served again next tick.
 
@@ -31,6 +35,9 @@ its QT's grant.  A denied QFCreate runs its block as a same-core
 fallback QT, which starts from its creator's denial; its QTerm hands
 the core back to the outer QT and that QT's own outcome.
 """
+
+import weakref
+from types import MappingProxyType
 
 from . import isa
 from .coremodel import (FOR_CHILD, FOR_PARENT, FREE, FROM_CHILD, MASSLOOP,
@@ -51,6 +58,9 @@ KIND_MASS_FALSE = "MassFalse"
 
 DENIED = "denied"             # QTDescriptor.alloc after a denied QAlloc
 
+_NO_CHILDREN = MappingProxyType({})   # `live` of a QT with no child yet
+_NO_ADDRS = frozenset()               # its `create_addrs`
+
 
 class QTDescriptor:
     """One quasi-thread: identity, parent link, depth in the QT tree
@@ -61,17 +71,29 @@ class QTDescriptor:
     checked.  Of its children it keeps only what the SV reads: the live
     ones (`live`, in creation order), how many it ever created
     (`created`) and the create addresses it ever used (`create_addrs`);
-    an ended child leaves `live`, and nothing here refers to it again."""
+    an ended child leaves `live`, and nothing here refers to it again.
+    A QT that never creates a child shares one read-only empty `live`
+    and `create_addrs`; its first child gives it its own.
+
+    A live child is in its parent's `live`, so it holds its parent
+    through a weak reference: a machine dropped with live QTs leaves no
+    cycle.  A live QT's parent is live too (a QTerm waits for its live
+    children), held by its own parent's `live` or, for the root, by the
+    machine."""
 
     __slots__ = ("id", "_parent", "depth", "core", "create_addr",
                  "term_addr", "link", "kind", "ecc_index", "alloc", "live",
-                 "created", "create_addrs")
+                 "created", "create_addrs", "__weakref__")
 
     def __init__(self, qt_id, parent, core, create_addr, term_addr, link,
                  kind, ecc_index=0):
         self.id = qt_id
-        self._parent = parent
-        self.depth = 0 if parent is None else parent.depth + 1
+        if parent is None:
+            self._parent = None
+            self.depth = 0
+        else:
+            self._parent = weakref.ref(parent)
+            self.depth = parent.depth + 1
         self.core = core
         self.create_addr = create_addr
         self.term_addr = term_addr
@@ -79,17 +101,21 @@ class QTDescriptor:
         self.kind = kind
         self.ecc_index = ecc_index
         self.alloc = None
-        self.live = {}                # live child -> None, in creation order
+        self.live = _NO_CHILDREN      # live child -> None, in creation order
         self.created = 0
-        self.create_addrs = set()
+        self.create_addrs = _NO_ADDRS
 
     @property
     def parent(self):
-        return self._parent
+        parent = self._parent
+        return None if parent is None else parent()
 
     def add_child(self, core, create_addr, term_addr, link, kind,
                   ecc_index=0):
         """A new live child QT, named by its birth order."""
+        if not self.created:
+            self.live = {}
+            self.create_addrs = set()
         self.created += 1
         self.create_addrs.add(create_addr)
         qt = QTDescriptor(tr.child_qt_id(self.id, self.created), self, core,
@@ -121,11 +147,10 @@ class MassControl:
 
 
 class Supervisor:
-    def __init__(self, machine):
-        self.m = machine
-        # Core indices by state; only Machine.state_written moves them.
+    def __init__(self, cores):
+        # Core indices by state; only state_written moves them.
         self.in_state = {state: set() for state in State}
-        self.in_state[FREE] = set(range(machine.cfg.cores))
+        self.in_state[FREE] = set(range(cores))
         self.free = self.in_state[FREE]
         self.running = self.in_state[RUNNING]
         self.requested = self.in_state[SV]
@@ -133,6 +158,24 @@ class Supervisor:
         self.waiting = self.in_state[WAITING]
         self.massloop = self.in_state[MASSLOOP]
         self.qt_ended = False         # a QT ended since the last wait check
+        # Indices of cores whose state or qt changed since the last
+        # invariant check; all of them before the first.
+        self.touched = set(range(cores))
+        self.stale = True             # the engine's running list is stale
+
+    def state_written(self, index, old, new):
+        """Core `index` went from state `old` to `new` (see CoreState):
+        move it between the per-state sets, touch it and mark the
+        running list stale."""
+        in_state = self.in_state
+        in_state[old].discard(index)
+        in_state[new].add(index)
+        self.touched.add(index)
+        self.stale = True
+
+    def qt_written(self, index):
+        """Core `index` got a new qt (see CoreState): touch it."""
+        self.touched.add(index)
 
     @property
     def queue(self):
@@ -149,48 +192,48 @@ class Supervisor:
 
     # ---- the SV phase of one tick ------------------------------------
 
-    def phase(self, cycle):
-        """One SV phase; events take the machine clock, not `cycle`."""
+    def phase(self, machine):
+        """One SV phase of `machine`; its events take the machine clock."""
         if self.qt_ended:
             self.qt_ended = False
             if self.waiting:
-                self._reevaluate_waits()
+                self._reevaluate_waits(machine)
         if self.requested or self.postponed:
-            self._serve()
+            self._serve(machine)
         if self.massloop:
-            self._mass_steps()
+            self._mass_steps(machine)
 
-    def idle(self):
-        """True when a phase now would change nothing."""
+    def idle(self, machine):
+        """True when a phase of `machine` now would change nothing."""
         if (self.requested or self.postponed
                 or (self.qt_ended and self.waiting)):
             return False
         for index in self.massloop:
-            qt = self.m.cores[index].qt
+            qt = machine.cores[index].qt
             mc = qt.alloc
             if mc.mode != MODE_FOR or mc.current_child not in qt.live:
                 return False
         return True
 
-    def _reevaluate_waits(self):
+    def _reevaluate_waits(self, machine):
         for index in sorted(self.waiting):
-            core = self.m.cores[index]
+            core = machine.cores[index]
             addr, scope, live = core.wait_cond
             if scope.isdisjoint(live):
                 core.wait_cond = None
                 core.state = RUNNING
-                self.m.emit(core.index, core.qt.id, tr.WAIT_END, addr)
+                machine.emit(core.index, core.qt.id, tr.WAIT_END, addr)
 
-    def _serve(self):
+    def _serve(self, machine):
         """Serve every pending request.  One that cannot be served yet
         leaves its core POSTPONED with the request kept; a fault parks
         its core and leaves the later requests pending."""
         for index in self.queue:
-            core = self.m.cores[index]
+            core = machine.cores[index]
             instr, addr = core.request
             try:
                 # every meta opcode that decodes has a handler
-                _HANDLERS[instr.opcode](self, core, instr, addr)
+                _HANDLERS[instr.opcode](self, machine, core, instr, addr)
             except RuntimeFault:
                 core.state = PARKED
                 raise
@@ -200,11 +243,11 @@ class Supervisor:
 
     # ---- QCreate / QCall ---------------------------------------------
 
-    def _handle_create(self, core, instr, addr):
+    def _handle_create(self, machine, core, instr, addr):
         if instr.opcode == isa.QCALL:
             target = instr.imm
             try:
-                created = self.m.decode_at(target)[0]
+                created = machine.decode_at(target)[0]
             except isa.EncodingError:
                 created = None
             if created is None or created.opcode != isa.QCREATE:
@@ -223,12 +266,12 @@ class Supervisor:
         if instr.opcode == isa.QCREATE:
             core.pc = (term_addr + 1) & isa.WORD_MASK
         core.state = RUNNING
-        self.create_qt(core, free, create_addr, term_addr, link, kind,
-                       start_pc=create_addr + 6)
+        self.create_qt(machine, core, free, create_addr, term_addr, link,
+                       kind, start_pc=create_addr + 6)
 
-    def create_qt(self, parent_core, child_index, create_addr, term_addr,
-                  link, kind, start_pc, ecc_index=0):
-        child_core = self.m.cores[child_index]
+    def create_qt(self, machine, parent_core, child_index, create_addr,
+                  term_addr, link, kind, start_pc, ecc_index=0):
+        child_core = machine.cores[child_index]
         if child_core.state is not FREE and child_core.state is not PREALLOCATED:
             raise RuntimeFault("allocation of a busy core %d" % child_index,
                                core=parent_core.index, addr=create_addr)
@@ -240,12 +283,12 @@ class Supervisor:
         child_core.qt = qt
         child_core.phase = (EsvContext.MASS_CHILD if kind == KIND_MASS_TRUE
                             else EsvContext.GENERAL)
-        self.m.emit(child_index, qt.id, tr.QT_CREATED, create_addr)
+        machine.emit(child_index, qt.id, tr.QT_CREATED, create_addr)
         return qt
 
     # ---- QTerm --------------------------------------------------------
 
-    def _handle_qterm(self, core, instr, addr):
+    def _handle_qterm(self, machine, core, instr, addr):
         qt = core.qt
         fallback = qt.kind == KIND_MASS_FALSE
         if fallback:
@@ -259,18 +302,18 @@ class Supervisor:
             # an implied QWait -1 (also before a fallback bracket closes)
             core.state = POSTPONED
             return
-        self._drop_grant(qt)
+        self._drop_grant(machine, qt)
         if fallback:
             del qt.parent.live[qt]
             self.qt_ended = True
             core.qt = qt.parent
             core.state = RUNNING
-            self.m.emit(core.index, qt.id, tr.QT_TERMINATED, addr)
+            machine.emit(core.index, qt.id, tr.QT_TERMINATED, addr)
             return
-        self._complete_termination(core, qt, addr)
+        self._complete_termination(machine, core, qt, addr)
 
-    def _complete_termination(self, core, qt, addr):
-        parent_core = self.m.cores[qt.parent.core]
+    def _complete_termination(self, machine, core, qt, addr):
+        parent_core = machine.cores[qt.parent.core]
         link = qt.link
         if link not in (isa.REG_ENO, isa.REG_ECC):
             if link == isa.REG_ESV:
@@ -292,11 +335,11 @@ class Supervisor:
                       else FREE)
         core.phase = EsvContext.GENERAL
         core.reset_runtime()
-        self.m.emit(core.index, qt.id, tr.QT_TERMINATED, addr)
+        machine.emit(core.index, qt.id, tr.QT_TERMINATED, addr)
 
     # ---- QWait / QPWait -----------------------------------------------
 
-    def _handle_wait(self, core, instr, addr):
+    def _handle_wait(self, machine, core, instr, addr):
         qt = core.qt
         target = instr.imm
         if instr.opcode == isa.QWAIT:
@@ -305,15 +348,15 @@ class Supervisor:
             scope_qt = qt.parent
         if scope_qt is None:
             if target != WILDCARD:
-                self.m.warn("QPWait 0x%04x in the root QT has no sisters "
-                            "(core %d, cycle %d)"
-                            % (target, core.index, self.m.clock))
+                machine.warn("QPWait 0x%04x in the root QT has no sisters "
+                             "(core %d, cycle %d)"
+                             % (target, core.index, machine.clock))
             core.state = RUNNING
             return
         if target != WILDCARD and target not in scope_qt.create_addrs:
-            self.m.warn("wait target 0x%04x never matched a created QT "
-                        "(core %d, cycle %d)"
-                        % (target, core.index, self.m.clock))
+            machine.warn("wait target 0x%04x never matched a created QT "
+                         "(core %d, cycle %d)"
+                         % (target, core.index, machine.clock))
         scope = frozenset(c for c in scope_qt.live if c is not qt and (
             target == WILDCARD or c.create_addr == target))
         if not scope:
@@ -321,17 +364,17 @@ class Supervisor:
             return
         core.wait_cond = (addr, scope, scope_qt.live)
         core.state = WAITING
-        self.m.emit(core.index, qt.id, tr.WAIT_BEGIN, addr, payload=target)
+        machine.emit(core.index, qt.id, tr.WAIT_BEGIN, addr, payload=target)
 
     # ---- QAlloc ---------------------------------------------------------
 
-    def _handle_qalloc(self, core, instr, addr):
+    def _handle_qalloc(self, machine, core, instr, addr):
         mode = instr.imm
         if mode not in (MODE_FOR, MODE_SUMUP):
             raise RuntimeFault("unknown mass-processing mode %d" % mode,
                                core=core.index, qt=core.qt.id, addr=addr)
         qt = core.qt
-        self._drop_grant(qt)
+        self._drop_grant(machine, qt)
         count = max(isa.to_signed(read_register(core, instr.ra)), 0)
         need = 1 if mode == MODE_FOR else count
         core.state = RUNNING
@@ -340,28 +383,29 @@ class Supervisor:
             return
         taken = sorted(self.free)[:need]
         for i in taken:
-            self.m.cores[i].state = PREALLOCATED
+            machine.cores[i].state = PREALLOCATED
         qt.alloc = MassControl(mode, taken)
         core.latches[FROM_CHILD] = count
         core.latches[FOR_CHILD] = 0
         core.mode = mode
         core.phase = EsvContext.MASS_PRE
 
-    def _drop_grant(self, qt):
+    def _drop_grant(self, machine, qt):
         """End qt's grant, if it holds one; its unused cores return to the
         pool.  A grant ends at its QT's next QAlloc or at its QTerm."""
         if qt.alloc.__class__ is MassControl:
-            self._release(qt.alloc.cores)
+            self._release(machine, qt.alloc.cores)
 
-    def _release(self, indices):
+    def _release(self, machine, indices):
         """Return the still-preallocated cores among `indices` to the pool."""
+        cores = machine.cores
         for i in indices:
-            if self.m.cores[i].state is PREALLOCATED:
-                self.m.cores[i].state = FREE
+            if cores[i].state is PREALLOCATED:
+                cores[i].state = FREE
 
     # ---- QTCreate / QFCreate --------------------------------------------
 
-    def _handle_qtcreate(self, core, instr, addr):
+    def _handle_qtcreate(self, machine, core, instr, addr):
         mc = core.qt.alloc
         if mc is None:
             raise RuntimeFault("QTCreate without a preceding QAlloc",
@@ -381,7 +425,7 @@ class Supervisor:
         core.phase = EsvContext.GENERAL
         # first check/creation happens in this tick's mass step
 
-    def _handle_qfcreate(self, core, instr, addr):
+    def _handle_qfcreate(self, machine, core, instr, addr):
         if core.qt.alloc is None:
             raise RuntimeFault("QFCreate without a preceding QAlloc",
                                core=core.index, qt=core.qt.id, addr=addr)
@@ -396,50 +440,51 @@ class Supervisor:
                                KIND_MASS_FALSE)
         qt.alloc = DENIED
         core.qt = qt
-        self.m.emit(core.index, qt.id, tr.QT_CREATED, addr)
+        machine.emit(core.index, qt.id, tr.QT_CREATED, addr)
 
     # ---- mass-loop stepping ----------------------------------------------
 
-    def _mass_steps(self):
+    def _mass_steps(self, machine):
         # An ended loop's grant stays on its QT: its SUMUP children keep
         # feeding the adder.
         for index in sorted(self.massloop):
-            parent = self.m.cores[index]
+            parent = machine.cores[index]
             mc = parent.qt.alloc
             if mc.mode == MODE_FOR:
-                self._step_for(mc, parent)
+                self._step_for(machine, mc, parent)
             else:
-                self._step_sumup(mc, parent)
+                self._step_sumup(machine, mc, parent)
 
-    def _step_for(self, mc, parent):
+    def _step_for(self, machine, mc, parent):
         if mc.current_child in parent.qt.live:
             return
         # break-check after the child's QTerm transfer, before creation
         if parent.latches[FROM_CHILD] == 0:
-            self._end_loop(mc, parent)
+            self._end_loop(machine, mc, parent)
             return
-        mc.current_child = self._create_mass_child(mc, parent, mc.cores[0])
+        mc.current_child = self._create_mass_child(machine, mc, parent,
+                                                   mc.cores[0])
 
-    def _step_sumup(self, mc, parent):
+    def _step_sumup(self, machine, mc, parent):
         if not mc.cores:
-            self._end_loop(mc, parent)
+            self._end_loop(machine, mc, parent)
             return
-        self._create_mass_child(mc, parent, mc.cores.pop(0))
+        self._create_mass_child(machine, mc, parent, mc.cores.pop(0))
 
-    def _create_mass_child(self, mc, parent, child_index):
+    def _create_mass_child(self, machine, mc, parent, child_index):
         """The next FOR/SUMUP child, counted down in the parent's latches."""
-        qt = self.create_qt(parent, child_index, mc.create_addr, mc.term_addr,
-                            mc.link, KIND_MASS_TRUE, start_pc=mc.create_addr + 6,
-                            ecc_index=mc.created)
+        qt = self.create_qt(machine, parent, child_index, mc.create_addr,
+                            mc.term_addr, mc.link, KIND_MASS_TRUE,
+                            start_pc=mc.create_addr + 6, ecc_index=mc.created)
         mc.created += 1
         latches = parent.latches
         latches[FOR_CHILD] = (latches[FOR_CHILD] + 4) & isa.WORD_MASK
         latches[FROM_CHILD] = max(latches[FROM_CHILD] - 1, 0)
         return qt
 
-    def _end_loop(self, mc, parent):
+    def _end_loop(self, machine, mc, parent):
         mc.current_child = None
-        self._release(mc.cores)
+        self._release(machine, mc.cores)
         mc.cores = []                     # reservation fully disowned
         parent.pc = (mc.term_addr + 1) & isa.WORD_MASK
         parent.state = RUNNING
@@ -447,7 +492,7 @@ class Supervisor:
 
     # ---- SUMUP adder -------------------------------------------------------
 
-    def sumup_feed(self, child_core, value, addr):
+    def sumup_feed(self, machine, child_core, value, addr):
         """Triggered by a mass child's ForParent write while its parent
         runs SUMUP: the summand is copied to the parent's FromChild which
         feeds the adder; the adder output latches back into FromChild."""
@@ -458,9 +503,9 @@ class Supervisor:
         if mc.__class__ is not MassControl or mc.mode != MODE_SUMUP:
             return False
         mc.adder = (mc.adder + value) & isa.WORD_MASK
-        parent_core = self.m.cores[qt.parent.core]
+        parent_core = machine.cores[qt.parent.core]
         parent_core.latches[FROM_CHILD] = mc.adder
-        self.m.emit(child_core.index, qt.id, tr.SUM_FEED, addr, payload=value)
+        machine.emit(child_core.index, qt.id, tr.SUM_FEED, addr, payload=value)
         return True
 
 

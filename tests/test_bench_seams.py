@@ -5,11 +5,15 @@ checker by replacing them on the machine and supervisor instances, and
 decoding by replacing `isa.decode` on the module.  A change to the
 engine that stops calling one of them through its seam would leave
 that layer's per-layer metrics at 0 with no error, so these tests run
-the instrumented machine and count the calls the tracer saw.
+the instrumented machine and count the calls the tracer saw.  The
+wrappers sit on the instances, so once they are undone a traced machine
+must still be freed by reference counting, like an untraced one.
 """
 
 import functools
+import gc
 import importlib.util
+import weakref
 from pathlib import Path
 
 from empa import assembler, engine, trace as tr
@@ -27,10 +31,14 @@ def _bench_module(name):
     return module
 
 
+def _dynpar_program():
+    return next(p for p in bench_workloads().generate("walkthrough_batch", 0)
+                if p.builder == "dynpar")
+
+
 def test_the_traced_bench_sees_every_layer_call():
     run, spans = _bench_module("run"), _bench_module("spans")
-    program = next(p for p in bench_workloads().generate("walkthrough_batch", 0)
-                   if p.builder == "dynpar")
+    program = _dynpar_program()
     image = assembler.assemble(program.source, program.mem_bytes)
     machine = engine.Machine(image, engine.MachineConfig(
         cores=program.cores, mem_bytes=program.mem_bytes))
@@ -58,3 +66,35 @@ def test_the_traced_bench_sees_every_layer_call():
     assert calls.get("isa.decode", 0) == len(decoded)
     assert calls.get("supervisor.phase", 0) == len(ticks)
     assert calls.get("engine.check_invariants", 0) >= 1
+
+
+def _traced_run(image, program, run, tracer):
+    """Run one program as the traced bench does; a weak reference to its
+    machine, which is dropped on return."""
+    machine = engine.Machine(image, engine.MachineConfig(
+        cores=program.cores, mem_bytes=program.mem_bytes))
+    undo = run._instrument(machine, tracer, [0, 0, 0])
+    try:
+        machine.run_to_halt()
+    finally:
+        undo()
+    assert machine.halted
+    return weakref.ref(machine)
+
+
+def test_a_traced_machine_is_freed_without_the_collector():
+    run, spans = _bench_module("run"), _bench_module("spans")
+    program = _dynpar_program()
+    image = assembler.assemble(program.source, program.mem_bytes)
+    tracer = spans.Tracer()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = _traced_run(image, program, run, tracer)
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert tracer.spans

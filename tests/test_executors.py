@@ -220,7 +220,8 @@ def _sumup_child(value):
                              engine.MachineConfig(cores=2))
     machine.root_qt.alloc = MassControl(MODE_SUMUP, [1])
     child = machine.cores[1]
-    machine.sv.create_qt(machine.cores[0], 1, 0, 0, ENO, KIND_MASS_TRUE, 0)
+    machine.sv.create_qt(machine, machine.cores[0], 1, 0, 0, ENO,
+                         KIND_MASS_TRUE, 0)
     child.state = State.RUNNING
     child.phase = EsvContext.MASS_CHILD
     child.regs[EAX] = value

@@ -73,15 +73,16 @@ def _check_grants(machine):
 
 
 def _record_writes(machine):
-    """Wrap Machine.state_written; returns the list of (old, new) state
-    writes."""
+    """Wrap the supervisor's state_written; returns the list of
+    (old, new) state writes."""
     writes = []
-    state_written = machine.state_written
+    sv = machine.sv
+    state_written = sv.state_written
 
     def recording(index, old, new):
         writes.append((old, new))
         state_written(index, old, new)
-    machine.state_written = recording
+    sv.state_written = recording
     return writes
 
 
@@ -99,7 +100,7 @@ def _run_swept(machine):
         assert sv.in_state == _full_sweep(machine), at
         _check_grants(machine)
         running = [c for c in machine.cores if c.state is State.RUNNING]
-        assert machine._active is None or machine._active == running, at
+        assert sv.stale or machine._active == running, at
         for core in machine.cores:
             assert (core.request is not None) == (
                 core.state in (State.SV, State.POSTPONED)), (at, core.index)
@@ -175,7 +176,7 @@ def test_free_core_bound_to_a_qt_is_caught():
 def test_status_flip_behind_the_pools_back_is_caught():
     machine, free = _mid_run()
     free._state = State.PREALLOCATED         # a write that skips the set move
-    machine._touched.add(free.index)
+    machine.sv.touched.add(free.index)
     with pytest.raises(InvariantViolation, match="partition"):
         machine.tick()
 
@@ -200,7 +201,7 @@ def test_pool_sizes_are_checked_on_a_tick_that_touches_no_core():
     for _ in range(3):
         machine.tick()
     machine.sv.running.add(5)                # core 5 is free
-    assert not machine._touched              # a plain loop changes no core
+    assert not machine.sv.touched            # a plain loop changes no core
     with pytest.raises(InvariantViolation, match="partition"):
         machine.tick()
 
@@ -222,7 +223,8 @@ def test_state_and_qt_writes_keep_the_sets_a_partition(cores, writes):
     for the checker; only a state change marks the running list stale.
     A lone core takes the same writes with no machine."""
     _, machine = make_machine("halt\n", cores=cores)
-    machine._touched.clear()                  # as after a check
+    sv = machine.sv
+    sv.touched.clear()                        # as after a check
     stray = QTDescriptor("7", None, 0, 0, None, 0, KIND_PLAIN)
     qts = {"none": None, "root": machine.root_qt, "stray": stray}
     lone = [CoreState(i) for i in range(cores)]
@@ -231,19 +233,16 @@ def test_state_and_qt_writes_keep_the_sets_a_partition(cores, writes):
         index %= cores
         core = machine.cores[index]
         before = (core.state, core.qt)
-        touched = set(machine._touched)
-        running = machine._active = []         # a fresh, non-stale list
+        touched = set(sv.touched)
+        sv.stale = False                       # as after a rebuild
         if is_state:
             core.state = lone[index].state = state
         else:
             core.qt = lone[index].qt = qts[qt_name]
         changed = (core.state, core.qt) != before
-        assert set(machine._touched) == (
+        assert set(sv.touched) == (
             touched | {index} if changed else touched)
-        if is_state and changed:
-            assert machine._active is None
-        else:
-            assert machine._active is running
+        assert sv.stale == (is_state and changed)
         sets = machine.sv.in_state
         assert sum(map(len, sets.values())) == cores
         assert set().union(*sets.values()) == set(range(cores))
@@ -272,7 +271,7 @@ def _violations(partition=None, free=False, chain_core=None):
         machine.cores[3].qt = stray            # also off the root chain
     if partition == "member":
         machine.cores[6]._state = State.PARKED
-        machine._touched.add(6)
+        machine.sv.touched.add(6)
     elif partition == "sizes":
         machine.sv.in_state[State.PARKED].add(6)
     return machine

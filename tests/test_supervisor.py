@@ -295,10 +295,10 @@ def noting_qts(monkeypatch):
     counts = []
 
     def noting(handler):
-        def serve(sv, core, instr, addr):
+        def serve(sv, machine, core, instr, addr):
             _NotingQT.READ.clear()
             try:
-                handler(sv, core, instr, addr)
+                handler(sv, machine, core, instr, addr)
             finally:
                 counts.append(len(_NotingQT.READ))
                 _NotingQT.READ.clear()
@@ -327,17 +327,6 @@ def test_a_wait_reads_the_live_children_not_the_history(noting_qts, target,
         assert len(kinds(events, tr.QT_CREATED)) == n + nested
         most.append(max(noting_qts))
     assert most[0] == most[1] <= cores + 1
-
-
-class _WeakQT(QTDescriptor):
-    """A QTDescriptor that takes a weakref: it has no __slots__."""
-
-
-@pytest.fixture
-def weak_qts(monkeypatch):
-    """Machines built now use _WeakQT for every QT."""
-    monkeypatch.setattr(engine, "QTDescriptor", _WeakQT)
-    monkeypatch.setattr(supervisor, "QTDescriptor", _WeakQT)
 
 
 def _held_qt_ids(machine):
@@ -380,13 +369,34 @@ def _run_with_ended_qts_freed(machine):
     return ended
 
 
+def test_a_qt_gets_its_child_bookkeeping_with_its_first_child():
+    """Until its first child, a QT shares one read-only empty `live` and
+    `create_addrs`; then it has its own, and its children hold it
+    through a weak reference."""
+    root = QTDescriptor(tr.ROOT_QT_ID, None, 0, 0, None, isa.REG_ENO,
+                        KIND_MASS_TRUE)
+    leaf = QTDescriptor("7", None, 0, 0, None, isa.REG_ENO, KIND_MASS_TRUE)
+    assert root.live is leaf.live and root.create_addrs is leaf.create_addrs
+    assert not root.live and list(reversed(root.live)) == []
+    assert 0x10 not in root.create_addrs and None not in root.live
+    with pytest.raises(TypeError):
+        root.live[leaf] = None
+    child = root.add_child(1, 0x10, 0x20, isa.REG_ENO, KIND_MASS_TRUE)
+    assert list(root.live) == [child] and root.create_addrs == {0x10}
+    assert leaf.live == {} and leaf.create_addrs == frozenset()
+    assert child.parent is root and child.depth == 1 and child.id == "11"
+    ref = weakref.ref(child)
+    del root.live[child], child
+    assert ref() is None and not root.live and root.created == 1
+
+
 @pytest.mark.parametrize("target", ["Loop", "-1"])
-def test_an_ended_child_is_freed_without_the_collector(weak_qts, target):
+def test_an_ended_child_is_freed_without_the_collector(target):
     _, machine = make_machine(_create_wait_loop(50, target), cores=2)
     assert len(_run_with_ended_qts_freed(machine)) == 50
 
 
-def test_ended_for_children_are_freed_without_the_collector(weak_qts):
+def test_ended_for_children_are_freed_without_the_collector():
     _, machine = make_machine(fixtures.FIXTURES["for_mode"](), cores=4)
     ended = _run_with_ended_qts_freed(machine)
     assert machine.halted and len(ended) == 4
@@ -1059,9 +1069,9 @@ def test_sumup_feed_order_independent():
         root = machine.cores[0]
         child = machine.cores[1]
         mc = machine.root_qt.alloc = MassControl(MODE_SUMUP, [1])
-        sv.create_qt(root, 1, 0, 0, isa.REG_ENO, KIND_MASS_TRUE, 0)
+        sv.create_qt(machine, root, 1, 0, 0, isa.REG_ENO, KIND_MASS_TRUE, 0)
         for value in order:
-            assert sv.sumup_feed(child, value, 0)
+            assert sv.sumup_feed(machine, child, value, 0)
         assert mc.adder == expected
         assert root.latches[FROM_CHILD] == expected
 
