@@ -2,13 +2,16 @@
 
 Pass 1 assigns addresses and collects labels; pass 2 encodes bytes and
 builds the listing.  A run of unlabelled `.long` lines of plain
-literals is found by one compiled pattern, kept as one entry and
-written in one step; a run with a word wider than 32 bits, a run past
-the image end and a run after a backward `.pos` go line by line
-instead.  Any other line is read with one compiled pattern and
-encoded by the encoder of its instruction form; a line outside the
-pattern is split by the per-line code.  The operand resolver tries a
-plain lookup first and gives the error of a token it cannot read.
+literals is found by one compiled pattern, searched for from the line
+of the first `.long`.  It is kept as one entry of its address, words
+and text, written with one `struct.pack`, and expanded into per-line
+listing rows only when `ObjectImage.listing` is first read; a run with
+a word wider than 32 bits, a run past the image end and a run after a
+backward `.pos` go line by line instead.  Any other line is read with
+one compiled pattern and encoded by the encoder of its instruction
+form; a line outside the pattern is split by the per-line code.  The
+operand resolver tries a plain lookup first and gives the error of a
+token it cannot read.
 Y86 textbook dialect plus the Q mnemonics; a value is a signed or
 unsigned 32-bit word, so `-1` is accepted wherever an address is
 expected and encodes as 0xFFFFFFFF.
@@ -17,6 +20,7 @@ a register token fits, semantic legality is the simulator's business.
 """
 
 import re
+import struct
 from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
@@ -49,15 +53,49 @@ class UnmatchedQTermTarget(AssemblerError):
     """A QCreate-family argument does not point at a QTerm opcode."""
 
 
+class _DataRun(NamedTuple):
+    """A data run as one listing entry, until the listing is read."""
+    addr: int
+    words: list
+    text: str                   # its source lines, each ending in "\n"
+
+
+def _rows(entries):
+    """The listing rows of `entries`, each data run expanded into one
+    row per line."""
+    rows = []
+    for entry in entries:
+        if type(entry) is _DataRun:
+            addr, words, text = entry
+            rows += zip(range(addr, addr + 4 * len(words), 4),
+                        map(int.to_bytes, words, repeat(4), repeat("little")),
+                        text.splitlines())
+        else:
+            rows.append(entry)
+    return rows
+
+
 class ObjectImage:
-    """Assembled memory image with symbols and per-line listing."""
+    """Assembled memory image with symbols and per-line listing.
+
+    `listing` holds one (address, bytes, source-text) tuple per source
+    line.  `assemble` keeps each data run as one `_DataRun` entry, and
+    the first read of `listing` expands it, so a caller that never
+    reads the listing never builds its rows."""
 
     def __init__(self, size=DEFAULT_IMAGE_SIZE):
         self.memory = bytearray(size)
         self.entry = 0
         self.symbols = {}
-        # One (address, bytes, source-text) tuple per source line.
-        self.listing = []
+        self._listing = []
+        self._runs = False      # _listing holds a _DataRun
+
+    @property
+    def listing(self):
+        if self._runs:
+            self._listing = _rows(self._listing)
+            self._runs = False
+        return self._listing
 
     @property
     def size(self):
@@ -81,7 +119,10 @@ _LINE_RE = re.compile(
 # of printable ASCII or tabs, and a final "\n".  Such a line holds no
 # other line break, so the lines of a run are the ones str.splitlines
 # gives, and its literal is the token _LINE_RE reads.  With the
-# comments cut, the run splits on whitespace into `.long` and literal.
+# comments cut (only a run holding a "#" has one), the run splits on
+# whitespace into `.long` and literal.  A run starts a line (after a
+# "\n") and holds a `.long`, so none starts before the line of the
+# source's first `.long`.
 _RUN_RE = re.compile(r"^(?:[ \t]*\.long[ \t]+(?:0x[0-9A-Fa-f]+|[1-9][0-9]*|0)"
                      r"[ \t]*(?:#[\t -~]*)?\n)+", re.M)
 _COMMENT_RE = re.compile(r"#.*")
@@ -276,11 +317,14 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
     # is one entry; any other line in _LINE_RE is read from its groups,
     # and the rest by _split_line.
     parsed = []   # (lineno, raw, addr, op or None, operands), and for
-                  # a run (first lineno, its lines, addr, _RUN, words)
+                  # a run (first lineno, its text, addr, _RUN, words)
     addr = lineno = pos = 0
     backward = False              # a .pos has moved the address back
     fullmatch, ops_of = _LINE_RE.fullmatch, _OPS.get
-    for run in chain(_RUN_RE.finditer(source), (None,)):
+    first = source.find(".long")
+    runs = () if first < 0 else _RUN_RE.finditer(
+        source, source.rfind("\n", 0, first) + 1)
+    for run in chain(runs, (None,)):
         start = len(source) if run is None else run.start()
         for lineno, raw in enumerate(source[pos:start].splitlines(),
                                      start=lineno + 1):
@@ -314,22 +358,24 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
         # one and need the owner map).  Such a run becomes one .long
         # entry per line, which reports the error of the first bad line.
         pos = run.end()
-        raws = run[0].splitlines()
-        tokens = _COMMENT_RE.sub("", run[0]).split()[1::2]
+        text = run[0]
+        tokens = (_COMMENT_RE.sub("", text) if "#" in text
+                  else text).split()[1::2]
         words = list(map(int, tokens, repeat(0)))
         end = addr + 4 * len(words)
         if backward or end > size or max(words) > isa.WORD_MASK:
-            parsed += zip(range(lineno + 1, lineno + 1 + len(words)), raws,
-                          range(addr, end, 4), repeat(_LONG), zip(tokens))
+            parsed += zip(range(lineno + 1, lineno + 1 + len(words)),
+                          text.splitlines(), range(addr, end, 4),
+                          repeat(_LONG), zip(tokens))
         else:
-            parsed.append((lineno + 1, raws, addr, _RUN, words))
+            parsed.append((lineno + 1, text, addr, _RUN, words))
         lineno += len(words)
         addr = end
 
     # Pass 2: emit bytes at the pass-1 addresses.  Writes are checked
     # for overlap against a byte-owner map, built only once a write
     # starts below the end of the highest earlier one.
-    memory, listing = image.memory, image.listing
+    memory, listing = image.memory, image._listing
     pack = isa.pack
     instr_at = {}                 # address -> (opcode, ra, imm, line number)
     high = 0                      # end of the highest write so far
@@ -339,11 +385,10 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
             listing.append((addr, b"", raw))
             continue
         if op is _RUN:
-            data = list(map(int.to_bytes, operands, repeat(4),
-                            repeat("little")))
-            high = addr + 4 * len(data)
-            memory[addr:high] = b"".join(data)
-            listing += zip(range(addr, high, 4), data, raw)
+            high = addr + 4 * len(operands)
+            memory[addr:high] = struct.pack("<%dI" % len(operands), *operands)
+            listing.append(_DataRun(addr, operands, raw))
+            image._runs = True
             continue
         opcode, form, _, count, encode = op
         if len(operands) != count:
@@ -379,9 +424,10 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
 
 def _owners(listing):
     """Address -> line number for every byte written so far: the
-    listing holds one entry per line, in line order."""
+    listing holds one row per line, in line order, once its data runs
+    are expanded."""
     owner = {}
-    for lineno, (addr, data, _) in enumerate(listing, start=1):
+    for lineno, (addr, data, _) in enumerate(_rows(listing), start=1):
         owner.update(dict.fromkeys(range(addr, addr + len(data)), lineno))
     return owner
 
@@ -435,10 +481,8 @@ def _check_branch_links(instr_at):
 def write_listing(image):
     """Listing text: one `0xADDR: BYTES | source` line per source line.
     Re-assembling the source column reproduces identical bytes."""
-    out = []
-    for addr, data, src in image.listing:
-        out.append("0x%04x: %-12s | %s" % (addr, data.hex(), src))
-    return "\n".join(out) + "\n"
+    return "\n".join(["0x%04x: %-12s | %s" % (addr, data.hex(), src)
+                      for addr, data, src in image.listing]) + "\n"
 
 
 def load_listing(text, size=DEFAULT_IMAGE_SIZE):

@@ -92,8 +92,9 @@ def build_parser():
     p_diag.add_argument("trace")
     p_diag.add_argument("--cores", type=int, default=None)
     p_diag.add_argument("--ascii", action="store_true")
-    p_diag.add_argument("-o", "--output", help="SVG output path "
-                        "(default: trace path with .svg extension)")
+    p_diag.add_argument("-o", "--output", help="output path: the SVG "
+                        "(default: trace path with .svg extension), or "
+                        "with --ascii the ASCII diagram (default: stdout)")
     return parser
 
 
@@ -257,10 +258,15 @@ def cmd_stats(args, parser):
 def cmd_diagram(args, parser):
     events, cores = _read_trace(args.trace, args.cores, parser)
     if args.ascii:
-        print(diagram.render_ascii(events, cores), end="")
-        return EXIT_OK
-    path = args.output or _swap_ext(args.trace, ".svg")
-    _write_text(path, diagram.render_diagram(events, cores))
+        text = diagram.render_ascii(events, cores)
+        if not args.output:
+            print(text, end="")
+            return EXIT_OK
+        path = args.output
+    else:
+        text = diagram.render_diagram(events, cores)
+        path = args.output or _swap_ext(args.trace, ".svg")
+    _write_text(path, text)
     print("wrote %s" % path)
     return EXIT_OK
 

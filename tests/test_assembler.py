@@ -2,6 +2,7 @@
 error reporting, bracket checking."""
 
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -280,6 +281,10 @@ ERRORS = [
     (".pos 0x10\nnop\n.pos 0x8\n.long 1\n.long 2\n.long 3\n",
      assembler.AssemblerError, 6,
      "line 6: byte 0x10 written by both line 2 and line 6"),
+    # A backward .pos over a run written in one step: the owner map
+    # reads the run's entry before the listing is ever read.
+    (".long 1\n.long 2\n.long 3\n.pos 4\nnop\n", assembler.AssemblerError, 5,
+     "line 5: byte 0x4 written by both line 2 and line 5"),
 ]
 
 
@@ -365,23 +370,23 @@ def test_values_from_minus_2_31_to_2_32_minus_1_encode_as_words(value, word):
 _NO_LINE = re.compile(r"(?!)")      # matches no line: all go per line
 
 
-def _outcome(source):
+def _outcome(source, size=assembler.DEFAULT_IMAGE_SIZE):
     """What assembling `source` gives: the image, symbols, listing and
     listing text, or the error's class, line and message."""
     try:
-        image = assembler.assemble(source)
+        image = assembler.assemble(source, size)
     except assembler.AssemblerError as exc:
         return type(exc), exc.line, str(exc)
     return (bytes(image.memory), image.symbols, image.listing,
             assembler.write_listing(image))
 
 
-def _per_line_outcome(source):
+def _per_line_outcome(source, size=assembler.DEFAULT_IMAGE_SIZE):
     """_outcome with every line read by the per-line code: no line
     matches _LINE_RE and no data run matches _RUN_RE."""
     with mock.patch.object(assembler, "_LINE_RE", _NO_LINE), \
             mock.patch.object(assembler, "_RUN_RE", _NO_LINE):
-        return _outcome(source)
+        return _outcome(source, size)
 
 
 _BLANKS = st.sampled_from([" ", "  ", "\t", " \t ", "\t\t"])
@@ -527,17 +532,19 @@ _LITERAL_WORD = re.compile(r"\s*\.long\s+(0x[0-9a-fA-F]+|[0-9]+)\s*(#.*)?")
 def test_fixture_and_bench_sources_take_the_compiled_pass(monkeypatch):
     """No line a fixture builder or the benchmark writes is split per
     line, no literal data word they write is resolved per line, and
-    both paths agree on each fixture."""
+    both paths agree on each fixture and on the first seed-0 program of
+    each workload."""
     sources = [(builder(), assembler.DEFAULT_IMAGE_SIZE)
                for _, builder in sorted(fixtures.FIXTURES.items())]
     by_workload = _bench_sources()
     assert by_workload and all(by_workload.values())
+    compared = sources + [programs[0] for programs in by_workload.values()]
     for name, programs in by_workload.items():
         words = sum(bool(_LITERAL_WORD.fullmatch(line))
                     for source, _ in programs for line in source.splitlines())
         assert words >= 3000, name
         sources += programs
-    expected = [_per_line_outcome(source) for source, _ in sources[:5]]
+    expected = [_per_line_outcome(*source) for source in compared]
     calls, resolved = [], []
     monkeypatch.setattr(assembler, "_split_statement",
                         lambda *args: calls.append(args))
@@ -553,4 +560,27 @@ def test_fixture_and_bench_sources_take_the_compiled_pass(monkeypatch):
                  if _LITERAL_WORD.fullmatch(line)}
         assert not words.intersection(resolved)
     assert calls == []
-    assert [_outcome(source) for source, _ in sources[:5]] == expected
+    assert [_outcome(*source) for source in compared] == expected
+
+
+def test_data_runs_stay_unexpanded_until_the_listing_is_read():
+    """The seed-0 serial_wide image holds less than four times its
+    source text until its listing is read (one listing row per data
+    word held 7.1 times).  Each read of `listing` then gives the rows
+    and the listing text of the per-line path."""
+    program = bench_workloads().generate("serial_wide", 0)[0]
+    source, size = program.source, program.mem_bytes
+    assembler.assemble(source, size)      # leave out first-call allocations
+    tracemalloc.start()
+    try:
+        image = assembler.assemble(source, size)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * len(source)
+    memory, symbols, listing, text = _per_line_outcome(source, size)
+    assert len(listing) == len(source.splitlines())
+    for _ in range(2):
+        assert (bytes(image.memory), image.symbols, image.listing,
+                assembler.write_listing(image)) == (memory, symbols,
+                                                    listing, text)

@@ -256,6 +256,23 @@ def test_diagram_subcommand(fixture_dir, capsys):
     assert "C4" in capsys.readouterr().out
 
 
+def test_diagram_ascii_writes_the_output_path(fixture_dir, capsys):
+    """`--ascii -o PATH` writes the diagram that `--ascii` prints to
+    PATH and names the file, as the SVG does."""
+    trace_out = fixture_dir / "d.trace"
+    cli.main(["run", _p(fixture_dir / "sumup_mode.eyo"), "--cores", "5",
+              "--trace", _p(trace_out)])
+    capsys.readouterr()
+    assert cli.main(["diagram", _p(trace_out), "--ascii"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("cycle ") and "C4" in printed
+    out = fixture_dir / "d.txt"
+    assert cli.main(["diagram", _p(trace_out), "--ascii", "-o", _p(out)]) == 0
+    assert capsys.readouterr().out == "wrote %s\n" % out
+    assert out.read_text(encoding="utf-8") == printed
+    assert not (fixture_dir / "d.svg").exists()
+
+
 @pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
 def test_run_diagrams_equal_those_of_its_saved_trace(fixture_dir, capsys,
                                                      name):
@@ -374,6 +391,7 @@ def test_a_duration_that_starts_at_cycle_0_is_accepted(tmp_path, capsys, argv):
     ["diagram", "{trace}", "--output", "{missing}/x.svg"],
     ["run", "{src}", "--cores", "5", "--diagram", "{missing}/x.svg"],
     ["asm", "{src}", "-o", "{missing}/x.yo"],
+    ["diagram", "{trace}", "--ascii", "-o", "{missing}/x.txt"],
 ])
 def test_unwritable_output_is_a_user_error(fixture_dir, capsys, argv):
     trace_out = fixture_dir / "w.trace"
