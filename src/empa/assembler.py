@@ -3,15 +3,16 @@
 Pass 1 assigns addresses and collects labels; pass 2 encodes bytes and
 builds the listing.  A run of unlabelled `.long` lines of plain
 literals is found by one compiled pattern, searched for from the line
-of the first `.long`.  It is kept as one entry of its address, words
-and text, written with one `struct.pack`, and expanded into per-line
-listing rows only when `ObjectImage.listing` is first read; a run with
-a word wider than 32 bits, a run past the image end and a run after a
-backward `.pos` go line by line instead.  Any other line is read with
-one compiled pattern and encoded by the encoder of its instruction
-form; a line outside the pattern is split by the per-line code.  The
-operand resolver tries a plain lookup first and gives the error of a
-token it cannot read.
+of the first `.long`, at most _RUN_LINES lines a match.  Each match is
+kept as one entry of its address, words and text, written with one
+`struct.pack`, and expanded into per-line listing rows only when
+`ObjectImage.listing` is first read; a match with a word wider than
+32 bits, one past the image end and one after a backward `.pos` go
+line by line instead.  Any other line is read with one compiled
+pattern and encoded by the encoder of its instruction form; a line
+outside the pattern is split by the per-line code.  The operand
+resolver tries a plain lookup first and gives the error of a token it
+cannot read.
 Y86 textbook dialect plus the Q mnemonics; a value is a signed or
 unsigned 32-bit word, so `-1` is accepted wherever an address is
 expected and encodes as 0xFFFFFFFF.
@@ -122,9 +123,14 @@ _LINE_RE = re.compile(
 # comments cut (only a run holding a "#" has one), the run splits on
 # whitespace into `.long` and literal.  A run starts a line (after a
 # "\n") and holds a `.long`, so none starts before the line of the
-# source's first `.long`.
+# source's first `.long`.  The `re` module keeps backtracking state for
+# each repetition of the group until the match ends, about 500 bytes a
+# line, so a match takes at most _RUN_LINES lines and a longer run is
+# matched in adjacent pieces (1.5 MB of transient state for a run of
+# 3,000 lines as one match, about 0.15 MB in pieces of 256).
+_RUN_LINES = 256
 _RUN_RE = re.compile(r"^(?:[ \t]*\.long[ \t]+(?:0x[0-9A-Fa-f]+|[1-9][0-9]*|0)"
-                     r"[ \t]*(?:#[\t -~]*)?\n)+", re.M)
+                     r"[ \t]*(?:#[\t -~]*)?\n){1,%d}" % _RUN_LINES, re.M)
 _COMMENT_RE = re.compile(r"#.*")
 _LABEL_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*:")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
@@ -352,11 +358,12 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
             addr += length
         if run is None:
             break
-        # A run is written in one step unless a word is wider than 32
-        # bits, the run passes the image end, or a backward .pos came
-        # before it (a write may then start below the highest earlier
-        # one and need the owner map).  Such a run becomes one .long
-        # entry per line, which reports the error of the first bad line.
+        # A run (one match; a longer run is several adjacent ones) is
+        # written in one step unless a word is wider than 32 bits, the
+        # run passes the image end, or a backward .pos came before it (a
+        # write may then start below the highest earlier one and need
+        # the owner map).  Such a run becomes one .long entry per line,
+        # which reports the error of the first bad line.
         pos = run.end()
         text = run[0]
         tokens = (_COMMENT_RE.sub("", text) if "#" in text

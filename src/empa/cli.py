@@ -7,7 +7,8 @@ trace) and ImageTooLarge for an image beyond memory, each with its
 message; main() is the one place that turns them into a usage error
 with exit 1; it prints an assembler error, with no usage line, under
 the name of the file it came from.  EMPA_CORES provides a default core count; explicit flags
-win.
+win.  The trace and the SVG are written to their files a block at a
+time, as they are made; their input is checked before a file is opened.
 """
 
 import argparse
@@ -111,8 +112,14 @@ def _read_text(path, parser):
 
 
 def _write_text(path, text):
+    _write_blocks(path, (text,))
+
+
+def _write_blocks(path, blocks):
+    """Write text blocks to `path` as they come, so a generator of them
+    (trace.trace_blocks, diagram.svg_blocks) is never held whole."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(blocks)
 
 
 def _built(path, build, text):
@@ -204,9 +211,9 @@ def cmd_run(args, parser):
     for warning in machine.warnings:
         print("warning: %s" % warning, file=sys.stderr)
     if args.trace:
-        _write_text(args.trace, tr.format_trace(events))
+        _write_blocks(args.trace, tr.trace_blocks(events))
     if args.diagram:
-        _write_text(args.diagram, diagram.render_diagram(events, cfg.cores))
+        _write_blocks(args.diagram, diagram.svg_blocks(events, cfg.cores))
     if args.ascii:
         print(diagram.render_ascii(events, cfg.cores), end="")
     text = statsmod.format_stats(
@@ -263,10 +270,10 @@ def cmd_diagram(args, parser):
             print(text, end="")
             return EXIT_OK
         path = args.output
+        _write_text(path, text)
     else:
-        text = diagram.render_diagram(events, cores)
         path = args.output or _swap_ext(args.trace, ".svg")
-    _write_text(path, text)
+        _write_blocks(path, diagram.svg_blocks(events, cores))
     print("wrote %s" % path)
     return EXIT_OK
 

@@ -10,6 +10,8 @@ The ASCII renderer is the terminal counterpart.
 """
 
 from collections import defaultdict
+from itertools import chain, islice
+from operator import itemgetter
 
 from . import trace as tr
 
@@ -98,10 +100,25 @@ def _attr(value):
     return _text(value).replace('"', "&quot;")
 
 
-def render_diagram(events, cores):
-    """Render a trace written on a `cores`-core machine as a standalone
-    SVG document (text)."""
+def svg_blocks(events, cores):
+    """The SVG document (text) of a trace written on a `cores`-core
+    machine, in blocks of about tr.BLOCK element strings.  A trace that
+    names a core beyond `cores` raises ValueError here, before the first
+    block is made."""
     spans, total = tr.spans_on(events, cores)
+    return _svg_blocks(events, cores, spans, total)
+
+
+def render_diagram(events, cores):
+    """The SVG document of svg_blocks, as one string."""
+    return "".join(svg_blocks(events, cores))
+
+
+def _svg_blocks(events, cores, spans, total):
+    """The blocks of svg_blocks.  Elements are added to `out`, which is
+    yielded as one string and emptied whenever it holds tr.BLOCK of
+    them: after each batch of grid lines, wait dots and events, and
+    after each QT span."""
     width = _LEFT + cores * _COL_W + 20
     height = _y(total) + 2 * _ROW_H
 
@@ -109,9 +126,12 @@ def render_diagram(events, cores):
     add = out.append
     for core in range(cores):
         add(_CORE_LABEL % (_x(core), _TOP - 10, core))
-    out += [_GRID % (_LEFT - 26, y, width - 10, y, _LEFT - 30, y + 3, cycle)
-            for cycle, y in zip(range(0, total + 1, 5),
-                                range(_TOP, _y(total) + 1, 5 * _ROW_H))]
+    grid = zip(range(0, total + 1, 5), range(_TOP, _y(total) + 1, 5 * _ROW_H))
+    for lines in tr.batches(grid):
+        out += [_GRID % (_LEFT - 26, y, width - 10, y, _LEFT - 30, y + 3, cycle)
+                for cycle, y in lines]
+        if len(out) >= tr.BLOCK:
+            yield _take(out)
 
     for span, depth in zip(spans, _nesting_depths(spans)):
         w = max(_QT_W - 8 * depth, 12)
@@ -124,50 +144,72 @@ def render_diagram(events, cores):
             add(_QT_HOOK % (x0 - 4, hy, x0 + w + 4, hy))
         add(_QT_LABEL % (x0 + 2, y0 - 2))     # an empty id: empty element
         add(">%s</text>" % _text(span.id) if span.id else " />")
+        if len(out) >= tr.BLOCK:
+            yield _take(out)
 
     x_mid = _LEFT + _COL_W // 2      # _x(core) is x_mid + core * _COL_W
     half = _QT_W // 2
     balls = {}          # (core, addr, duration) -> ball and tails, y open
     waits = {}
-    for cycle, core, qt, kind, addr, payload in events:
-        x = x_mid + core * _COL_W
-        if kind == tr.INSTR_RETIRED:
-            duration = payload or 1
-            y = _TOP + (cycle - duration + 1) * _ROW_H
-            key = (core, addr, duration)
-            ball = balls.get(key)
-            if ball is None:
-                ball = balls[key] = (_INSTR_XA % (x, x, addr)
-                                     + _TAIL_X % x * (duration - 1))
-            if duration == 1:   # most: no range of tail ys to unpack
-                add(ball % (y, y - 6))
-            else:
-                add(ball % (y, y - 6, *range(y + _ROW_H, y + duration * _ROW_H,
-                                             _ROW_H)))
-        elif kind == tr.META_RETIRED:
-            y = _TOP + (cycle - (payload or 1) + 1) * _ROW_H
-            add(_META % (x + half + 4, y - 5, x + half + 6, y + 3, addr))
-        elif kind == tr.WAIT_BEGIN:
-            waits[(core, qt)] = (cycle, addr)
-        elif kind == tr.WAIT_END:
-            begin = waits.pop((core, qt), None)
-            if begin is not None:
-                for waited in range(begin[0], cycle):
-                    add(_WAIT_DOT % (x - half - 10, _y(waited)))
-                add(_WAIT_ADDR % (x - half - 18, _y(begin[0]) + 3, begin[1]))
-        elif kind == tr.LATCH_READ:
-            add(_READ % (x + half - 2, _y(cycle) + 3))
-        elif kind == tr.LATCH_WRITE:
-            add(_WRITE % (x + half - 2, _y(cycle) + 3))
-        elif kind == tr.SUM_FEED:
-            add(_FEED % (x - 4, _y(cycle) + 3))
+    for batch in tr.batches(events):
+        for cycle, core, qt, kind, addr, payload in batch:
+            x = x_mid + core * _COL_W
+            if kind == tr.INSTR_RETIRED:
+                duration = payload or 1
+                y = _TOP + (cycle - duration + 1) * _ROW_H
+                key = (core, addr, duration)
+                ball = balls.get(key)
+                if ball is None:
+                    ball = balls[key] = (_INSTR_XA % (x, x, addr)
+                                         + _TAIL_X % x * (duration - 1))
+                if duration == 1:   # most: no range of tail ys to unpack
+                    add(ball % (y, y - 6))
+                else:
+                    add(ball % (y, y - 6, *range(y + _ROW_H,
+                                                 y + duration * _ROW_H,
+                                                 _ROW_H)))
+            elif kind == tr.META_RETIRED:
+                y = _TOP + (cycle - (payload or 1) + 1) * _ROW_H
+                add(_META % (x + half + 4, y - 5, x + half + 6, y + 3, addr))
+            elif kind == tr.WAIT_BEGIN:
+                waits[(core, qt)] = (cycle, addr)
+            elif kind == tr.WAIT_END:
+                begin = waits.pop((core, qt), None)
+                if begin is not None:
+                    yield from _wait_dots(out, x - half - 10, begin[0], cycle)
+                    add(_WAIT_ADDR % (x - half - 18, _y(begin[0]) + 3,
+                                      begin[1]))
+            elif kind == tr.LATCH_READ:
+                add(_READ % (x + half - 2, _y(cycle) + 3))
+            elif kind == tr.LATCH_WRITE:
+                add(_WRITE % (x + half - 2, _y(cycle) + 3))
+            elif kind == tr.SUM_FEED:
+                add(_FEED % (x - 4, _y(cycle) + 3))
+        if len(out) >= tr.BLOCK:
+            yield _take(out)
     # open waits (machine stopped while waiting)
     for (core, _qt), (begin, addr) in sorted(waits.items()):
-        for cycle in range(begin, total + 1):
-            add(_WAIT_DOT % (_x(core) - half - 10, _y(cycle)))
+        yield from _wait_dots(out, _x(core) - half - 10, begin, total + 1)
 
     add("</svg>\n")
-    return "".join(out)
+    yield _take(out)
+
+
+def _wait_dots(out, x, begin, end):
+    """Add to `out` a wait dot at `x` for each cycle begin..end-1,
+    yielding `out` as one string and emptying it after each batch that
+    fills it to tr.BLOCK elements."""
+    for cycles in tr.batches(range(begin, end)):
+        out += [_WAIT_DOT % (x, _y(cycle)) for cycle in cycles]
+        if len(out) >= tr.BLOCK:
+            yield _take(out)
+
+
+def _take(out):
+    """The strings of `out` as one string; `out` is emptied."""
+    text = "".join(out)
+    out.clear()
+    return text
 
 
 _GLYPH_PRIORITY = {tr.SUM_FEED: 6, tr.META_RETIRED: 5, tr.INSTR_RETIRED: 4,
@@ -182,6 +224,12 @@ _GLYPHS = {tr.SUM_FEED: "+", tr.META_RETIRED: "Q", tr.INSTR_RETIRED: "o",
 _CELLS = {kind: glyph.center(5) for kind, glyph in _GLYPHS.items()}
 _WAIT, _ALIVE, _IDLE = (glyph.center(5) for glyph in "w|.")
 _BLANK = " " * 6                # the label of a row whose cycle is unnumbered
+_AFTER_LABEL = itemgetter(slice(5, None))    # a "%5d" number replaces it
+
+
+def _fives(rows):
+    """The whole runs of five rows of `rows`, as tuples."""
+    return zip(*[islice(rows, i, None, 5) for i in range(5)])
 
 
 def render_ascii(events, cores):
@@ -195,8 +243,9 @@ def render_ascii(events, cores):
     one row (blank label included) per run and the run's cycles all
     share that string.  Each marked cell's glyph is resolved first; a
     marked cycle then gets its row by patching one cell at a time, and
-    each distinct (row, core, glyph) patch is made once.  Every fifth
-    row gets its number, and the text is one join of the rows."""
+    each distinct (row, core, glyph) patch is made once.  The text is
+    one join of pieces of five rows each, with every fifth row's number
+    put in front of a shared string, not in a copy of its row."""
     spans, total = tr.spans_on(events, cores)
 
     steps = defaultdict(list)   # cycle -> [(core, span step, wait step)]
@@ -254,9 +303,21 @@ def render_ascii(events, cores):
         rows[cycle] = new
     del marks, patched          # freed before the text is joined
 
-    for cycle in range(0, total + 1, 5):
-        rows[cycle] = "%5d" % cycle + rows[cycle][5:]
-    rows.insert(0, "cycle " + "".join(("C%d" % c).center(5)
-                                      for c in range(cores)))
-    rows.append("")             # the text ends with a newline
-    return "\n".join(rows)
+    # Five rows a piece: a newline and the first row's number, then the
+    # rest of the five rows as one body.  Bodies repeat, so each distinct
+    # one is kept once and shared; each is joined and cut in C, and the
+    # copy made for a body already kept is freed at once.  The zip stops
+    # at the last whole piece; a shorter one after it is added on its own.
+    bodies = {}
+    pieces = ["cycle " + "".join(("C%d" % c).center(5) for c in range(cores))]
+    pieces += chain.from_iterable(zip(
+        map("\n%5d".__mod__, range(0, total + 1, 5)),
+        map(bodies.setdefault, _fives(rows),
+            map(_AFTER_LABEL, map("\n".join, _fives(rows))))))
+    cycle = (len(pieces) - 1) // 2 * 5
+    if cycle <= total:
+        pieces += ("\n%5d" % cycle, _AFTER_LABEL("\n".join(rows[cycle:])))
+    pieces.append("\n")        # the text ends with a newline
+    del rows, bodies            # freed before the text is joined
+    return "".join(pieces)
+

@@ -14,6 +14,7 @@ computes once and keeps.
 
 import re
 from collections import namedtuple
+from itertools import islice
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -195,14 +196,34 @@ _LINE = "cycle=%d core=%d qt=%s kind=%s addr=0x%04x\n"
 _LINE_PAYLOAD = _LINE[:-1] + " payload=0x%08x\n"
 
 
+# The trace text and the SVG are built in blocks of BLOCK lines or
+# element strings, so a writer holds one block at a time, and a join
+# holds the blocks and its result, not every line as a string of its own.
+BLOCK = 1024
+
+
 def format_event(ev):
     return format_trace((ev,))[:-1]
 
 
-def format_trace(events):
+def batches(items):
+    """The items of the iterable `items` in lists of BLOCK, the last one
+    shorter; one pass over it."""
+    it = iter(items)
+    while batch := list(islice(it, BLOCK)):
+        yield batch
+
+
+def trace_blocks(events):
+    """The trace text of `events`, one block of text per BLOCK lines."""
     line, line_payload = _LINE, _LINE_PAYLOAD
-    return "".join([line % ev[:5] if ev[5] is None else line_payload % ev
-                    for ev in events])
+    for batch in batches(events):
+        yield "".join([line % ev[:5] if ev[5] is None else line_payload % ev
+                       for ev in batch])
+
+
+def format_trace(events):
+    return "".join(trace_blocks(events))
 
 
 # The trace grammar: a line as format_event writes it, with single

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import importlib.util
+import tracemalloc
 from operator import itemgetter
 from pathlib import Path
 
@@ -128,6 +129,19 @@ def count_calls(monkeypatch, *names):
             return _real(events)
         monkeypatch.setattr(tr, name, counted)
     return calls
+
+
+def traced_memory(fn):
+    """(fn(), the bytes still allocated when it returns, the peak bytes
+    allocated while it ran), both counted by tracemalloc from the call
+    on, in this process."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def fixture_trace(name, cores):

@@ -2,7 +2,6 @@
 error reporting, bracket checking."""
 
 import re
-import tracemalloc
 from unittest import mock
 
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from empa import assembler, fixtures, isa
 from helpers import (bench_workloads, format_instruction, listing_source,
-                     valid_instruction_space)
+                     traced_memory, valid_instruction_space)
 
 
 def test_qpwait_wildcard_example():
@@ -571,12 +570,7 @@ def test_data_runs_stay_unexpanded_until_the_listing_is_read():
     program = bench_workloads().generate("serial_wide", 0)[0]
     source, size = program.source, program.mem_bytes
     assembler.assemble(source, size)      # leave out first-call allocations
-    tracemalloc.start()
-    try:
-        image = assembler.assemble(source, size)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    image, held, _ = traced_memory(lambda: assembler.assemble(source, size))
     assert held < 4 * len(source)
     memory, symbols, listing, text = _per_line_outcome(source, size)
     assert len(listing) == len(source.splitlines())
@@ -584,3 +578,76 @@ def test_data_runs_stay_unexpanded_until_the_listing_is_read():
         assert (bytes(image.memory), image.symbols, image.listing,
                 assembler.write_listing(image)) == (memory, symbols,
                                                     listing, text)
+
+
+def test_assembling_a_long_data_run_peaks_below_half_a_megabyte():
+    """The seed-0 serial_wide source holds one data run of 3,000 lines.
+    Matching it in pieces of at most _RUN_LINES lines bounds what the
+    pattern's backtracking state takes: assemble peaks at about 0.40 MB
+    (1.91 MB when the whole run was one match)."""
+    program = bench_workloads().generate("serial_wide", 0)[0]
+    source, size = program.source, program.mem_bytes
+    assembler.assemble(source, size)      # leave out first-call allocations
+    _, _, peak = traced_memory(lambda: assembler.assemble(source, size))
+    assert peak < 500_000, peak
+
+
+# Runs as long as the bound of one match, one line on either side of
+# it, past two bounds, and as long as a bench program's.
+_BOUND = assembler._RUN_LINES
+_RUN_LENGTHS = (_BOUND - 1, _BOUND, _BOUND + 1, 2 * _BOUND + 1, 3000)
+_RUN_SIZE = 0x4000          # room for 3,000 words and the code around them
+
+
+def _run_source(count, case):
+    """A source holding one run of `count` .long lines, shaped by `case`,
+    and its image size."""
+    words = ["\t.long 0x%x\n" % (7 * i + 1) for i in range(count)]
+    head, tail, size = "Start: nop\n", "End: halt\n", _RUN_SIZE
+    if case == "comments":          # around each edge of a match, and more
+        for i in range(0, count, 7):
+            words[i] = words[i][:-1] + " # w%d\n" % i
+        for i in (_BOUND - 1, _BOUND, count - 1):
+            if i < count:
+                words[i] = words[i][:-1] + "\t#~!\n"
+    elif case == "wide after the bound":
+        words[min(_BOUND, count - 1)] = "\t.long 0x100000000\n"
+    elif case == "wide last":
+        words[-1] = "\t.long 4294967296\n"
+    elif case == "past the end at a match edge":
+        # the first min(count - 1, _BOUND) words fill the image
+        head += ".pos 0x%x\n" % (size - 4 * min(count - 1, _BOUND))
+    elif case == "up to the end":   # the run ends the image and the source
+        head += ".pos 0x%x\n" % (size - 4 * count)
+        tail = ""
+    elif case == "after a backward pos":
+        # the nop is on the first word of the second match, if any
+        head = ".pos 0x%x\nStart: nop\n.pos 0\n" % (4 * _BOUND)
+    else:
+        assert case == "plain"
+    return head + "".join(words) + tail, size
+
+
+@pytest.mark.parametrize("case", ["plain", "comments", "wide after the bound",
+                                  "wide last", "past the end at a match edge",
+                                  "up to the end", "after a backward pos"])
+@pytest.mark.parametrize("count", _RUN_LENGTHS)
+def test_data_runs_across_the_match_bound_equal_the_per_line_path(count, case):
+    """A run longer than _RUN_LINES is matched in pieces; with comments,
+    a word wider than 32 bits after the first piece or at the end, the
+    image end at a piece edge or at the run's end, and a backward .pos
+    before it, it gives the image, symbols, listing, listing text or
+    error of the per-line path."""
+    source, size = _run_source(count, case)
+    assert _outcome(source, size) == _per_line_outcome(source, size)
+
+
+@pytest.mark.parametrize("count", _RUN_LENGTHS)
+def test_a_long_run_is_kept_as_one_entry_per_match(count):
+    """Each piece of at most _RUN_LINES lines is written in one step and
+    kept as one listing entry."""
+    image = assembler.assemble(*_run_source(count, "plain"))
+    runs = [entry for entry in image._listing
+            if type(entry) is assembler._DataRun]
+    assert [len(run.words) for run in runs] == \
+        [min(_BOUND, count - start) for start in range(0, count, _BOUND)]

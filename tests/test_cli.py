@@ -9,10 +9,11 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import empa
-from empa import assembler, cli, engine, fixtures, trace as tr
+from empa import assembler, cli, diagram, engine, fixtures, trace as tr
 from empa.cli import StepSession
 
-from helpers import CountingList, count_calls
+from helpers import (CountingList, bench_workloads, count_calls,
+                     pinned_traces, traced_memory)
 
 
 @pytest.fixture
@@ -479,6 +480,108 @@ def test_outputs_deterministic(fixture_dir):
     cli.main(args + ["--trace", _p(t2), "--diagram", _p(d2)])
     assert t1.read_bytes() == t2.read_bytes()
     assert d1.read_bytes() == d2.read_bytes()
+
+
+# ---- streamed outputs -----------------------------------------------------
+
+
+def _cli_outputs(tmp_path, capsys, source, cores):
+    """The bytes of the trace and the SVG that `empa run --trace
+    --diagram` writes for `source` on `cores` cores."""
+    path = tmp_path / "p.eyo"
+    path.write_text(source, encoding="utf-8")
+    trace_out, svg_out = tmp_path / "p.trace", tmp_path / "p.svg"
+    assert cli.main(["run", _p(path), "--cores", str(cores),
+                     "--trace", _p(trace_out), "--diagram", _p(svg_out)]) == 0
+    capsys.readouterr()
+    return trace_out.read_bytes(), svg_out.read_bytes()
+
+
+@pytest.mark.parametrize("cores", [5, 64])
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_run_writes_the_trace_and_svg_of_the_library(tmp_path, capsys, name,
+                                                     cores):
+    """`run --trace --diagram` writes its outputs block by block: the
+    bytes of format_trace and render_diagram."""
+    source = fixtures.FIXTURES[name]()
+    machine = engine.Machine(assembler.assemble(source),
+                             engine.MachineConfig(cores=cores))
+    events, _ = machine.run_to_halt()
+    assert _cli_outputs(tmp_path, capsys, source, cores) == (
+        tr.format_trace(events).encode(),
+        diagram.render_diagram(events, cores).encode())
+
+
+def test_run_writes_the_outputs_of_the_walkthrough_programs(tmp_path, capsys):
+    """The same on every seed-0 walkthrough_batch program.  The other
+    workloads' programs need 16 KB of memory, more than `empa run`
+    gives, so their outputs are checked through `empa diagram` below."""
+    programs = bench_workloads().generate("walkthrough_batch", 0)
+    runs = pinned_traces()["walkthrough_batch"]
+    assert len(programs) == len(runs)
+    for program, (cores, events) in zip(programs, runs):
+        assert program.mem_bytes == assembler.DEFAULT_IMAGE_SIZE
+        assert _cli_outputs(tmp_path, capsys, program.source, cores) == (
+            tr.format_trace(events).encode(),
+            diagram.render_diagram(events, cores).encode())
+
+
+@pytest.mark.parametrize("name", sorted(bench_workloads().PARAMS) + [
+    "fixture:" + name for name in sorted(fixtures.FIXTURES)])
+def test_diagram_writes_the_svg_and_ascii_of_the_library(tmp_path, capsys,
+                                                         name):
+    """`diagram` and `diagram --ascii -o` write the bytes of
+    render_diagram and render_ascii, for every seed-0 bench program and
+    every fixture on 64 cores."""
+    trace_in, svg_out = tmp_path / "p.trace", tmp_path / "p.svg"
+    ascii_out = tmp_path / "p.txt"
+    for cores, events in pinned_traces()[name]:
+        trace_in.write_text(tr.format_trace(events), encoding="utf-8")
+        flags = [_p(trace_in), "--cores", str(cores)]
+        assert cli.main(["diagram"] + flags) == 0
+        assert cli.main(["diagram"] + flags + ["--ascii", "-o",
+                                                _p(ascii_out)]) == 0
+        capsys.readouterr()
+        assert svg_out.read_bytes() == \
+            diagram.render_diagram(events, cores).encode()
+        assert ascii_out.read_bytes() == \
+            diagram.render_ascii(events, cores).encode()
+
+
+@pytest.mark.parametrize("ascii_flag", [[], ["--ascii"]])
+@pytest.mark.parametrize("text, cores, complaint", [
+    ("cycle=1 core=6 qt=1 kind=InstrRetired addr=0x0000\n", "2",
+     "trace uses 7 cores"),
+    ("cycle=1 core=0 qt=1 kind=InstrRetired addr=0XA\n", "2", "bad addr"),
+])
+def test_a_bad_trace_leaves_an_existing_output_untouched(
+        tmp_path, capsys, ascii_flag, text, cores, complaint):
+    """Too few --cores and a bad trace line are found before the output
+    file is opened, so a file already at its path keeps its bytes."""
+    trace_in, out = tmp_path / "bad.trace", tmp_path / "out.svg"
+    trace_in.write_text(text, encoding="utf-8")
+    out.write_bytes(b"kept\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["diagram", _p(trace_in), "--cores", cores, "-o", _p(out)]
+                 + ascii_flag)
+    assert exc.value.code == 1
+    assert complaint in capsys.readouterr().err
+    assert out.read_bytes() == b"kept\n"
+
+
+def test_a_late_one_line_trace_is_drawn_in_bounded_memory(tmp_path, capsys):
+    """One event at cycle 10**6: the SVG holds 200,001 grid lines, 37.4
+    MB of text.  `empa diagram` writes it a block at a time, so the
+    command peaks below 4 MB (86.4 MB when the document was joined
+    first)."""
+    trace_in, svg_out = tmp_path / "late.trace", tmp_path / "late.svg"
+    trace_in.write_text("cycle=1000000 core=0 qt=1 kind=InstrRetired "
+                        "addr=0x0000\n", encoding="utf-8")
+    rc, _, peak = traced_memory(lambda: cli.main(["diagram", _p(trace_in)]))
+    assert rc == 0
+    assert capsys.readouterr().out == "wrote %s\n" % svg_out
+    assert svg_out.stat().st_size > 37_000_000
+    assert peak < 4_000_000, peak
 
 
 # ---- interactive stepping -------------------------------------------------

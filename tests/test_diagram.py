@@ -134,8 +134,12 @@ def test_single_qt_run_one_column():
 
 
 @pytest.mark.parametrize("render", [diagram.render_ascii,
-                                    diagram.render_diagram])
+                                    diagram.render_diagram,
+                                    diagram.svg_blocks])
 def test_too_few_cores_rejected(render):
+    """Every renderer raises when it is called; svg_blocks does before
+    its first block is asked for, so a writer can call it before it
+    opens its file."""
     _, _, events = assemble_run(dynpar_source(), cores=8)
     with pytest.raises(ValueError, match="core 6"):
         render(events, 2)

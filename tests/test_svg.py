@@ -13,8 +13,8 @@ import xml.etree.ElementTree as ET
 from hypothesis import given, settings
 
 from empa import diagram, fixtures, trace as tr
-from helpers import (assemble_run, event_lists, fixture_trace,
-                     rendered_sha256, wide_event_lists)
+from helpers import (assemble_run, event_lists, fixture_trace, pinned_traces,
+                     rendered_sha256, traced_memory, wide_event_lists)
 
 CORE_COUNTS = (1, 2, 4, 5, 8, 64)
 
@@ -162,6 +162,30 @@ def _oracle_svg(events, cores):
 
 def test_bench_and_fixture_traces_match_their_pinned_hashes():
     assert rendered_sha256(diagram.render_diagram) == PINNED
+
+
+def test_memory_peak_is_below_2_1_times_the_document():
+    """svg_blocks joins its element strings a block at a time, so
+    render_diagram holds the blocks and the document, not every element
+    string of a long run of one busy core in 64 beside the document
+    (2.0 times the document; 2.3 when one list held every element)."""
+    (cores, events), = pinned_traces()["serial_wide"]
+    svg, _, peak = traced_memory(lambda: diagram.render_diagram(events,
+                                                                 cores))
+    assert peak < 2.1 * len(svg), (peak, len(svg))
+
+
+def test_blocks_end_at_elements_and_join_to_the_document():
+    """A block ends with an element, and a long run's document comes in
+    at least one block per tr.BLOCK events, so a writer holds a small
+    part of it at a time."""
+    (cores, events), = pinned_traces()["serial_wide"]
+    blocks = list(diagram.svg_blocks(events, cores))
+    assert "".join(blocks) == diagram.render_diagram(events, cores)
+    assert all(block.endswith(">") for block in blocks[:-1])
+    assert blocks[-1].endswith("</svg>\n")
+    assert len(blocks) >= len(events) // tr.BLOCK
+    assert max(map(len, blocks)) < 0.1 * sum(map(len, blocks))
 
 
 def test_fixtures_match_the_oracle():

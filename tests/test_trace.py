@@ -21,6 +21,18 @@ def test_format_event_with_and_without_payload():
     assert "payload" not in tr.format_event(ev2)
 
 
+def test_trace_blocks_hold_block_lines_each():
+    """trace_blocks gives the text of format_trace in blocks of BLOCK
+    lines, the last one shorter, and no block for no events."""
+    (_, events), = pinned_traces()["serial_wide"]
+    blocks = list(tr.trace_blocks(events))
+    full, rest = divmod(len(events), tr.BLOCK)
+    assert [block.count("\n") for block in blocks] == \
+        [tr.BLOCK] * full + [rest] * bool(rest)
+    assert "".join(blocks) == tr.format_trace(events)
+    assert list(tr.trace_blocks([])) == [] and tr.format_trace([]) == ""
+
+
 def test_roundtrip_real_trace():
     _, _, events = assemble_run(sumup_mode_source(), cores=5)
     text = tr.format_trace(events)
