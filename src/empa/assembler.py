@@ -1,18 +1,18 @@
 """Two-pass assembler for EMPA/Y86 source (.eyo).
 
-Pass 1 assigns addresses and collects labels; pass 2 encodes bytes and
-builds the listing.  A run of unlabelled `.long` lines of plain
-literals is found by one compiled pattern, searched for from the line
-of the first `.long`, at most _RUN_LINES lines a match.  Each match is
-kept as one entry of its address, words and text, written with one
-`struct.pack`, and expanded into per-line listing rows only when
-`ObjectImage.listing` is first read; a match with a word wider than
-32 bits, one past the image end and one after a backward `.pos` go
-line by line instead.  Any other line is read with one compiled
-pattern and encoded by the encoder of its instruction form; a line
-outside the pattern is split by the per-line code.  The operand
-resolver tries a plain lookup first and gives the error of a token it
-cannot read.
+Pass 1 assigns addresses, collects labels and records each line's
+address, byte count and text in the image; pass 2 encodes the bytes.
+A run of unlabelled `.long` lines of plain literals is found by one
+compiled pattern, searched for from the line of the first `.long`, at
+most _RUN_LINES lines a match.  Each match is kept as one line-table
+entry of its address, width 4 and text, and written with one
+`struct.pack`; a match with a word wider than 32 bits, one past the
+image end and one after a backward `.pos` are encoded line by line
+instead.  `ObjectImage.listing` is built on first read, its bytes read
+from the image.  Any other line is read with one compiled pattern and
+encoded by the encoder of its instruction form; a line outside the
+pattern is split by the per-line code.  The operand resolver tries a
+plain lookup first and gives the error of a token it cannot read.
 Y86 textbook dialect plus the Q mnemonics; a value is a signed or
 unsigned 32-bit word, so `-1` is accepted wherever an address is
 expected and encodes as 0xFFFFFFFF.
@@ -22,6 +22,7 @@ a register token fits, semantic legality is the simulator's business.
 
 import re
 import struct
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
@@ -54,49 +55,41 @@ class UnmatchedQTermTarget(AssemblerError):
     """A QCreate-family argument does not point at a QTerm opcode."""
 
 
-class _DataRun(NamedTuple):
-    """A data run as one listing entry, until the listing is read."""
-    addr: int
-    words: list
-    text: str                   # its source lines, each ending in "\n"
-
-
-def _rows(entries):
-    """The listing rows of `entries`, each data run expanded into one
-    row per line."""
+def _rows(lines, memory):
+    """One (address, bytes, text) row per source line of a line table,
+    its bytes read from `memory`: a width-4 entry holds one line of
+    text per word."""
+    memory = bytes(memory)
     rows = []
-    for entry in entries:
-        if type(entry) is _DataRun:
-            addr, words, text = entry
-            rows += zip(range(addr, addr + 4 * len(words), 4),
-                        map(int.to_bytes, words, repeat(4), repeat("little")),
-                        text.splitlines())
-        else:
-            rows.append(entry)
+    for addr, width, text in lines:
+        if width != 4:
+            rows.append((addr, memory[addr:addr + width], text))
+            continue
+        for line in text.splitlines():
+            rows.append((addr, memory[addr:addr + 4], line))
+            addr += 4
     return rows
 
 
 class ObjectImage:
     """Assembled memory image with symbols and per-line listing.
 
-    `listing` holds one (address, bytes, source-text) tuple per source
-    line.  `assemble` keeps each data run as one `_DataRun` entry, and
-    the first read of `listing` expands it, so a caller that never
-    reads the listing never builds its rows."""
+    `_lines` holds one (address, width, text) entry per source line or
+    data-run match: width is the line's byte count (0 for a line with
+    no bytes), and 4 for a data-run match, whose text holds one line
+    per word.  `listing`, built on first read, holds one (address,
+    bytes, source-text) row per source line, its bytes read from the
+    image: writes never overlap, so the image holds every line's
+    bytes."""
 
     def __init__(self, size=DEFAULT_IMAGE_SIZE):
         self.memory = bytearray(size)
-        self.entry = 0
         self.symbols = {}
-        self._listing = []
-        self._runs = False      # _listing holds a _DataRun
+        self._lines = []
 
-    @property
+    @cached_property
     def listing(self):
-        if self._runs:
-            self._listing = _rows(self._listing)
-            self._runs = False
-        return self._listing
+        return _rows(self._lines, self.memory)
 
     @property
     def size(self):
@@ -319,11 +312,12 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
     symbols = image.symbols
     resolver = _Resolver(symbols)
 
-    # Pass 1: each line's address, and the labels.  A run of data lines
-    # is one entry; any other line in _LINE_RE is read from its groups,
-    # and the rest by _split_line.
-    parsed = []   # (lineno, raw, addr, op or None, operands), and for
-                  # a run (first lineno, its text, addr, _RUN, words)
+    # Pass 1: each line's address, width and text, and the labels.  A
+    # run of data lines is one entry; any other line in _LINE_RE is read
+    # from its groups, and the rest by _split_line.
+    lines = image._lines
+    parsed = []   # (lineno, addr, op, operands) of a line with bytes,
+                  # and (first lineno, addr, _RUN, words) of a run
     addr = lineno = pos = 0
     backward = False              # a .pos has moved the address back
     fullmatch, ops_of = _LINE_RE.fullmatch, _OPS.get
@@ -340,7 +334,6 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
             else:
                 label, mnemonic, a, b = m.groups()
                 operands = () if a is None else (a,) if b is None else (a, b)
-            op = None
             length = 0
             if mnemonic is not None:
                 op = ops_of(mnemonic)
@@ -352,9 +345,10 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
                     if op is _LONG and len(operands) != 1:
                         _operand_count(".long", operands, 1, lineno)
                     length = op.length
+                    parsed.append((lineno, addr, op, operands))
             if label is not None:
                 symbols[label] = addr
-            parsed.append((lineno, raw, addr, op, operands))
+            lines.append((addr, length, raw))
             addr += length
         if run is None:
             break
@@ -362,8 +356,9 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
         # written in one step unless a word is wider than 32 bits, the
         # run passes the image end, or a backward .pos came before it (a
         # write may then start below the highest earlier one and need
-        # the owner map).  Such a run becomes one .long entry per line,
-        # which reports the error of the first bad line.
+        # the owner map).  Such a run is encoded as one .long per line,
+        # which reports the error of the first bad line; the line table
+        # keeps the match as one entry either way.
         pos = run.end()
         text = run[0]
         tokens = (_COMMENT_RE.sub("", text) if "#" in text
@@ -372,30 +367,25 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
         end = addr + 4 * len(words)
         if backward or end > size or max(words) > isa.WORD_MASK:
             parsed += zip(range(lineno + 1, lineno + 1 + len(words)),
-                          text.splitlines(), range(addr, end, 4),
-                          repeat(_LONG), zip(tokens))
+                          range(addr, end, 4), repeat(_LONG), zip(tokens))
         else:
-            parsed.append((lineno + 1, text, addr, _RUN, words))
+            parsed.append((lineno + 1, addr, _RUN, words))
+        lines.append((addr, 4, text))
         lineno += len(words)
         addr = end
 
     # Pass 2: emit bytes at the pass-1 addresses.  Writes are checked
     # for overlap against a byte-owner map, built only once a write
     # starts below the end of the highest earlier one.
-    memory, listing = image.memory, image._listing
+    memory = image.memory
     pack = isa.pack
     instr_at = {}                 # address -> (opcode, ra, imm, line number)
     high = 0                      # end of the highest write so far
     owner = None                  # address -> line number that wrote it
-    for lineno, raw, addr, op, operands in parsed:
-        if op is None:            # blank, .pos or .align: no bytes
-            listing.append((addr, b"", raw))
-            continue
+    for lineno, addr, op, operands in parsed:
         if op is _RUN:
             high = addr + 4 * len(operands)
             memory[addr:high] = struct.pack("<%dI" % len(operands), *operands)
-            listing.append(_DataRun(addr, operands, raw))
-            image._runs = True
             continue
         opcode, form, _, count, encode = op
         if len(operands) != count:
@@ -411,7 +401,7 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
             raise AssemblerError(
                 "program exceeds the %d-byte image at 0x%x" % (size, addr), lineno)
         if owner is None and addr < high:
-            owner = _owners(listing)
+            owner = _owners(lines, memory, lineno)
         if owner is None:
             high = end
         else:
@@ -422,19 +412,17 @@ def assemble(source, size=DEFAULT_IMAGE_SIZE):
                         % (i, owner[i], lineno), lineno)
                 owner[i] = lineno
         memory[addr:end] = data
-        listing.append((addr, data, raw))
 
     _check_brackets(instr_at)
     _check_branch_links(instr_at)
     return image
 
 
-def _owners(listing):
-    """Address -> line number for every byte written so far: the
-    listing holds one row per line, in line order, once its data runs
-    are expanded."""
+def _owners(lines, memory, before):
+    """Address -> line number for every byte of the lines before line
+    `before`, which pass 2 has written."""
     owner = {}
-    for lineno, (addr, data, _) in enumerate(_rows(listing), start=1):
+    for lineno, (addr, data, _) in zip(range(1, before), _rows(lines, memory)):
         owner.update(dict.fromkeys(range(addr, addr + len(data)), lineno))
     return owner
 

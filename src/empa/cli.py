@@ -99,16 +99,16 @@ def build_parser():
     return parser
 
 
-def _read_text(path, parser):
+def _read_text(path):
     """A text input file, read as UTF-8; a file that cannot be read or
     is not UTF-8 is a user error."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
-        parser.error(str(exc))
+        raise ValueError(str(exc)) from None
     except UnicodeDecodeError as exc:
-        parser.error("%s: not UTF-8 text (%s)" % (path, exc.reason))
+        raise ValueError("%s: not UTF-8 text (%s)" % (path, exc.reason)) from None
 
 
 def _write_text(path, text):
@@ -132,14 +132,14 @@ def _built(path, build, text):
         raise
 
 
-def _load_image(path, parser):
+def _load_image(path):
     if path.endswith(".eyo"):
-        return _built(path, assembler.assemble, _read_text(path, parser))
+        return _built(path, assembler.assemble, _read_text(path))
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
-        parser.error(str(exc))
+        raise ValueError(str(exc)) from None
     if not path.endswith(".img"):
         try:
             text = raw.decode("utf-8")
@@ -150,7 +150,7 @@ def _load_image(path, parser):
     return engine.image_from_bytes(raw)
 
 
-def _machine_config(args, parser):
+def _machine_config(args):
     cores = _cores_default() if args.cores is None else _cores_flag(args.cores)
     timing = engine.TimingConfig()
     if getattr(args, "timing", None):
@@ -158,14 +158,13 @@ def _machine_config(args, parser):
             with open(args.timing, encoding="utf-8") as fh:
                 timing = engine.TimingConfig.from_text(fh.read())
         except (OSError, ValueError) as exc:
-            parser.error("bad timing file: %s" % exc)
+            raise ValueError("bad timing file: %s" % exc) from None
     watchdog = getattr(args, "watchdog", engine.MachineConfig.watchdog)
     return engine.MachineConfig(cores=cores, timing=timing, watchdog=watchdog)
 
 
-def cmd_asm(args, parser):
-    image = _built(args.source, assembler.assemble,
-                   _read_text(args.source, parser))
+def cmd_asm(args):
+    image = _built(args.source, assembler.assemble, _read_text(args.source))
     listing_path = args.output or _swap_ext(args.source, ".yo")
     image_path = _swap_ext(listing_path, ".img")
     _write_text(listing_path, assembler.write_listing(image))
@@ -179,13 +178,13 @@ def _swap_ext(path, ext):
     return os.path.splitext(path)[0] + ext
 
 
-def _read_baseline(arg, parser):
+def _read_baseline(arg):
     """The cycles of --baseline: a stats file if the path exists, else
     the argument itself must be a cycle count."""
     if arg is None:
         return None
     if os.path.exists(arg):
-        return statsmod.parse_baseline(_read_text(arg, parser))
+        return statsmod.parse_baseline(_read_text(arg))
     try:
         int(arg, 0)
     except ValueError:
@@ -198,10 +197,10 @@ def _read_baseline(arg, parser):
 _SUMMARY_KEYS = ("totalCycles=", "speedup=", "alphaEff=")
 
 
-def cmd_run(args, parser):
-    image = _load_image(args.image, parser)
-    cfg = _machine_config(args, parser)
-    baseline = _read_baseline(args.baseline, parser)
+def cmd_run(args):
+    image = _load_image(args.image)
+    cfg = _machine_config(args)
+    baseline = _read_baseline(args.baseline)
     machine = engine.Machine(image, cfg)
     try:
         events, machine = machine.run_to_halt()
@@ -228,16 +227,16 @@ def cmd_run(args, parser):
     return EXIT_OK
 
 
-def _read_trace(path, cores, parser):
+def _read_trace(path, cores):
     """A saved trace's events and the core count of its machine:
     --cores, never too few, or by default the fewest that it needs.
     The cores it needs are read from the Trace's view, which the
     statistics and the renderers then share."""
-    events = tr.parse_trace(_read_text(path, parser))
+    events = tr.parse_trace(_read_text(path))
     try:
         tr.check_durations(events)
     except ValueError as exc:
-        parser.error("%s: %s" % (path, exc))
+        raise ValueError("%s: %s" % (path, exc)) from None
     if cores is not None:
         _cores_flag(cores)
     needed = events.view.cores_needed
@@ -251,9 +250,9 @@ def _read_trace(path, cores, parser):
     return events, cores
 
 
-def cmd_stats(args, parser):
-    events, cores = _read_trace(args.trace, args.cores, parser)
-    baseline = _read_baseline(args.baseline, parser)
+def cmd_stats(args):
+    events, cores = _read_trace(args.trace, args.cores)
+    baseline = _read_baseline(args.baseline)
     st = statsmod.compute_stats(events, cores, baseline)
     text = statsmod.format_stats(st)
     print(text, end="")
@@ -262,8 +261,8 @@ def cmd_stats(args, parser):
     return EXIT_OK
 
 
-def cmd_diagram(args, parser):
-    events, cores = _read_trace(args.trace, args.cores, parser)
+def cmd_diagram(args):
+    events, cores = _read_trace(args.trace, args.cores)
     if args.ascii:
         text = diagram.render_ascii(events, cores)
         if not args.output:
@@ -432,9 +431,9 @@ class StepSession:
         return self.machine
 
 
-def cmd_step(args, parser):
-    image = _load_image(args.image, parser)
-    session = StepSession(engine.Machine(image, _machine_config(args, parser)))
+def cmd_step(args):
+    image = _load_image(args.image)
+    session = StepSession(engine.Machine(image, _machine_config(args)))
 
     def _lines():
         while True:
@@ -453,7 +452,7 @@ def main(argv=None):
     handler = {"asm": cmd_asm, "run": cmd_run, "step": cmd_step,
                "stats": cmd_stats, "diagram": cmd_diagram}[args.command]
     try:
-        return handler(args, parser)
+        return handler(args)
     except (assembler.AssemblerError, OSError) as exc:
         print("%s: %s" % (getattr(exc, "source", "error"), exc),
               file=sys.stderr)

@@ -83,9 +83,8 @@ class CoreState:
     phase: EsvContext = EsvContext.GENERAL   # %esv table row; never CLONING
 
     # execution bookkeeping (engine-owned)
-    inflight = None          # decode_at entry executing: (Instruction,
+    inflight = None          # decode_at entry executing at pc: (Instruction,
                              # cycles, executor, event kind, halts)
-    inflight_addr: int = 0
     remaining: int = 0
     for_parent_dirty: bool = False
     request = None           # (Instruction, addr) while SV or POSTPONED

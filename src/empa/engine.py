@@ -53,7 +53,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import isa, trace as tr
-from .assembler import ObjectImage
+from .assembler import DEFAULT_IMAGE_SIZE, ObjectImage
 from .coremodel import (FOR_PARENT, FREE, MASSLOOP, PARKED, RUNNING, WAITING,
                         CoreState, bind)
 from .errors import (AddressOutOfRange, Deadlock, ImageTooLarge,
@@ -83,32 +83,40 @@ TIMING_CLASS = {op: _GROUP_CLASS[op & 0xF0] for op in isa.OPCODES}
 MAX_CORES = 64          # the most cores a machine has
 
 
+def _class_cycles(key, cycles):
+    """`cycles` as the cycle count of instruction class `key`."""
+    if key not in DEFAULT_TIMING:
+        raise ValueError("unknown instruction class %r" % key)
+    if int(cycles) < 1:
+        raise ValueError("class %r needs at least 1 cycle" % key)
+    return int(cycles)
+
+
 class TimingConfig:
     """Cycles per instruction class; a total function, everything >= 1."""
 
     def __init__(self, overrides=None):
         self.cycles = dict(DEFAULT_TIMING)
-        if overrides:
-            for key, value in overrides.items():
-                if key not in DEFAULT_TIMING:
-                    raise ValueError("unknown instruction class %r" % key)
-                self.cycles[key] = int(value)
-        for key, value in self.cycles.items():
-            if value < 1:
-                raise ValueError("class %r needs at least 1 cycle" % key)
+        for key, value in (overrides or {}).items():
+            self.cycles[key] = _class_cycles(key, value)
 
     @classmethod
     def from_text(cls, text):
-        """Parse `class = cycles` lines (# comments allowed)."""
+        """Parse `class = cycles` lines (# comments allowed); each error
+        names its line."""
         overrides = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError("line %d: expected class=cycles" % lineno)
-            overrides[key.strip()] = int(value.strip(), 0)
+            key = key.strip()
+            try:
+                if not sep:
+                    raise ValueError("expected class=cycles")
+                overrides[key] = _class_cycles(key, int(value.strip(), 0))
+            except ValueError as exc:
+                raise ValueError("line %d: %s" % (lineno, exc)) from None
         return cls(overrides)
 
     def cycles_for(self, opcode):
@@ -118,7 +126,7 @@ class TimingConfig:
 @dataclass
 class MachineConfig:
     cores: int = 8
-    mem_bytes: int = 4096
+    mem_bytes: int = DEFAULT_IMAGE_SIZE
     timing: TimingConfig = field(default_factory=TimingConfig)
     watchdog: int = 10000
 
@@ -174,11 +182,10 @@ class Machine:
         self.halted = False
         self._last_event_clock = 0
 
-        self.root_qt = QTDescriptor(tr.ROOT_QT_ID, None, 0, image.entry, None,
+        self.root_qt = QTDescriptor(tr.ROOT_QT_ID, None, 0, 0, None,
                                     isa.REG_ENO, KIND_PLAIN)
         root = self.cores[0]
         root.state = RUNNING
-        root.pc = image.entry
         root.qt = self.root_qt
 
     # ---- event sink ------------------------------------------------------
@@ -228,6 +235,9 @@ class Machine:
         # of the running cores serves a cycle; ascending order keeps
         # same-cycle memory visibility and the halt break.  A stretch goes
         # on only while no core is touched, so the snapshot serves it all.
+        # A core's pc is the address of its in-flight instruction until
+        # the executor runs: only the executor moves pc, and the SV moves
+        # it only on a core with nothing in flight.
         sv = self.sv
         if sv.stale:
             cores = self.cores
@@ -260,7 +270,6 @@ class Machine:
                                     "fetch failed: %s" % exc, core=core.index,
                                     qt=core.qt.id, addr=pc) from None
                         core.inflight = entry
-                        core.inflight_addr = pc
                         remaining = entry[1] - 1
                     else:
                         remaining = core.remaining - 1
@@ -269,7 +278,7 @@ class Machine:
                         continue
                     # the retire: its event, straight from the entry
                     instr, duration, execute, kind, halts = entry
-                    addr = core.inflight_addr
+                    addr = core.pc
                     execute(core, memory, self)
                     core.inflight = None
                     append(_new(Event, (clock, core.index, core.qt.id, kind,

@@ -563,15 +563,16 @@ def test_fixture_and_bench_sources_take_the_compiled_pass(monkeypatch):
 
 
 def test_data_runs_stay_unexpanded_until_the_listing_is_read():
-    """The seed-0 serial_wide image holds less than four times its
-    source text until its listing is read (one listing row per data
-    word held 7.1 times).  Each read of `listing` then gives the rows
-    and the listing text of the per-line path."""
+    """The seed-0 serial_wide image holds less than twice its source
+    text until its listing is read (about 1.3 times; one listing row
+    per data word held 7.1 times, and a run entry that kept its words
+    2.9 times).  Each read of `listing` then gives the rows and the
+    listing text of the per-line path."""
     program = bench_workloads().generate("serial_wide", 0)[0]
     source, size = program.source, program.mem_bytes
     assembler.assemble(source, size)      # leave out first-call allocations
     image, held, _ = traced_memory(lambda: assembler.assemble(source, size))
-    assert held < 4 * len(source)
+    assert held < 2 * len(source)
     memory, symbols, listing, text = _per_line_outcome(source, size)
     assert len(listing) == len(source.splitlines())
     for _ in range(2):
@@ -645,9 +646,8 @@ def test_data_runs_across_the_match_bound_equal_the_per_line_path(count, case):
 @pytest.mark.parametrize("count", _RUN_LENGTHS)
 def test_a_long_run_is_kept_as_one_entry_per_match(count):
     """Each piece of at most _RUN_LINES lines is written in one step and
-    kept as one listing entry."""
+    kept as one width-4 line-table entry, one line of text per word."""
     image = assembler.assemble(*_run_source(count, "plain"))
-    runs = [entry for entry in image._listing
-            if type(entry) is assembler._DataRun]
-    assert [len(run.words) for run in runs] == \
+    runs = [text for _, width, text in image._lines if width == 4]
+    assert [len(text.splitlines()) for text in runs] == \
         [min(_BOUND, count - start) for start in range(0, count, _BOUND)]

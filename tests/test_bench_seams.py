@@ -60,7 +60,7 @@ def test_the_traced_bench_sees_every_layer_call():
              for name, row in spans.totals_by_name(tracer.spans).items()}
     decoded = ({ev.addr for ev in machine.events
                 if ev.kind in (tr.INSTR_RETIRED, tr.META_RETIRED)}
-               | {core.inflight_addr for core in machine.cores
+               | {core.pc for core in machine.cores
                   if core.inflight is not None})
     assert len(decoded) > 10 and machine.clock > len(ticks) > 1
     assert calls.get("isa.decode", 0) == len(decoded)

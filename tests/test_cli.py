@@ -874,6 +874,14 @@ _BASELINES = {"0": "baseline cycle count must be positive, not 0",
               "{dir}/missing.kv":
                   "--baseline {dir}/missing.kv: no such file, and not a "
                   "cycle count"}
+_TIMINGS = {"noeq": ("nop 3\n", "line 1: expected class=cycles"),
+            "number": ("opl = 2\nmrmovl = x\n",
+                       "line 2: invalid literal for int() with base 0: "
+                       "'x'"),
+            "class": ("# classes\n\nfoo = 3\n",
+                      "line 3: unknown instruction class 'foo'"),
+            "zero": ("mrmovl = 0  # none\n",
+                     "line 1: class 'mrmovl' needs at least 1 cycle")}
 # (argv, EMPA_CORES or None, message); {dir} is the inputs' directory.
 _USER_ERRORS = (
     [([cmd, "{dir}/adaptive.eyo"], value,
@@ -909,6 +917,9 @@ _USER_ERRORS = (
        for cmd, target in (("run", "{dir}/adaptive.eyo"),
                            ("stats", "{dir}/adaptive.trace"))
        for baseline, message in _BASELINES.items()]
+    + [([cmd, "{dir}/adaptive.eyo", "--timing", "{dir}/%s.timing" % name],
+        None, "bad timing file: " + message)
+       for cmd in ("run", "step") for name, (_, message) in _TIMINGS.items()]
 )
 
 
@@ -922,6 +933,8 @@ def error_inputs(tmp_path_factory):
         (directory / ("%s.trace" % name)).write_text(text)
     (directory / "zero.kv").write_text("totalCycles=0\ncores=1\n")
     (directory / "abc.kv").write_text("totalCycles=abc\n")
+    for name, (text, _) in _TIMINGS.items():
+        (directory / ("%s.timing" % name)).write_text(text)
     for name, cores in (("dynpar", "8"), ("adaptive", "5")):
         assert cli.main(["run", _p(directory / (name + ".eyo")), "--cores",
                          cores, "--trace",

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from empa import assembler, engine, fixtures, isa, trace as tr
 from empa.coremodel import State
 from empa.errors import (AddressOutOfRange, Deadlock, InvariantViolation,
-                         RuntimeFault, WatchdogExpired)
+                         RuntimeFault, SimulationError, WatchdogExpired)
 from test_stress import _random_tree_program, _wide_program
 
 CORE_COUNTS = (1, 2, 3, 4, 5, 8, 64)
@@ -46,8 +46,8 @@ def _outcome(machine, run, max_cycles):
         "clock": machine.clock,
         "events": machine.events,
         "memory": bytes(machine.memory.data),
-        "cores": [(c.state, c.pc, c.regs, c.latches, c.inflight_addr,
-                   c.remaining, c.inflight and c.inflight[0])
+        "cores": [(c.state, c.pc, c.regs, c.latches, c.remaining,
+                   c.inflight and c.inflight[0])
                   for c in machine.cores],
         "warnings": machine.warnings,
     }
@@ -70,7 +70,8 @@ def test_run_to_halt_matches_the_tick_loop_on_fixtures(name, cores):
     assert (error is None) == (name != "dynpar" or cores >= 4)
 
 
-def test_run_to_halt_matches_the_tick_loop_on_random_trees():
+def _random_trees():
+    """(source, cores) of 60 random QT trees and wide programs."""
     rng = random.Random(0xBEEF)
     for trial in range(60):
         if trial % 2 == 0:
@@ -79,6 +80,11 @@ def test_run_to_halt_matches_the_tick_loop_on_random_trees():
         else:
             cores = rng.randrange(2, 5)
             source, _ = _wide_program(rng, rng.randrange(4, 13))
+        yield source, cores
+
+
+def test_run_to_halt_matches_the_tick_loop_on_random_trees():
+    for trial, (source, cores) in enumerate(_random_trees()):
         outcome = _assert_same_run(source, cores, max_cycles=50000)
         assert outcome["error"] is None, trial
 
@@ -111,7 +117,8 @@ def test_cycle_budget_in_the_middle_of_an_instruction():
     outcome = _assert_same_run("L: mrmovl 0(%eax),%ecx\n   jmp L\n", 1,
                                max_cycles=102)
     assert outcome["error"][0] is WatchdogExpired
-    assert outcome["cores"][0][4:] == (0, 1, isa.Instruction(isa.MRMOVL, 1, 0))
+    core = outcome["cores"][0]
+    assert (core[1], *core[4:]) == (0, 1, isa.Instruction(isa.MRMOVL, 1, 0))
 
 
 def test_root_halt_leaves_a_higher_core_mid_instruction():
@@ -127,8 +134,9 @@ CT:     QTerm
         halt
 """, 2)
     assert outcome["error"] is None and outcome["clock"] == 4
-    assert outcome["cores"][1][0] is State.RUNNING
-    assert outcome["cores"][1][4:] == (6, 1, isa.Instruction(isa.MRMOVL, 1, 0))
+    core = outcome["cores"][1]
+    assert core[0] is State.RUNNING
+    assert (core[1], *core[4:]) == (6, 1, isa.Instruction(isa.MRMOVL, 1, 0))
 
 
 def test_retire_fault_on_the_second_running_core_parks_only_it():
@@ -388,3 +396,47 @@ FT:     QTerm
                     if ev.kind == tr.QT_TERMINATED and ev.qt == "12"]
     assert begin and fallback_end[0].cycle > begin[0].cycle
     assert end[0].cycle == fallback_end[0].cycle + 1
+
+
+# ---- an in-flight instruction's address is its core's pc -----------------
+
+def _inflight_checks(machine, max_cycles=50000):
+    """Tick until the machine halts, fails or reaches max_cycles; after
+    every tick, each core with an instruction in flight must find that
+    entry decoded at its pc.  Returns how many in-flight cores were
+    checked."""
+    checked = 0
+    while not machine.halted and machine.clock < max_cycles:
+        try:
+            machine.tick()
+        except SimulationError:
+            break
+        for core in machine.cores:
+            if core.inflight is not None:
+                assert machine.decode_at(core.pc) is core.inflight, \
+                    (machine.clock, core.index)
+                checked += 1
+    return checked
+
+
+# Every instruction two cycles long: each is in flight after a tick.
+_TWO_CYCLES = {name: 2 for name in engine.DEFAULT_TIMING}
+
+
+@pytest.mark.parametrize("cores", (1, 2, 5, 64))
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_an_inflight_instruction_is_decoded_at_its_cores_pc(name, cores):
+    source = fixtures.FIXTURES[name]()
+    _inflight_checks(_machine(source, cores))
+    assert _inflight_checks(_machine(
+        source, cores, timing=engine.TimingConfig(_TWO_CYCLES)))
+
+
+def test_an_inflight_instruction_is_decoded_at_its_cores_pc_on_trees():
+    checked = 0
+    for trial, (source, cores) in enumerate(_random_trees()):
+        for timing in (None, engine.TimingConfig(_TWO_CYCLES)):
+            machine = _machine(source, cores, timing=timing)
+            checked += _inflight_checks(machine)
+            assert machine.halted, trial
+    assert checked
