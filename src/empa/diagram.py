@@ -11,7 +11,6 @@ The ASCII renderer is the terminal counterpart.
 
 from collections import defaultdict
 from itertools import chain, islice
-from operator import itemgetter
 
 from . import trace as tr
 
@@ -52,41 +51,10 @@ def _y(cycle):
     return _TOP + cycle * _ROW_H
 
 
-# One %-template per SVG element kind.  The document is ElementTree's
-# serialization of the same elements, written directly: attributes in
-# the order ElementTree kept them, " />" on empty elements, and the
-# same escaping (see _attr and _text).
-_HEAD = ('<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-         'viewBox="0 0 %d %d"><rect x="0" y="0" width="%d" height="%d" '
-         'fill="white" />')
-_CORE_LABEL = ('<text class="core-label" font-size="11" text-anchor="middle" '
-               'x="%d" y="%d">C%d</text>')
-_GRID = ('<line class="grid" stroke="#cccccc" stroke-width="1" x1="%d" '
-         'y1="%d" x2="%d" y2="%d" /><text class="grid-label" font-size="9" '
-         'text-anchor="end" x="%d" y="%d">%d</text>')
-_QT_RECT = ('<rect class="qt-rect" data-qt="%s" fill="none" stroke="#333333"'
-            '%s x="%d" y="%d" width="%d" height="%d" />')
-_QT_HOOK = ('<line class="qt-hook" stroke="#333333" x1="%d" y1="%d" x2="%d" '
-            'y2="%d" />')
-_QT_LABEL = '<text class="qt-label" font-size="9" x="%d" y="%d"'
-_META = ('<rect class="meta-box" fill="#ffffff" stroke="#555555" x="%d" '
-         'y="%d" width="30" height="10" /><text class="meta-addr" '
-         'font-size="8" x="%d" y="%d">%x</text>')
-# An instruction's ball and tails, with x and the address filled in
-# first: the result is a template of the y values alone.
-_INSTR_XA = ('<circle class="instr-ball" fill="#e8e8ff" stroke="#333333" '
-             'cx="%d" cy="%%d" r="5" /><text class="instr-addr" font-size="8" '
-             'text-anchor="middle" x="%d" y="%%d">%x</text>')
-_TAIL_X = ('<circle class="instr-ball-tail" fill="#888888" cx="%d" cy="%%d" '
-           'r="2" />')
-_WAIT_DOT = ('<circle class="wait-dot" fill="none" stroke="#999999" '
-             'cx="%d" cy="%d" r="4" />')
-_WAIT_ADDR = ('<text class="wait-addr" font-size="8" text-anchor="end" '
-              'x="%d" y="%d">%x</text>')
-_READ = '<text class="esv-read" font-size="9" x="%d" y="%d">&gt;</text>'
-_WRITE = '<text class="esv-write" font-size="9" x="%d" y="%d">&lt;</text>'
-_FEED = ('<text class="sumfeed" font-size="10" font-weight="bold" '
-         'x="%d" y="%d">+</text>')
+# The document is ElementTree's serialization of the elements, written
+# directly: attributes in the order ElementTree kept them, " />" on empty
+# elements, the same escaping (see _attr and _text).  Elements drawn often
+# are built from pieces made once per document or core, and their ys.
 
 
 def _text(value):
@@ -122,13 +90,21 @@ def _svg_blocks(events, cores, spans, total):
     width = _LEFT + cores * _COL_W + 20
     height = _y(total) + 2 * _ROW_H
 
-    out = [_HEAD % (width, height, width, height, width, height)]
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{height}" viewBox="0 0 {width} {height}"><rect x="0" '
+           f'y="0" width="{width}" height="{height}" fill="white" />']
     add = out.append
     for core in range(cores):
-        add(_CORE_LABEL % (_x(core), _TOP - 10, core))
+        add(f'<text class="core-label" font-size="11" text-anchor="middle" '
+            f'x="{_x(core)}" y="{_TOP - 10}">C{core}</text>')
+    line = (f'<line class="grid" stroke="#cccccc" stroke-width="1" '
+            f'x1="{_LEFT - 26}" y1="')
+    x2 = f'" x2="{width - 10}" y2="'
+    label = (f'" /><text class="grid-label" font-size="9" text-anchor="end" '
+             f'x="{_LEFT - 30}" y="')
     grid = zip(range(0, total + 1, 5), range(_TOP, _y(total) + 1, 5 * _ROW_H))
     for lines in tr.batches(grid):
-        out += [_GRID % (_LEFT - 26, y, width - 10, y, _LEFT - 30, y + 3, cycle)
+        out += [f'{line}{y}{x2}{y}{label}{y + 3}">{cycle}</text>'
                 for cycle, y in lines]
         if len(out) >= tr.BLOCK:
             yield _take(out)
@@ -138,18 +114,21 @@ def _svg_blocks(events, cores, spans, total):
         x0 = _x(span.core) - w // 2
         y0, y1 = _y(span.start), _y(span.end)
         parent = ("" if span.parent is None else
-                  ' data-parent="%s"' % _attr(span.parent or "-"))
-        add(_QT_RECT % (_attr(span.id), parent, x0, y0, w, max(y1 - y0, 2)))
-        for hy in (y0, y1):    # creation/termination hooks
-            add(_QT_HOOK % (x0 - 4, hy, x0 + w + 4, hy))
-        add(_QT_LABEL % (x0 + 2, y0 - 2))     # an empty id: empty element
-        add(">%s</text>" % _text(span.id) if span.id else " />")
+                  f' data-parent="{_attr(span.parent or "-")}"')
+        hook = f'<line class="qt-hook" stroke="#333333" x1="{x0 - 4}" y1="'
+        hook_x2 = f'" x2="{x0 + w + 4}" y2="'
+        label = f">{_text(span.id)}</text>" if span.id else " />"
+        add(f'<rect class="qt-rect" data-qt="{_attr(span.id)}" fill="none" '
+            f'stroke="#333333"{parent} x="{x0}" y="{y0}" width="{w}" '
+            f'height="{max(y1 - y0, 2)}" />{hook}{y0}{hook_x2}{y0}" />{hook}'
+            f'{y1}{hook_x2}{y1}" /><text class="qt-label" font-size="9" '
+            f'x="{x0 + 2}" y="{y0 - 2}"{label}')
         if len(out) >= tr.BLOCK:
             yield _take(out)
 
     x_mid = _LEFT + _COL_W // 2      # _x(core) is x_mid + core * _COL_W
     half = _QT_W // 2
-    balls = {}          # (core, addr, duration) -> ball and tails, y open
+    balls = {}          # (core, addr) -> the pieces of a ball around its ys
     waits = {}
     for batch in tr.batches(events):
         for cycle, core, qt, kind, addr, payload in batch:
@@ -157,34 +136,44 @@ def _svg_blocks(events, cores, spans, total):
             if kind == tr.INSTR_RETIRED:
                 duration = payload or 1
                 y = _TOP + (cycle - duration + 1) * _ROW_H
-                key = (core, addr, duration)
-                ball = balls.get(key)
+                ball = balls.get((core, addr))
                 if ball is None:
-                    ball = balls[key] = (_INSTR_XA % (x, x, addr)
-                                         + _TAIL_X % x * (duration - 1))
-                if duration == 1:   # most: no range of tail ys to unpack
-                    add(ball % (y, y - 6))
-                else:
-                    add(ball % (y, y - 6, *range(y + _ROW_H,
-                                                 y + duration * _ROW_H,
-                                                 _ROW_H)))
+                    ball = balls[core, addr] = (
+                        f'<circle class="instr-ball" fill="#e8e8ff" '
+                        f'stroke="#333333" cx="{x}" cy="',
+                        f'" r="5" /><text class="instr-addr" font-size="8" '
+                        f'text-anchor="middle" x="{x}" y="',
+                        f'">{addr:x}</text>')
+                start, mid, end = ball
+                add(f"{start}{y}{mid}{y - 6}{end}")
+                if duration > 1:
+                    for ty in range(y + _ROW_H, y + duration * _ROW_H, _ROW_H):
+                        add(f'<circle class="instr-ball-tail" fill="#888888" '
+                            f'cx="{x}" cy="{ty}" r="2" />')
             elif kind == tr.META_RETIRED:
                 y = _TOP + (cycle - (payload or 1) + 1) * _ROW_H
-                add(_META % (x + half + 4, y - 5, x + half + 6, y + 3, addr))
+                add(f'<rect class="meta-box" fill="#ffffff" stroke="#555555" '
+                    f'x="{x + half + 4}" y="{y - 5}" width="30" height="10" />'
+                    f'<text class="meta-addr" font-size="8" x="{x + half + 6}" '
+                    f'y="{y + 3}">{addr:x}</text>')
             elif kind == tr.WAIT_BEGIN:
                 waits[(core, qt)] = (cycle, addr)
             elif kind == tr.WAIT_END:
                 begin = waits.pop((core, qt), None)
                 if begin is not None:
                     yield from _wait_dots(out, x - half - 10, begin[0], cycle)
-                    add(_WAIT_ADDR % (x - half - 18, _y(begin[0]) + 3,
-                                      begin[1]))
+                    add(f'<text class="wait-addr" font-size="8" '
+                        f'text-anchor="end" x="{x - half - 18}" '
+                        f'y="{_y(begin[0]) + 3}">{begin[1]:x}</text>')
             elif kind == tr.LATCH_READ:
-                add(_READ % (x + half - 2, _y(cycle) + 3))
+                add(f'<text class="esv-read" font-size="9" x="{x + half - 2}" '
+                    f'y="{_y(cycle) + 3}">&gt;</text>')
             elif kind == tr.LATCH_WRITE:
-                add(_WRITE % (x + half - 2, _y(cycle) + 3))
+                add(f'<text class="esv-write" font-size="9" x="{x + half - 2}" '
+                    f'y="{_y(cycle) + 3}">&lt;</text>')
             elif kind == tr.SUM_FEED:
-                add(_FEED % (x - 4, _y(cycle) + 3))
+                add(f'<text class="sumfeed" font-size="10" font-weight="bold" '
+                    f'x="{x - 4}" y="{_y(cycle) + 3}">+</text>')
         if len(out) >= tr.BLOCK:
             yield _take(out)
     # open waits (machine stopped while waiting)
@@ -199,8 +188,9 @@ def _wait_dots(out, x, begin, end):
     """Add to `out` a wait dot at `x` for each cycle begin..end-1,
     yielding `out` as one string and emptying it after each batch that
     fills it to tr.BLOCK elements."""
-    for cycles in tr.batches(range(begin, end)):
-        out += [_WAIT_DOT % (x, _y(cycle)) for cycle in cycles]
+    dot = f'<circle class="wait-dot" fill="none" stroke="#999999" cx="{x}" cy="'
+    for ys in tr.batches(range(_y(begin), _y(end), _ROW_H)):
+        out += [f'{dot}{y}" r="4" />' for y in ys]
         if len(out) >= tr.BLOCK:
             yield _take(out)
 
@@ -224,7 +214,6 @@ _GLYPHS = {tr.SUM_FEED: "+", tr.META_RETIRED: "Q", tr.INSTR_RETIRED: "o",
 _CELLS = {kind: glyph.center(5) for kind, glyph in _GLYPHS.items()}
 _WAIT, _ALIVE, _IDLE = (glyph.center(5) for glyph in "w|.")
 _BLANK = " " * 6                # the label of a row whose cycle is unnumbered
-_AFTER_LABEL = itemgetter(slice(5, None))    # a "%5d" number replaces it
 
 
 def _fives(rows):
@@ -257,13 +246,13 @@ def render_ascii(events, cores):
 
     for span in spans:
         cover(span.core, span.start, span.end, 1, 0)
-    marks = {}                  # (cycle, core) -> event kind shown
+    marks = {}                  # cycle * cores + core -> event kind shown
     open_waits = {}
     for cycle, core, qt, kind, _addr, _payload in events:
         prio = _GLYPH_PRIORITY.get(kind)
         if prio is None:
             continue
-        cell = (cycle, core)
+        cell = cycle * cores + core
         shown = marks.get(cell)
         if shown is None or _GLYPH_PRIORITY[shown] < prio:
             marks[cell] = kind
@@ -293,7 +282,8 @@ def render_ascii(events, cores):
     rows[start:] = [row] * (total + 1 - start)
 
     patched = {}                # (row, core, kind) -> row with the glyph
-    for (cycle, core), kind in marks.items():
+    for cell, kind in marks.items():
+        cycle, core = cell // cores, cell % cores
         row = rows[cycle]
         key = (row, core, kind)
         new = patched.get(key)
@@ -303,21 +293,20 @@ def render_ascii(events, cores):
         rows[cycle] = new
     del marks, patched          # freed before the text is joined
 
-    # Five rows a piece: a newline and the first row's number, then the
-    # rest of the five rows as one body.  Bodies repeat, so each distinct
-    # one is kept once and shared; each is joined and cut in C, and the
-    # copy made for a body already kept is freed at once.  The zip stops
-    # at the last whole piece; a shorter one after it is added on its own.
+    # Five rows a piece: a newline and the first row's five-wide number,
+    # then the rest of the five rows as one body.  Bodies repeat, so each
+    # distinct one is joined once, under the tuple of its five shared
+    # rows, and shared.  The zip stops at the last whole piece; a shorter
+    # one after it is added on its own.
     bodies = {}
-    pieces = ["cycle " + "".join(("C%d" % c).center(5) for c in range(cores))]
+    pieces = ["cycle " + "".join(f"C{c}".center(5) for c in range(cores))]
     pieces += chain.from_iterable(zip(
-        map("\n%5d".__mod__, range(0, total + 1, 5)),
-        map(bodies.setdefault, _fives(rows),
-            map(_AFTER_LABEL, map("\n".join, _fives(rows))))))
+        (f"\n{cycle:5d}" for cycle in range(0, total + 1, 5)),
+        (bodies.get(five) or bodies.setdefault(five, "\n".join(five)[5:])
+         for five in _fives(rows))))
     cycle = (len(pieces) - 1) // 2 * 5
     if cycle <= total:
-        pieces += ("\n%5d" % cycle, _AFTER_LABEL("\n".join(rows[cycle:])))
+        pieces += (f"\n{cycle:5d}", "\n".join(rows[cycle:])[5:])
     pieces.append("\n")        # the text ends with a newline
     del rows, bodies            # freed before the text is joined
     return "".join(pieces)
-

@@ -87,9 +87,11 @@ def _class_cycles(key, cycles):
     """`cycles` as the cycle count of instruction class `key`."""
     if key not in DEFAULT_TIMING:
         raise ValueError("unknown instruction class %r" % key)
-    if int(cycles) < 1:
+    if type(cycles) is not int:
+        raise ValueError("class %r: %r is not a whole number" % (key, cycles))
+    if cycles < 1:
         raise ValueError("class %r needs at least 1 cycle" % key)
-    return int(cycles)
+    return cycles
 
 
 class TimingConfig:

@@ -192,10 +192,6 @@ class TraceFormatError(ValueError):
     """A trace line outside the grammar."""
 
 
-_LINE = "cycle=%d core=%d qt=%s kind=%s addr=0x%04x\n"
-_LINE_PAYLOAD = _LINE[:-1] + " payload=0x%08x\n"
-
-
 # The trace text and the SVG are built in blocks of BLOCK lines or
 # element strings, so a writer holds one block at a time, and a join
 # holds the blocks and its result, not every line as a string of its own.
@@ -214,12 +210,25 @@ def batches(items):
         yield batch
 
 
+class _Tails(dict):
+    """(kind, addr, payload) -> the rest of a trace line after its QT id,
+    made once per distinct key in one trace_blocks call."""
+
+    def __missing__(self, key):
+        kind, addr, payload = key
+        tail = self[key] = f" kind={kind} addr=0x{addr:04x}" + (
+            "\n" if payload is None else f" payload=0x{payload:08x}\n")
+        return tail
+
+
 def trace_blocks(events):
-    """The trace text of `events`, one block of text per BLOCK lines."""
-    line, line_payload = _LINE, _LINE_PAYLOAD
+    """The trace text of `events`, one block of text per BLOCK lines.
+    The unary + writes a bool cycle or core as 1 or 0, not True."""
+    tails = _Tails()
     for batch in batches(events):
-        yield "".join([line % ev[:5] if ev[5] is None else line_payload % ev
-                       for ev in batch])
+        yield "".join([f"cycle={+cycle} core={+core} qt={qt}"
+                       f"{tails[kind, addr, payload]}"
+                       for cycle, core, qt, kind, addr, payload in batch])
 
 
 def format_trace(events):

@@ -4,10 +4,11 @@ spacing, ASCII determinism."""
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given
 
-from empa import diagram, stats, trace as tr
+from empa import diagram, fixtures, stats, trace as tr
 from empa.fixtures import dynpar_source, for_mode_source, sumup_mode_source
-from helpers import assemble_run
+from helpers import assemble_run, fixture_trace, wide_event_lists
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -159,3 +160,34 @@ def test_the_root_is_alive_from_cycle_1():
     rect, = _by_class(root, "qt-rect")
     ball = _by_class(root, "instr-ball")[0]
     assert rect.get("y") == ball.get("cy") == str(diagram._y(1))
+
+
+def _fresh_kinds(events):
+    """`events` with each kind an equal string made at run time, not the
+    trace constant."""
+    fresh = [tr.Event(*ev[:3], "".join([ev.kind[:2], ev.kind[2:]]), *ev[4:])
+             for ev in events]
+    assert all(new.kind is not ev.kind for new, ev in zip(fresh, events))
+    return fresh
+
+
+def _assert_kinds_compared_by_value(events, cores):
+    fresh = _fresh_kinds(events)
+    assert fresh == events
+    assert diagram.render_ascii(fresh, cores) == \
+        diagram.render_ascii(events, cores)
+    assert diagram.render_diagram(fresh, cores) == \
+        diagram.render_diagram(events, cores)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.FIXTURES))
+def test_renderers_read_a_kind_by_value_not_identity(name):
+    """A hand-built event list may hold kinds that equal the trace
+    constants without being them; both renderers draw it the same."""
+    _assert_kinds_compared_by_value(fixture_trace(name, 5), 5)
+
+
+@given(wide_event_lists())
+def test_generated_kinds_are_read_by_value(case):
+    cores, events = case
+    _assert_kinds_compared_by_value(events, cores)

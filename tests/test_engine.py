@@ -81,6 +81,13 @@ def test_timing_from_text_and_validation():
         engine.TimingConfig({"frobnicate": 2})
 
 
+@pytest.mark.parametrize("cycles", (2.7, True, "07"))
+def test_timing_override_that_is_not_an_int_names_its_class(cycles):
+    with pytest.raises(ValueError) as error:
+        engine.TimingConfig({"nop": cycles})
+    assert str(error.value) == "class 'nop': %r is not a whole number" % cycles
+
+
 def test_clock_conservation():
     """Every retired instruction occupies exactly timing(class) cycles on
     its core: retire cycles are spaced by at least the next duration."""

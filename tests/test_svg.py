@@ -2,7 +2,7 @@
 
 The oracle below is the earlier renderer: it builds an ElementTree of
 every SVG element and serializes it.  The renderer under test writes the
-same document as text, one template per element kind; the two must
+same document as text, element by element; the two must
 agree byte for byte on engine traces, on a run with `(n)` QT ids, on
 traces cut off while cores wait, on arbitrary event lists and on parsed
 traces whose QT ids hold XML specials.

@@ -6,11 +6,12 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from empa import trace as tr
 from empa.fixtures import FIXTURES, sumup_mode_source
-from helpers import assemble_run, event_lists, fixture_trace, pinned_traces
+from helpers import (QT_IDS, assemble_run, event_lists, fixture_trace,
+                     pinned_traces)
 
 
 def test_format_event_with_and_without_payload():
@@ -31,6 +32,43 @@ def test_trace_blocks_hold_block_lines_each():
         [tr.BLOCK] * full + [rest] * bool(rest)
     assert "".join(blocks) == tr.format_trace(events)
     assert list(tr.trace_blocks([])) == [] and tr.format_trace([]) == ""
+
+
+# The formatter of an earlier release, one %-template per line: the
+# oracle for the text that trace_blocks builds from its pieces.
+_TEMPLATE = "cycle=%d core=%d qt=%s kind=%s addr=0x%04x\n"
+_TEMPLATE_PAYLOAD = _TEMPLATE[:-1] + " payload=0x%08x\n"
+
+
+def _template_trace(events):
+    return "".join(_TEMPLATE % ev[:5] if ev[5] is None
+                   else _TEMPLATE_PAYLOAD % ev for ev in events)
+
+
+# Few values each, so that lines share their (kind, addr, payload); a
+# bool cycle or core is written as 0 or 1, and a bool address or payload
+# shares its line end with the int it equals.
+_WIDE_EVENTS = st.lists(st.builds(
+    tr.Event,
+    cycle=st.one_of(st.sampled_from((0, 1, 2, 2**31 - 1, 2**31, 2**40)),
+                    st.booleans()),
+    core=st.one_of(st.integers(0, 64), st.booleans()),
+    qt=st.sampled_from(QT_IDS + ("1(36)", "1(36)(100)", "1z(37)")),
+    kind=st.sampled_from(sorted(tr.KINDS)),
+    addr=st.one_of(st.sampled_from((0, 1, 0xffff, 0x10000, 2**32 - 1)),
+                   st.booleans()),
+    payload=st.one_of(st.sampled_from((None, 0, 1, 0xffffffff, 2**32)),
+                      st.booleans())), max_size=60)
+
+
+@settings(max_examples=300)
+@given(_WIDE_EVENTS)
+def test_trace_text_matches_the_template_formatter(events):
+    text = _template_trace(events)
+    assert tr.format_trace(events) == text
+    assert "".join(tr.trace_blocks(events)) == text
+    if events:
+        assert tr.format_event(events[0]) == _template_trace(events[:1])[:-1]
 
 
 def test_roundtrip_real_trace():
